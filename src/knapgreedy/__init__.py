@@ -11,7 +11,6 @@ from .core import (
     Solution,
     marginal,
     reduce_instance,
-    set_cost,
     validate,
 )
 from .dynamic import DynamicGreedy, WeightUpdate
@@ -66,7 +65,6 @@ __all__ = [
     "Solution",
     "marginal",
     "reduce_instance",
-    "set_cost",
     "validate",
     "DynamicGreedy",
     "WeightUpdate",

@@ -33,9 +33,6 @@ class GroundSet:
         if self.n < 1:
             raise InvalidInstanceError("ground set must contain at least one element")
 
-    def indices(self):
-        return range(self.n)
-
 
 class KnapsackConstraints:
     """k linear cost functions with budgets.
@@ -166,9 +163,6 @@ class Solution:
     cost_acc: np.ndarray = None
     value: float = 0.0
 
-    def as_set(self):
-        return frozenset(self.order)
-
 
 def marginal(obj, S, omega):
     """f(S | omega) - f(S). Consumes exactly two oracle calls."""
@@ -176,8 +170,14 @@ def marginal(obj, S, omega):
     return obj.value(S | frozenset(omega)) - obj.value(S)
 
 
-def set_cost(cons, S):
-    return cons.set_cost(S)
+def check_weights(weights):
+    """Raise InvalidInstanceError unless every budget is finite and
+    nonnegative, naming the first offending knapsack."""
+    for i, w in enumerate(weights):
+        if not np.isfinite(w):
+            raise InvalidInstanceError("non-finite weight for knapsack %d" % i)
+        if w < 0:
+            raise InvalidInstanceError("negative weight for knapsack %d" % i)
 
 
 def validate(inst):
@@ -189,13 +189,11 @@ def validate(inst):
             "dimension mismatch: cost matrix has %d columns, ground set has %d elements"
             % (cons.n, inst.ground.n)
         )
-    neg = np.argwhere(cons.costs < 0)
-    if neg.size:
-        i, e = neg[0]
-        raise InvalidInstanceError("negative cost for element %d in knapsack %d" % (e, i))
-    for i, w in enumerate(cons.weights):
-        if w < 0:
-            raise InvalidInstanceError("negative weight for knapsack %d" % i)
+    for what, bad in (("non-finite", ~np.isfinite(cons.costs)), ("negative", cons.costs < 0)):
+        if bad.any():
+            i, e = np.argwhere(bad)[0]
+            raise InvalidInstanceError("%s cost for element %d in knapsack %d" % (what, e, i))
+    check_weights(cons.weights)
     col_max = cons.costs.max(axis=0)
     zero = np.nonzero(col_max <= 0)[0]
     if zero.size:
@@ -212,7 +210,7 @@ def reduce_instance(inst):
     """
     cons = inst.constraints
     keep, removed = [], []
-    for e in inst.ground.indices():
+    for e in range(inst.ground.n):
         if np.all(cons.costs[:, e] <= cons.weights + FEAS_TOL):
             keep.append(e)
         else:

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Solution, reduce_instance, validate
+from .core import Solution, check_weights, reduce_instance, validate
 from .solver import (
-    SolveResult,
+    best_of,
     check_lambda,
     chi,
     complement_search,
+    greedy_step,
     split_by_threshold,
 )
 
@@ -43,9 +44,8 @@ class DynamicGreedy:
     def __init__(self, inst, lam):
         check_lambda(lam, inst.constraints.k)
         validate(inst)
-        red, removed = reduce_instance(inst)
+        red, _ = reduce_instance(inst)
         self.inst = red
-        self.removed = removed
         self._calls_baseline = red.objective.eval_count
         self.lam = float(lam)
         self.cons = red.constraints
@@ -63,7 +63,6 @@ class DynamicGreedy:
         self.value_stack = []  # f(prefix) after each append, for rollback
         self.pool = sorted(self.cheap)
         self.phase = "greedy" if self.pool else "finished"
-        self.dropped = []  # singletons that became infeasible after updates
 
     def _refresh_vstar(self):
         best_e, best_v = None, None
@@ -76,35 +75,22 @@ class DynamicGreedy:
         self.vstar_value = best_v if best_v is not None else 0.0
 
     def step(self):
-        """One greedy selection: evaluate every pooled candidate against the
-        current prefix, discard the densest one from the pool, and append it
-        when feasible with nonnegative gain."""
+        """One greedy_step on the current prefix; an appended element's
+        prefix value is pushed for rollback."""
         if self.phase != "greedy":
             return
-        sigma = self.sigma
-        current = frozenset(sigma.order)
-        best_e, best_density, best_fval = None, None, None
-        for e in self.pool:
-            fe = self.obj.value(current | {e})
-            density = (fe - sigma.value) / self.cons.max_cost(e)
-            if best_density is None or density > best_density:
-                best_e, best_density, best_fval = e, density, fe
-        self.pool.remove(best_e)
-        gain = best_fval - sigma.value
-        new_cost = sigma.cost_acc + self.cons.costs[:, best_e]
-        if gain >= 0 and self.cons.is_feasible_cost(new_cost):
-            sigma.order.append(best_e)
-            sigma.cost_acc = new_cost
-            sigma.value = best_fval
-            self.value_stack.append(best_fval)
+        if greedy_step(self.obj, self.cons, self.sigma, self.pool):
+            self.value_stack.append(self.sigma.value)
         if not self.pool:
             self.phase = "finished"
 
     def apply_weights(self, new_weights):
-        """Stack-rollback update rule for a new budget vector."""
-        new_weights = np.asarray(new_weights, dtype=float)
+        """Stack-rollback update rule for a new budget vector. A vector of
+        the wrong length, or with a non-finite or negative entry, raises
+        InvalidInstanceError and leaves the engine unchanged."""
         old_cons = self.cons
         new_cons = old_cons.with_weights(new_weights)
+        check_weights(new_cons.weights)
         new_cheap = set(split_by_threshold(new_cons, self.lam).cheap)
         chi_cap = min(chi(old_cons), chi(new_cons))
 
@@ -118,17 +104,16 @@ class DynamicGreedy:
 
         self.cons = new_cons
         self.cheap = new_cheap
-        self.dropped = [
-            e
-            for e in range(self.inst.ground.n)
-            if not new_cons.is_feasible_cost(new_cons.costs[:, e])
-        ]
         self._refresh_vstar()
         self.pool = sorted(self.cheap - set(sigma.order))
         self.phase = "greedy" if self.pool else "finished"
 
-    def run_to_completion(self):
-        while self.phase == "greedy":
+    def run_to_completion(self, call_limit=None):
+        """Step until the pool is empty or the objective's eval_count
+        reaches call_limit, an absolute count (obj.eval_count + b budgets b
+        more calls). The limit is checked between steps, so the last step
+        may run past it by one scan of the pool."""
+        while self.phase == "greedy" and (call_limit is None or self.obj.eval_count < call_limit):
             self.step()
 
     def current_best(self):
@@ -142,17 +127,7 @@ class DynamicGreedy:
         self.run_to_completion()
         part = split_by_threshold(self.cons, self.lam)
         comp_set, comp_val = complement_search(self.obj, self.cons, part)
-
-        chosen, value, which = tuple(self.sigma.order), self.sigma.value, "greedy-sigma"
-        if self.vstar is not None and self.vstar_value > value:
-            chosen, value, which = (self.vstar,), self.vstar_value, "singleton-vstar"
-        if comp_val > value:
-            chosen, value, which = tuple(sorted(comp_set)), comp_val, "complement-set"
-
-        return SolveResult(
-            chosen=tuple(self.inst.to_original(e) for e in chosen),
-            value=float(value),
-            which=which,
-            greedy_order=tuple(self.inst.to_original(e) for e in self.sigma.order),
-            oracle_calls=self.obj.eval_count - self._calls_baseline,
+        calls = self.obj.eval_count - self._calls_baseline
+        return best_of(
+            self.inst, self.sigma, self.vstar, self.vstar_value, comp_set, comp_val, calls
         )

@@ -11,13 +11,12 @@ and the oracle calls it spent in the interval.
 from __future__ import annotations
 
 import json
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import EmptyAfterReductionError, Instance
+from .core import EmptyAfterReductionError, Instance, check_weights
 from .dynamic import DynamicGreedy, WeightUpdate
 from .solver import check_lambda
 
@@ -34,8 +33,8 @@ class SimConfig:
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and nonnegative")
         if self.initial_fraction is not None and not 0 < self.initial_fraction <= 1:
             raise ValueError("initial_fraction must be in (0, 1]")
 
@@ -64,42 +63,24 @@ def perturb_weights(weights, totals, noise_sigma, rng):
     return fractions * totals
 
 
-class _RestartContestant:
-    """Static greedy re-run from scratch at every update, interruptible at
-    step granularity so a tight budget leaves an honest partial state."""
+def _fresh_engine(inst, weights, lam):
+    """The restart contestant for one interval: a static greedy started from
+    scratch under weights, or None when no element fits them."""
+    restarted = Instance(inst.ground, inst.constraints.with_weights(weights), inst.objective)
+    try:
+        return DynamicGreedy(restarted, lam)
+    except EmptyAfterReductionError:
+        return None
 
-    def __init__(self, inst, lam):
-        self.inst = inst
-        self.lam = lam
-        self.engine = None
 
-    def restart(self, weights):
-        inst = Instance(
-            ground=self.inst.ground,
-            constraints=self.inst.constraints.with_weights(weights),
-            objective=self.inst.objective,
-            index_map=self.inst.index_map,
-        )
-        try:
-            self.engine = DynamicGreedy(inst, self.lam)
-        except EmptyAfterReductionError:
-            self.engine = None
-
-    def run(self, budget, calls_used):
-        if self.engine is None:
-            return
-        obj = self.inst.objective
-        start = obj.eval_count - calls_used
-        while self.engine.phase == "greedy" and obj.eval_count - start < budget:
-            self.engine.step()
-
-    def best_value(self):
-        # Complement-set candidates count only once the greedy has finished.
-        if self.engine is None:
-            return 0.0
-        if self.engine.phase == "finished":
-            return self.engine.finalize().value
-        return self.engine.current_best()
+def _restart_value(engine):
+    """Restart contestant's score: 0 when nothing fit; complement-set
+    candidates count only once its greedy has finished."""
+    if engine is None:
+        return 0.0
+    if engine.phase == "finished":
+        return engine.finalize().value
+    return engine.current_best()
 
 
 def run_dynamic(inst, cfg):
@@ -122,28 +103,24 @@ def run_dynamic(inst, cfg):
     rs_inst = Instance(inst.ground, inst.constraints.with_weights(weights), rs_obj)
 
     engine = DynamicGreedy(dg_inst, cfg.lam)
-    restart = _RestartContestant(rs_inst, cfg.lam)
-    restart.restart(weights)
-
-    def run_engine(budget, calls_used):
-        start = dg_obj.eval_count - calls_used
-        while engine.phase == "greedy" and dg_obj.eval_count - start < budget:
-            engine.step()
+    restart = _fresh_engine(rs_inst, weights, cfg.lam)
 
     # Warm-up interval under the initial weights, not recorded.
-    run_engine(cfg.tau, 0)
-    restart.run(cfg.tau, 0)
+    engine.run_to_completion(dg_obj.eval_count + cfg.tau)
+    if restart is not None:
+        restart.run_to_completion(rs_obj.eval_count + cfg.tau)
 
     trace = RunTrace(config=cfg)
     for u in range(1, cfg.n_updates + 1):
         weights = perturb_weights(weights, totals, cfg.noise_sigma, rng)
         dg_start, rs_start = dg_obj.eval_count, rs_obj.eval_count
         engine.apply_weights(weights)
-        restart.restart(weights)
-        run_engine(cfg.tau, dg_obj.eval_count - dg_start)
-        restart.run(cfg.tau, rs_obj.eval_count - rs_start)
+        restart = _fresh_engine(rs_inst, weights, cfg.lam)
+        engine.run_to_completion(dg_start + cfg.tau)
+        if restart is not None:
+            restart.run_to_completion(rs_start + cfg.tau)
         dg_value = engine.current_best()
-        rs_value = restart.best_value()  # may spend calls on the complement
+        rs_value = _restart_value(restart)  # may spend calls on the complement
         trace.rows.append(
             TraceRow(
                 update=u,
@@ -158,12 +135,15 @@ def run_dynamic(inst, cfg):
 
 
 def load_updates(path):
-    """Update stream file: [{"at_call": int, "weights": [real]}], sorted."""
+    """Update stream file: [{"at_call": int, "weights": [real]}], sorted.
+    Non-finite or negative weights raise InvalidInstanceError."""
     with open(path) as fh:
         doc = json.load(fh)
     updates = [WeightUpdate(int(u["at_call"]), np.asarray(u["weights"], dtype=float)) for u in doc]
     if any(b.at_call < a.at_call for a, b in zip(updates, updates[1:])):
         raise ValueError("update stream must be sorted by at_call")
+    for u in updates:
+        check_weights(u.weights)
     return updates
 
 
@@ -172,17 +152,11 @@ def run_with_updates(inst, lam, updates):
     the engine's oracle-call counter reaches its timestamp. Updates are
     consumed at step boundaries; any still pending when the pool empties
     are applied before finalizing."""
+    baseline = inst.objective.eval_count
     engine = DynamicGreedy(inst, lam)
-    baseline = engine._calls_baseline
-    pending = list(updates)
-    while True:
-        calls = engine.obj.eval_count - baseline
-        if pending and (calls >= pending[0].at_call or engine.phase == "finished"):
-            engine.apply_weights(pending.pop(0).weights)
-            continue
-        if engine.phase == "finished":
-            break
-        engine.step()
+    for u in updates:
+        engine.run_to_completion(baseline + u.at_call)
+        engine.apply_weights(u.weights)
     return engine.finalize()
 
 
@@ -217,16 +191,8 @@ def trace_to_csv(trace, path):
 
 
 def summary_to_json(trace, path):
-    cfg = trace.config
     payload = summarize(trace)
-    payload["config"] = {
-        "tau": cfg.tau,
-        "noise_sigma": cfg.noise_sigma,
-        "n_updates": cfg.n_updates,
-        "seed": cfg.seed,
-        "lam": cfg.lam,
-        "initial_fraction": cfg.initial_fraction,
-    }
+    payload["config"] = asdict(trace.config)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

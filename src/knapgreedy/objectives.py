@@ -63,7 +63,8 @@ class ModularObjective(Objective):
 
 
 class DirectedCutObjective(Objective):
-    """Weight of arcs leaving S. Non-monotone submodular; curvature <= 2."""
+    """Weight of arcs leaving S. Non-monotone submodular. Its curvature is
+    not bounded by a constant; see "Known limitation" in the README."""
 
     def __init__(self, n, arcs):
         super().__init__()
@@ -161,15 +162,3 @@ class PartitionBudget:
         for e, lab in enumerate(self.labels):
             costs[lab, e] = 1.0
         return KnapsackConstraints(costs, np.asarray(self.budgets, dtype=float))
-
-
-def dpp_value(obj, S):
-    return obj.value(S)
-
-
-def entropy_value(obj, S):
-    return obj.value(S)
-
-
-def cut_value(obj, S):
-    return obj.value(S)

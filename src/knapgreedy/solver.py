@@ -86,34 +86,41 @@ def split_by_threshold(cons, lam):
     return Partition(tuple(cheap), tuple(expensive))
 
 
-def greedy_phase(obj, cons, part):
-    """Density greedy over the cheap set.
+def greedy_step(obj, cons, sigma, pool):
+    """One density-greedy selection, shared by the static solver and the
+    dynamic engine.
 
-    Repeatedly evaluates f(sigma + e) for every remaining candidate, selects
-    the one with the largest marginal gain divided by its maximum
-    per-knapsack cost (ties to the lowest index), and appends it when the
-    extended set is feasible and the gain is nonnegative. A candidate with a
-    negative gain is discarded without being appended, so prefix values
-    never decrease.
+    Evaluates f(sigma + e) for every candidate in pool, removes the one with
+    the largest marginal gain divided by its maximum per-knapsack cost (ties
+    to the earliest in pool order), and appends it to sigma when the gain is
+    nonnegative and the extended set is feasible. A NaN gain is never
+    appended. Returns whether sigma grew.
     """
+    current = frozenset(sigma.order)
+    best_e, best_density, best_fval = None, None, None
+    for e in pool:
+        fe = obj.value(current | {e})
+        density = (fe - sigma.value) / cons.max_cost(e)
+        if best_density is None or density > best_density:
+            best_e, best_density, best_fval = e, density, fe
+    pool.remove(best_e)
+    new_cost = sigma.cost_acc + cons.costs[:, best_e]
+    if not (best_fval - sigma.value >= 0 and cons.is_feasible_cost(new_cost)):
+        return False
+    sigma.order.append(best_e)
+    sigma.cost_acc = new_cost
+    sigma.value = best_fval
+    return True
+
+
+def greedy_phase(obj, cons, part):
+    """Density greedy over the cheap set: greedy_step until no candidate is
+    left. Only nonnegative gains are appended, so prefix values never
+    decrease."""
     sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
     pool = list(part.cheap)
-    current = frozenset()
     while pool:
-        best_e, best_density, best_fval = None, None, None
-        for e in pool:
-            fe = obj.value(current | {e})
-            density = (fe - sigma.value) / cons.max_cost(e)
-            if best_density is None or density > best_density:
-                best_e, best_density, best_fval = e, density, fe
-        pool.remove(best_e)
-        gain = best_fval - sigma.value
-        new_cost = sigma.cost_acc + cons.costs[:, best_e]
-        if gain >= 0 and cons.is_feasible_cost(new_cost):
-            sigma.order.append(best_e)
-            sigma.cost_acc = new_cost
-            sigma.value = best_fval
-            current = current | {best_e}
+        greedy_step(obj, cons, sigma, pool)
     return sigma
 
 
@@ -160,11 +167,29 @@ def best_singleton(obj, n):
     return best_e, best_v
 
 
+def best_of(inst, sigma, vstar, vstar_val, comp_set, comp_val, calls):
+    """Argmax over the greedy sequence, the best singleton (None when no
+    singleton fits) and the best complement subset, ties to that order;
+    reported in the original indices of the instance inst was reduced from."""
+    chosen, value, which = tuple(sigma.order), sigma.value, "greedy-sigma"
+    if vstar is not None and vstar_val > value:
+        chosen, value, which = (vstar,), vstar_val, "singleton-vstar"
+    if comp_val > value:
+        chosen, value, which = tuple(sorted(comp_set)), comp_val, "complement-set"
+    return SolveResult(
+        chosen=tuple(inst.to_original(e) for e in chosen),
+        value=float(value),
+        which=which,
+        greedy_order=tuple(inst.to_original(e) for e in sigma.order),
+        oracle_calls=calls,
+    )
+
+
 def lambda_greedy(inst, lam):
     """Full static solve; reports results in the instance's original indices."""
     check_lambda(lam, inst.constraints.k)
     validate(inst)
-    red, _removed = reduce_instance(inst)
+    red, _ = reduce_instance(inst)
     obj, cons = red.objective, red.constraints
     calls_before = obj.eval_count
 
@@ -173,16 +198,4 @@ def lambda_greedy(inst, lam):
     sigma = greedy_phase(obj, cons, part)
     comp_set, comp_val = complement_search(obj, cons, part)
 
-    chosen, value, which = tuple(sigma.order), sigma.value, "greedy-sigma"
-    if vstar_val > value:
-        chosen, value, which = (vstar,), vstar_val, "singleton-vstar"
-    if comp_val > value:
-        chosen, value, which = tuple(sorted(comp_set)), comp_val, "complement-set"
-
-    return SolveResult(
-        chosen=tuple(red.to_original(e) for e in chosen),
-        value=float(value),
-        which=which,
-        greedy_order=tuple(red.to_original(e) for e in sigma.order),
-        oracle_calls=obj.eval_count - calls_before,
-    )
+    return best_of(red, sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count - calls_before)

@@ -2,7 +2,9 @@
 
 The reference oracles here deliberately avoid the library's own numerics:
 determinants go through cofactor expansion, eigenvalues through power
-iteration, cut values through a plain adjacency scan.
+iteration, cut values through a plain adjacency scan, and the from-scratch
+greedy is a standalone loop that shares no step code with the solver or the
+dynamic engine.
 """
 
 import math
@@ -18,6 +20,7 @@ from knapgreedy import (
     Instance,
     KnapsackConstraints,
     ModularObjective,
+    Solution,
 )
 
 
@@ -58,6 +61,33 @@ def adjacency_scan_cut(n, arcs, S):
         if inside[u] and not inside[v]:
             total += w
     return total
+
+
+def reference_greedy(obj, cons, part):
+    """Density greedy over the cheap set, written out on its own so that
+    restart-equivalence checks compare against code the library does not
+    share: evaluate f(sigma + e) for every remaining candidate, take the
+    largest gain per maximum cost (ties to the lowest index), and append it
+    when feasible with nonnegative gain."""
+    sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
+    pool = list(part.cheap)
+    current = frozenset()
+    while pool:
+        best_e, best_density, best_fval = None, None, None
+        for e in pool:
+            fe = obj.value(current | {e})
+            density = (fe - sigma.value) / cons.max_cost(e)
+            if best_density is None or density > best_density:
+                best_e, best_density, best_fval = e, density, fe
+        pool.remove(best_e)
+        gain = best_fval - sigma.value
+        new_cost = sigma.cost_acc + cons.costs[:, best_e]
+        if gain >= 0 and cons.is_feasible_cost(new_cost):
+            sigma.order.append(best_e)
+            sigma.cost_acc = new_cost
+            sigma.value = best_fval
+            current = current | {best_e}
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from knapgreedy import (
     brute_force_curvature,
     brute_force_opt,
     chi,
-    greedy_phase,
     guarantee_bound,
     lambda_greedy,
     run_dynamic,
@@ -47,6 +46,7 @@ from conftest import (
     random_instance,
     random_objective,
     random_spd,
+    reference_greedy,
     worked_example_instance,
 )
 
@@ -132,7 +132,7 @@ def _dynamic_trial(rng):
     recovery_calls = eng.obj.eval_count - before
 
     cons = eng.inst.constraints.with_weights(new_w)
-    scratch = greedy_phase(eng.obj, cons, split_by_threshold(cons, lam))
+    scratch = reference_greedy(eng.obj, cons, split_by_threshold(cons, lam))
     return scratch.order == eng.sigma.order, recovery_calls, m, chi_rec
 
 

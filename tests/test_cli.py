@@ -42,6 +42,16 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == 4.0
 
+    @pytest.mark.parametrize("bad", ["NaN", "-1.0"])
+    def test_bad_update_weight_exit_2(self, tmp_path, capsys, bad):
+        stream = tmp_path / "updates.json"
+        stream.write_text('[{"at_call": 30, "weights": [%s]}]' % bad)
+        code = main(
+            ["solve", "--instance", FIXTURE, "--lambda", "1.0", "--updates", str(stream)]
+        )
+        assert code == 2
+        assert "weight for knapsack 0" in capsys.readouterr().err
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

@@ -11,7 +11,6 @@ from knapgreedy import (
     lambda_greedy,
     marginal,
     reduce_instance,
-    set_cost,
     validate,
 )
 
@@ -44,15 +43,15 @@ class TestMarginal:
 class TestSetCost:
     def test_empty(self):
         cons = KnapsackConstraints([[2, 2, 1, 1, 1]], [2])
-        assert np.array_equal(set_cost(cons, set()), [0.0])
+        assert np.array_equal(cons.set_cost(set()), [0.0])
 
     def test_single_knapsack(self):
         cons = KnapsackConstraints([[2, 2, 1, 1, 1]], [2])
-        assert np.array_equal(set_cost(cons, {0, 2}), [3.0])
+        assert np.array_equal(cons.set_cost({0, 2}), [3.0])
 
     def test_two_knapsacks(self):
         cons = KnapsackConstraints([[3, 2, 2], [1, 1, 1]], [9, 9])
-        assert np.array_equal(set_cost(cons, {0, 1, 2}), [7.0, 3.0])
+        assert np.array_equal(cons.set_cost({0, 1, 2}), [7.0, 3.0])
 
 
 class TestValidate:
@@ -77,6 +76,22 @@ class TestValidate:
     def test_negative_weight(self):
         inst = Instance(GroundSet(2), KnapsackConstraints([[1, 1]], [-2]), modular([1, 1]))
         with pytest.raises(InvalidInstanceError, match="negative weight"):
+            validate(inst)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_cost(self, bad):
+        # unchecked, a NaN cost compares false everywhere and the element is dropped
+        inst = Instance(GroundSet(2), KnapsackConstraints([[1, bad]], [2]), modular([1, 1]))
+        with pytest.raises(InvalidInstanceError, match="non-finite cost for element 1 in knap"):
+            validate(inst)
+        with pytest.raises(InvalidInstanceError, match="non-finite cost"):
+            lambda_greedy(inst, 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight(self, bad):
+        cons = KnapsackConstraints([[1, 1], [1, 1]], [2, bad])
+        inst = Instance(GroundSet(2), cons, modular([1, 1]))
+        with pytest.raises(InvalidInstanceError, match="non-finite weight for knapsack 1"):
             validate(inst)
 
 

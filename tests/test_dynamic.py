@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knapgreedy import (
     DirectedCutObjective,
@@ -7,20 +9,21 @@ from knapgreedy import (
     EmptyAfterReductionError,
     GroundSet,
     Instance,
+    InvalidInstanceError,
     KnapsackConstraints,
     ModularObjective,
     brute_force_curvature,
     brute_force_opt,
     chi,
-    greedy_phase,
     guarantee_bound,
     lambda_greedy,
     run_with_updates,
     split_by_threshold,
 )
+from knapgreedy.core import FEAS_TOL
 from knapgreedy.dynamic import WeightUpdate
 
-from conftest import FAMILIES, random_instance
+from conftest import FAMILIES, random_instance, reference_greedy
 
 
 def tightened_weights(rng, weights):
@@ -122,6 +125,37 @@ class TestApplyWeights:
             fresh = eng.cons.set_cost(eng.sigma.order)
             assert np.allclose(eng.sigma.cost_acc, fresh, atol=1e-9)
 
+    @pytest.mark.parametrize("bad", [[float("nan")], [float("inf")], [-1.0]])
+    def test_rejects_non_finite_or_negative_weights(self, worked_example, bad):
+        eng = DynamicGreedy(worked_example, 1.0)
+        eng.run_to_completion()
+        with pytest.raises(InvalidInstanceError, match="weight for knapsack 0"):
+            eng.apply_weights(bad)
+        # a rejected update leaves the engine as it was
+        assert eng.sigma.order == [4, 0]
+        assert list(eng.cons.weights) == [2.0]
+        assert eng.finalize().value == 3.25
+
+    def test_rejects_wrong_length(self, worked_example):
+        eng = DynamicGreedy(worked_example, 1.0)
+        with pytest.raises(InvalidInstanceError, match="dimension mismatch"):
+            eng.apply_weights([2.0, 2.0])
+
+
+class TestRunToCompletion:
+    def test_call_limit_stops_at_step_boundary(self, worked_example):
+        eng = DynamicGreedy(worked_example, 1.0)
+        start = eng.obj.eval_count
+        eng.run_to_completion(start + 1)
+        # the limit is checked between steps: the first step scans all 5
+        assert eng.obj.eval_count - start == 5
+        assert eng.sigma.order == [4]
+        eng.run_to_completion(start)  # limit already reached: no step
+        assert eng.obj.eval_count - start == 5
+        eng.run_to_completion()
+        assert eng.phase == "finished"
+        assert eng.sigma.order == [4, 0]
+
 
 class TestFinalize:
     def test_without_updates_equals_static_solver(self):
@@ -171,7 +205,7 @@ class TestRestartEquivalence:
             eng.apply_weights(new_w)
             eng.run_to_completion()
             cons = eng.inst.constraints.with_weights(new_w)
-            scratch = greedy_phase(eng.obj, cons, split_by_threshold(cons, lam))
+            scratch = reference_greedy(eng.obj, cons, split_by_threshold(cons, lam))
             assert scratch.order == eng.sigma.order
             checked += 1
 
@@ -197,7 +231,7 @@ class TestRestartEquivalence:
             eng.apply_weights(new_w)
             eng.run_to_completion()
             cons = eng.inst.constraints.with_weights(new_w)
-            scratch = greedy_phase(eng.obj, cons, split_by_threshold(cons, lam))
+            scratch = reference_greedy(eng.obj, cons, split_by_threshold(cons, lam))
             if scratch.order != eng.sigma.order:
                 mismatches += 1
                 assert set(scratch.order) == set(eng.sigma.order)
@@ -307,3 +341,65 @@ class TestBacktrackFoil:
 
         eng.apply_weights([3.0])
         assert eng.finalize().value == 4.0
+
+
+# ---------------------------------------------------------------------------
+# property-based checks over random instances and update sequences (n <= 8)
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+@st.composite
+def engine_runs(draw, low, high):
+    """A random instance and a sequence of (steps, per-knapsack weight
+    factor) updates with factors drawn from [low, high]."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(FAMILIES))
+    lam = draw(st.sampled_from([1.0, float(k)]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    factors = st.lists(st.floats(low, high), min_size=k, max_size=k)
+    updates = draw(st.lists(st.tuples(st.integers(0, n), factors), max_size=5))
+    return random_instance(np.random.default_rng(seed), n, k, family), lam, updates
+
+
+def _engine_after(inst, lam, updates):
+    """Engine stepped and updated as scripted, or None when nothing fits."""
+    try:
+        eng = DynamicGreedy(inst, lam)
+    except EmptyAfterReductionError:
+        return None
+    for steps, factors in updates:
+        for _ in range(steps):
+            eng.step()
+        eng.apply_weights(eng.cons.weights * np.array(factors))
+        assert np.allclose(
+            eng.sigma.cost_acc, eng.cons.set_cost(eng.sigma.order), rtol=0, atol=FEAS_TOL
+        )
+    return eng
+
+
+class TestEngineProperties:
+    @PROPERTY_SETTINGS
+    @given(engine_runs(0.3, 1.7))
+    def test_mixed_updates_keep_costs_and_feasibility(self, run):
+        inst, lam, updates = run
+        eng = _engine_after(inst, lam, updates)
+        if eng is None:
+            return
+        result = eng.finalize()
+        assert np.allclose(
+            eng.sigma.cost_acc, eng.cons.set_cost(eng.sigma.order), rtol=0, atol=FEAS_TOL
+        )
+        assert inst.constraints.with_weights(eng.cons.weights).is_feasible(result.chosen)
+
+    @PROPERTY_SETTINGS
+    @given(engine_runs(0.4, 1.0))
+    def test_tightening_updates_match_reference(self, run):
+        inst, lam, updates = run
+        eng = _engine_after(inst, lam, updates)
+        if eng is None:
+            return
+        eng.run_to_completion()
+        scratch = reference_greedy(eng.obj, eng.cons, split_by_threshold(eng.cons, lam))
+        assert scratch.order == eng.sigma.order

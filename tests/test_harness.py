@@ -93,6 +93,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(tau=5, noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, bad):
+        # unchecked, a NaN sigma turns every budget into NaN
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SimConfig(tau=5, noise_sigma=bad)
+
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             SimConfig(tau=5, noise_sigma=0.1, initial_fraction=1.5)

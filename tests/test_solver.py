@@ -17,10 +17,11 @@ from knapgreedy import (
     greedy_phase,
     guarantee_bound,
     lambda_greedy,
+    reduce_instance,
     split_by_threshold,
 )
 
-from conftest import FAMILIES, random_instance
+from conftest import FAMILIES, random_instance, reference_greedy
 
 
 class TestChi:
@@ -199,6 +200,29 @@ class TestLambdaGreedy:
             )
             alpha = brute_force_curvature(inst.objective.clone(), n)
             assert result.value >= guarantee_bound(lam, alpha) * opt_val - 1e-9
+
+    def test_greedy_order_matches_reference(self):
+        # differential check against the standalone greedy in conftest, run on
+        # the reduced instance and mapped back to original indices
+        rng = np.random.default_rng(30)
+        checked = 0
+        while checked < 40:
+            family = FAMILIES[checked % len(FAMILIES)]
+            n = int(rng.integers(3, 21))
+            k = int(rng.integers(1, 4))
+            lam = float(rng.choice([1.0, np.ceil(k / 2), k]))
+            inst = random_instance(rng, n, k, family)
+            try:
+                result = lambda_greedy(
+                    Instance(inst.ground, inst.constraints, inst.objective.clone()), lam
+                )
+            except EmptyAfterReductionError:
+                continue
+            red, _ = reduce_instance(inst)
+            part = split_by_threshold(red.constraints, lam)
+            ref = reference_greedy(red.objective, red.constraints, part)
+            assert result.greedy_order == tuple(red.to_original(e) for e in ref.order)
+            checked += 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(29)

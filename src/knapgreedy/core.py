@@ -8,6 +8,7 @@ are bit-identical.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,14 +45,18 @@ class KnapsackConstraints:
 
     def __init__(self, costs, weights):
         self.costs = np.asarray(costs, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
         if self.costs.ndim != 2:
             raise InvalidInstanceError("costs must be a k x n matrix")
-        if self.weights.ndim != 1 or self.weights.shape[0] != self.costs.shape[0]:
+        self.weights = self._checked_weights(weights)
+
+    def _checked_weights(self, weights):
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1 or weights.shape[0] != self.costs.shape[0]:
             raise InvalidInstanceError(
                 "dimension mismatch: weights length %d, costs rows %d"
-                % (self.weights.shape[0] if self.weights.ndim == 1 else -1, self.costs.shape[0])
+                % (weights.shape[0] if weights.ndim == 1 else -1, self.costs.shape[0])
             )
+        return weights
 
     @property
     def k(self):
@@ -61,11 +66,24 @@ class KnapsackConstraints:
     def n(self):
         return self.costs.shape[1]
 
-    def with_weights(self, weights):
-        return KnapsackConstraints(self.costs, weights)
+    @functools.cached_property
+    def max_costs(self):
+        """Largest per-knapsack cost of each element, the greedy's density
+        denominator, as plain floats for the hot loop. Computed on first
+        use; with_weights copies made after that share it."""
+        return self.costs.max(axis=0).tolist()
 
-    def max_cost(self, e):
-        return float(self.costs[:, e].max())
+    def with_weights(self, weights):
+        """The same costs (and column maxima) under another budget vector."""
+        other = copy.copy(self)
+        other.weights = self._checked_weights(weights)
+        return other
+
+    def fits(self, bounds=None):
+        """Boolean mask over elements: every per-knapsack cost of the
+        element alone is within bounds (default: the budgets) + FEAS_TOL."""
+        b = self.weights if bounds is None else bounds
+        return (self.costs <= (b + FEAS_TOL)[:, None]).all(axis=0)
 
     def set_cost(self, S):
         """Cost vector of a set: component i is the sum of costs[i] over S."""
@@ -76,41 +94,120 @@ class KnapsackConstraints:
 
     def is_feasible_cost(self, cost_vec, weights=None):
         w = self.weights if weights is None else weights
-        return bool(np.all(cost_vec <= w + FEAS_TOL))
+        return bool((cost_vec <= w + FEAS_TOL).all())
 
     def is_feasible(self, S, weights=None):
         return self.is_feasible_cost(self.set_cost(S), weights)
 
 
+class PrefixState:
+    """Oracle state of a tracked prefix P, kept as a stack.
+
+    A family keeps, for every depth j <= len(P), what it needs to answer
+    f(P[:j] + [e]) without a from-scratch evaluation, indexed by j. Popping
+    back to depth j is then a truncation, and nothing is downdated.
+    Subclasses implement _push(d, e), which extends depth d by e and
+    returns False when it cannot (tracking stops there), and _extend(d, e),
+    which returns f(P[:d] + [e]) or None to fall back to Objective._value.
+    """
+
+    def __init__(self):
+        self.order = []
+        self.members = set()
+
+    def follow(self, order):
+        """Pop to the common prefix with order, then push the rest."""
+        keep, common = 0, min(len(self.order), len(order))
+        while keep < common and self.order[keep] == order[keep]:
+            keep += 1
+        self.members.difference_update(self.order[keep:])
+        del self.order[keep:]
+        for e in order[keep:]:
+            if e in self.members or not self._push(len(self.order), e):
+                break
+            self.order.append(e)
+            self.members.add(e)
+
+    def lookup(self, S):
+        """f(S) when the frozenset S is the prefix plus one element and the
+        state can answer it, else None."""
+        d = len(self.order)
+        if len(S) != d + 1:
+            return None
+        new = S - self.members
+        if len(new) != 1:
+            return None
+        (e,) = new
+        return self._extend(d, e)
+
+    def _push(self, d, e):
+        raise NotImplementedError
+
+    def _extend(self, d, e):
+        raise NotImplementedError
+
+
 class Objective:
     """Abstract value oracle f: 2^V -> R with call accounting.
 
-    Subclasses implement _value(frozenset) -> float. Every call to value()
-    increments eval_count by exactly one; f(empty) must be 0.
+    Subclasses implement _value(frozenset) -> float, the from-scratch
+    evaluation. Every call to value() is one oracle call and increments
+    eval_count by exactly one; f(empty) must be 0. Families that return a
+    PrefixState from _prefix_state() answer f(P + [e]) for the prefix P
+    named by follow() from that state instead of calling _value.
     """
+
+    _prefix = None  # PrefixState while following a prefix
 
     def __init__(self):
         self.eval_count = 0
 
     def value(self, S):
         self.eval_count += 1
-        return self._value(frozenset(S))
+        S = frozenset(S)
+        if self._prefix is not None:
+            v = self._prefix.lookup(S)
+            if v is not None:
+                return v
+        return self._value(S)
 
     def _value(self, S):
         raise NotImplementedError
 
+    def _prefix_state(self):
+        """A PrefixState at the empty prefix, or None (the default) when the
+        family evaluates every call from scratch."""
+        return None
+
+    def follow(self, order):
+        """Hint that the next oracle calls are f(order + [e]): pop the
+        tracked prefix back to its common prefix with order and push the
+        rest. Makes no oracle call; values still agree with _value up to
+        rounding. None drops the state."""
+        if order is None:
+            self._prefix = None
+            return
+        if self._prefix is None:
+            self._prefix = self._prefix_state()
+            if self._prefix is None:
+                return
+        self._prefix.follow(order)
+
     def clone(self):
-        """Copy with a fresh eval counter (underlying data is shared)."""
+        """Copy with a fresh eval counter and no tracked prefix (underlying
+        data is shared)."""
         other = copy.copy(self)
         other.eval_count = 0
+        other._prefix = None
         return other
 
 
 class RestrictedObjective:
     """View of an objective over a re-indexed subset of the ground set.
 
-    Oracle calls are forwarded to (and counted by) the base objective, so a
-    solver running on a reduced instance keeps the caller's accounting.
+    Oracle calls and follow() hints are forwarded to (and counted by) the
+    base objective, so a solver running on a reduced instance keeps the
+    caller's accounting.
     """
 
     def __init__(self, base, new_to_old):
@@ -123,8 +220,8 @@ class RestrictedObjective:
     def value(self, S):
         return self.base.value(self._map(S))
 
-    def _value(self, S):
-        return self.base._value(self._map(S))
+    def follow(self, order):
+        self.base.follow(None if order is None else [self.new_to_old[e] for e in order])
 
     @property
     def eval_count(self):
@@ -209,12 +306,8 @@ def reduce_instance(inst):
     the solver's negative-marginal skip rule plays its role.
     """
     cons = inst.constraints
-    keep, removed = [], []
-    for e in range(inst.ground.n):
-        if np.all(cons.costs[:, e] <= cons.weights + FEAS_TOL):
-            keep.append(e)
-        else:
-            removed.append(e)
+    fits = cons.fits()
+    keep, removed = np.flatnonzero(fits).tolist(), np.flatnonzero(~fits).tolist()
     if not keep:
         raise EmptyAfterReductionError("empty after reduction")
     if not removed:

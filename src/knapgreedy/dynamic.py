@@ -5,8 +5,9 @@ On an update it pops the most recently added elements of the current
 sequence until the remainder is a prefix that is safe under both the old
 and the new budgets (small enough to be automatically feasible in both,
 and contained in both cheap sets), then resumes stepping under the new
-weights. Popping restores cached costs and values, so recovery consumes
-oracle calls only for the greedy re-extension.
+weights. Popping restores cached costs and values, and the objective's
+prefix state is truncated on the next step, so recovery consumes oracle
+calls only for the greedy re-extension.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class DynamicGreedy:
         # Singleton values are deterministic; scanning them once here (n
         # calls) lets later updates re-derive the best feasible singleton
         # for free when singleton feasibility shifts.
+        self.obj.follow(())
         self.singleton_values = [self.obj.value({e}) for e in range(n)]
         self._refresh_vstar()
 
@@ -66,9 +68,8 @@ class DynamicGreedy:
 
     def _refresh_vstar(self):
         best_e, best_v = None, None
-        for e, v in enumerate(self.singleton_values):
-            if not self.cons.is_feasible_cost(self.cons.costs[:, e]):
-                continue
+        for e in np.flatnonzero(self.cons.fits()).tolist():
+            v = self.singleton_values[e]
             if best_v is None or v > best_v:
                 best_e, best_v = e, v
         self.vstar = best_e

@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 
-from .core import InvalidInstanceError, KnapsackConstraints, Objective
+from .core import InvalidInstanceError, KnapsackConstraints, Objective, PrefixState
 
 SYMMETRY_TOL = 1e-9
+ENTROPY_PER_ELEMENT = 0.5 * (1.0 + math.log(2.0 * math.pi))
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -51,6 +52,89 @@ def _logdet_principal(M, S, jitter=0.0):
     return float(2.0 * np.sum(np.log(np.diag(L))))
 
 
+def _with_room(buf, index):
+    """buf, or a copy with twice as many rows, so that buf[index] exists.
+    Per-depth state grows this way and is written in place, so a push never
+    copies it."""
+    if index < buf.shape[0]:
+        return buf
+    grown = np.empty((2 * buf.shape[0],) + buf.shape[1:])
+    grown[: buf.shape[0]] = buf
+    return grown
+
+
+class _SumPrefix(PrefixState):
+    """f(P) and the gain f(P + [e]) - f(P) of every element, per depth.
+    A push of x subtracts the row drop[x] from the gains."""
+
+    def __init__(self, gains, drop=None):
+        super().__init__()
+        self.f = np.zeros(8)
+        self.gains = np.empty((8, gains.shape[0]))
+        self.gains[0] = gains
+        self.drop = drop
+
+    def _push(self, d, e):
+        self.f = _with_room(self.f, d + 1)
+        self.f[d + 1] = self._extend(d, e)
+        if self.drop is not None:
+            self.gains = _with_room(self.gains, d + 1)
+            np.subtract(self.gains[d], self.drop[e], out=self.gains[d + 1])
+        return True
+
+    def _extend(self, d, e):
+        row = 0 if self.drop is None else d  # modular gains never change
+        return float(self.f[d] + self.gains[row, e])
+
+
+class _CholeskyPrefix(PrefixState):
+    """Incremental Cholesky of the principal submatrix of K + jitter*I on P
+    (Chen, Zhang & Zhou, "Fast Greedy MAP Inference for Determinantal Point
+    Process", NeurIPS 2018): per depth, the Cholesky row of the element
+    pushed there, the residual variances d2 of every element and log det.
+    Then log det on P + [e] is log det on P plus log d2[e]."""
+
+    def __init__(self, K, jitter=0.0):
+        super().__init__()
+        n = K.shape[0]
+        self.K = K
+        self.rows = np.empty((8, n))
+        self.d2 = np.empty((8, n))
+        self.d2[0] = np.diag(K) + jitter  # jitter enters on the diagonal only
+        self.logdet = np.zeros(8)
+
+    def _push(self, d, e):
+        de = self.d2[d, e]
+        if not de > 0:
+            return False
+        self.rows = _with_room(self.rows, d)
+        self.d2 = _with_room(self.d2, d + 1)
+        self.logdet = _with_room(self.logdet, d + 1)
+        # Elementwise products summed over axis 0 put every column through
+        # the same roundings, so elements with equal columns tie exactly, as
+        # they do in _value; a BLAS product may round columns differently.
+        row = self.rows[d]
+        np.subtract(self.K[e], (self.rows[:d, e, None] * self.rows[:d]).sum(axis=0), out=row)
+        row /= math.sqrt(de)
+        np.subtract(self.d2[d], row * row, out=self.d2[d + 1])
+        self.logdet[d + 1] = self.logdet[d] + math.log(de)
+        return True
+
+    def _extend(self, d, e):
+        de = self.d2[d, e]
+        if not de > 0:
+            return None  # not positive definite: _value raises as it always has
+        return float(self.logdet[d] + math.log(de))
+
+
+class _EntropyPrefix(_CholeskyPrefix):
+    """Entropy on the same state: ENTROPY_PER_ELEMENT * |S| + log det / 2."""
+
+    def _extend(self, d, e):
+        logdet = super()._extend(d, e)
+        return None if logdet is None else ENTROPY_PER_ELEMENT * (d + 1) + 0.5 * logdet
+
+
 class ModularObjective(Objective):
     """f(S) = sum of fixed singleton values."""
 
@@ -60,6 +144,9 @@ class ModularObjective(Objective):
 
     def _value(self, S):
         return float(sum(self.singleton_values[e] for e in S))
+
+    def _prefix_state(self):
+        return _SumPrefix(self.singleton_values)
 
 
 class DirectedCutObjective(Objective):
@@ -73,9 +160,21 @@ class DirectedCutObjective(Objective):
         for u, v, w in self.arcs:
             if w < 0:
                 raise InvalidInstanceError("negative arc weight on (%d, %d)" % (u, v))
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidInstanceError("arc (%d, %d) out of range for n=%d" % (u, v, n))
 
     def _value(self, S):
         return float(sum(w for u, v, w in self.arcs if u in S and v not in S))
+
+    def _prefix_state(self):
+        # W[u, v]: weight of the arcs u -> v; a self-loop never leaves S.
+        # The gain of x is its out-weight to V - P minus its in-weight from
+        # P, so pushing x lowers every gain by (W + W^T)[x].
+        W = np.zeros((self.n, self.n))
+        for u, v, w in self.arcs:
+            if u != v:
+                W[u, v] += w
+        return _SumPrefix(W.sum(axis=1), drop=W + W.T)
 
 
 class DppLogDetObjective(Objective):
@@ -93,6 +192,9 @@ class DppLogDetObjective(Objective):
     def _value(self, S):
         return _logdet_principal(self.L, S, jitter=self.jitter)
 
+    def _prefix_state(self):
+        return _CholeskyPrefix(self.L, self.jitter)
+
 
 class EntropyObjective(Objective):
     """Differential entropy of the Gaussian restricted to the chosen sensors:
@@ -105,8 +207,10 @@ class EntropyObjective(Objective):
     def _value(self, S):
         if not S:
             return 0.0
-        const = 0.5 * (1.0 + math.log(2.0 * math.pi))
-        return const * len(S) + 0.5 * _logdet_principal(self.Sigma, S)
+        return ENTROPY_PER_ELEMENT * len(S) + 0.5 * _logdet_principal(self.Sigma, S)
+
+    def _prefix_state(self):
+        return _EntropyPrefix(self.Sigma)
 
 
 class QdKernelSpec:

@@ -76,31 +76,28 @@ def chi(cons):
 
 def split_by_threshold(cons, lam):
     """Partition into cheap (c_j(e) <= lam*W_j/k for all j) and the rest."""
-    thresholds = lam * cons.weights / cons.k
-    cheap, expensive = [], []
-    for e in range(cons.n):
-        if np.all(cons.costs[:, e] <= thresholds + FEAS_TOL):
-            cheap.append(e)
-        else:
-            expensive.append(e)
-    return Partition(tuple(cheap), tuple(expensive))
+    cheap = cons.fits(lam * cons.weights / cons.k)
+    return Partition(tuple(np.flatnonzero(cheap).tolist()), tuple(np.flatnonzero(~cheap).tolist()))
 
 
 def greedy_step(obj, cons, sigma, pool):
     """One density-greedy selection, shared by the static solver and the
     dynamic engine.
 
-    Evaluates f(sigma + e) for every candidate in pool, removes the one with
-    the largest marginal gain divided by its maximum per-knapsack cost (ties
-    to the earliest in pool order), and appends it to sigma when the gain is
-    nonnegative and the extended set is feasible. A NaN gain is never
-    appended. Returns whether sigma grew.
+    Follows sigma's order on the objective, then evaluates f(sigma + e) for
+    every candidate in pool (one oracle call each, answered from the prefix
+    state). Removes the one with the largest marginal gain divided by its
+    maximum per-knapsack cost (ties to the earliest in pool order), and
+    appends it to sigma when the gain is nonnegative and the extended set is
+    feasible. A NaN gain is never appended. Returns whether sigma grew.
     """
+    obj.follow(sigma.order)
     current = frozenset(sigma.order)
+    max_costs = cons.max_costs
     best_e, best_density, best_fval = None, None, None
     for e in pool:
         fe = obj.value(current | {e})
-        density = (fe - sigma.value) / cons.max_cost(e)
+        density = (fe - sigma.value) / max_costs[e]
         if best_density is None or density > best_density:
             best_e, best_density, best_fval = e, density, fe
     pool.remove(best_e)
@@ -129,6 +126,8 @@ def complement_search(obj, cons, part):
 
     Depth-first enumeration in index order; a branch is pruned as soon as
     some knapsack overflows, which is sound because costs are nonnegative.
+    The objective follows the DFS path, so each subset is evaluated as the
+    path plus one element.
     Returns (set, value); the empty set has value 0 by the oracle contract.
     """
     elems = list(part.expensive)
@@ -141,24 +140,25 @@ def complement_search(obj, cons, part):
 
     def dfs(i, chosen, cost):
         nonlocal best_set, best_val
-        if chosen:
-            v = obj.value(chosen)
-            if v > best_val:
-                best_set, best_val = frozenset(chosen), v
         for j in range(i, len(elems)):
             e = elems[j]
             new_cost = cost + cons.costs[:, e]
             if cons.is_feasible_cost(new_cost):
-                chosen.add(e)
+                obj.follow(chosen)
+                chosen.append(e)
+                v = obj.value(chosen)
+                if v > best_val:
+                    best_set, best_val = frozenset(chosen), v
                 dfs(j + 1, chosen, new_cost)
-                chosen.remove(e)
+                chosen.pop()
 
-    dfs(0, set(), np.zeros(cons.k))
+    dfs(0, [], np.zeros(cons.k))
     return best_set, best_val
 
 
 def best_singleton(obj, n):
     """argmax of f over single elements, ties to the lowest index. n calls."""
+    obj.follow(())
     best_e, best_v = None, None
     for e in range(n):
         v = obj.value({e})
@@ -186,16 +186,19 @@ def best_of(inst, sigma, vstar, vstar_val, comp_set, comp_val, calls):
 
 
 def lambda_greedy(inst, lam):
-    """Full static solve; reports results in the instance's original indices."""
+    """Full static solve; reports results in the instance's original indices.
+    The objective's prefix state is dropped before returning."""
     check_lambda(lam, inst.constraints.k)
     validate(inst)
     red, _ = reduce_instance(inst)
     obj, cons = red.objective, red.constraints
     calls_before = obj.eval_count
-
-    vstar, vstar_val = best_singleton(obj, red.ground.n)
-    part = split_by_threshold(cons, lam)
-    sigma = greedy_phase(obj, cons, part)
-    comp_set, comp_val = complement_search(obj, cons, part)
+    try:
+        vstar, vstar_val = best_singleton(obj, red.ground.n)
+        part = split_by_threshold(cons, lam)
+        sigma = greedy_phase(obj, cons, part)
+        comp_set, comp_val = complement_search(obj, cons, part)
+    finally:
+        obj.follow(None)
 
     return best_of(red, sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count - calls_before)

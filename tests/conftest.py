@@ -68,7 +68,10 @@ def reference_greedy(obj, cons, part):
     restart-equivalence checks compare against code the library does not
     share: evaluate f(sigma + e) for every remaining candidate, take the
     largest gain per maximum cost (ties to the lowest index), and append it
-    when feasible with nonnegative gain."""
+    when feasible with nonnegative gain. It evaluates on a clone, which
+    tracks no prefix, so every call is a from-scratch evaluation that leaves
+    the caller's objective and its counter alone."""
+    obj = obj.clone()
     sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
     pool = list(part.cheap)
     current = frozenset()
@@ -76,7 +79,7 @@ def reference_greedy(obj, cons, part):
         best_e, best_density, best_fval = None, None, None
         for e in pool:
             fe = obj.value(current | {e})
-            density = (fe - sigma.value) / cons.max_cost(e)
+            density = (fe - sigma.value) / float(cons.costs[:, e].max())
             if best_density is None or density > best_density:
                 best_e, best_density, best_fval = e, density, fe
         pool.remove(best_e)

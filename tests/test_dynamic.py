@@ -352,15 +352,28 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, 
 @st.composite
 def engine_runs(draw, low, high):
     """A random instance and a sequence of (steps, per-knapsack weight
-    factor) updates with factors drawn from [low, high]."""
+    factor) updates with factors drawn from [low, high].
+
+    Half the instances have narrow costs in [1.5, 2] and budgets of k to
+    1.5k times the largest cost, so every element starts cheap. With
+    lam < k, a budget cut can then push a prefix element out of the cheap
+    set (cost > lam * W / k) while the prefix still fits within chi (every
+    cost <= W), so that only the cheap-set rule forces the pop."""
     n = draw(st.integers(2, 8))
     k = draw(st.integers(1, 3))
     family = draw(st.sampled_from(FAMILIES))
     lam = draw(st.sampled_from([1.0, float(k)]))
+    narrow = draw(st.booleans())
     seed = draw(st.integers(0, 2 ** 32 - 1))
     factors = st.lists(st.floats(low, high), min_size=k, max_size=k)
     updates = draw(st.lists(st.tuples(st.integers(0, n), factors), max_size=5))
-    return random_instance(np.random.default_rng(seed), n, k, family), lam, updates
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n, k, family)
+    if narrow:
+        costs = rng.uniform(1.5, 2.0, size=(k, n))
+        weights = k * costs.max(axis=1) * rng.uniform(1.0, 1.5, size=k)
+        inst.constraints = KnapsackConstraints(costs, weights)
+    return inst, lam, updates
 
 
 def _engine_after(inst, lam, updates):

@@ -139,6 +139,16 @@ class TestDirectedCut:
         obj = DirectedCutObjective(2, [(0, 1, 2.0)])
         assert obj.value({0}) == 2.0
 
+    @pytest.mark.parametrize("arc", [(0, 2, 1.0), (-1, 0, 1.0)])
+    def test_rejects_arc_out_of_range(self, arc):
+        with pytest.raises(InvalidInstanceError, match="out of range"):
+            DirectedCutObjective(2, [arc])
+
+    def test_self_loop_never_counts(self):
+        obj = DirectedCutObjective(2, [(0, 0, 5.0), (0, 1, 1.0)])
+        obj.follow([])
+        assert obj.value({0}) == obj._value(frozenset({0})) == 1.0
+
     def test_full_table_matches_adjacency_scan(self):
         rng = np.random.default_rng(8)
         obj = random_objective(rng, 6, "cut")

@@ -20,6 +20,7 @@ from knapgreedy import (
     reduce_instance,
     split_by_threshold,
 )
+from knapgreedy.core import FEAS_TOL
 
 from conftest import FAMILIES, random_instance, reference_greedy
 
@@ -69,6 +70,24 @@ class TestSplit:
         cons = KnapsackConstraints([[3], [1]], [4, 4])
         assert split_by_threshold(cons, 1.0).expensive == (0,)
         assert split_by_threshold(cons, 2.0).cheap == (0,)
+
+    def test_matches_per_element_loop(self):
+        # the per-element loop the vectorized masks replaced, as the
+        # reference; integer costs put many elements exactly on a threshold
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            k, n = int(rng.integers(1, 4)), int(rng.integers(1, 30))
+            costs = rng.integers(0, 5, size=(k, n)).astype(float)
+            weights = rng.integers(1, 10, size=k).astype(float)
+            cons = KnapsackConstraints(costs, weights)
+            for lam in (1.0, float(k)):
+                bounds = lam * weights / k + FEAS_TOL
+                cheap = tuple(e for e in range(n) if np.all(costs[:, e] <= bounds))
+                part = split_by_threshold(cons, lam)
+                assert part.cheap == cheap
+                assert part.expensive == tuple(e for e in range(n) if e not in cheap)
+            fits = [bool(np.all(costs[:, e] <= weights + FEAS_TOL)) for e in range(n)]
+            assert cons.fits().tolist() == fits
 
 
 class TestGreedyPhase:

@@ -60,6 +60,7 @@ class DynamicGreedy:
         self.singleton_values = [self.obj.value({e}) for e in range(n)]
         self._refresh_vstar()
 
+        self.chi = chi(self.cons)  # of the current weights; the old chi at the next update
         self.cheap = set(split_by_threshold(self.cons, lam).cheap)
         self.sigma = Solution(order=[], cost_acc=np.zeros(self.cons.k), value=0.0)
         self.value_stack = []  # f(prefix) after each append, for rollback
@@ -93,7 +94,8 @@ class DynamicGreedy:
         new_cons = old_cons.with_weights(new_weights)
         check_weights(new_cons.weights)
         new_cheap = set(split_by_threshold(new_cons, self.lam).cheap)
-        chi_cap = min(chi(old_cons), chi(new_cons))
+        new_chi = chi(new_cons)
+        chi_cap = min(self.chi, new_chi)
 
         sigma = self.sigma
         both = self.cheap & new_cheap
@@ -104,6 +106,7 @@ class DynamicGreedy:
             sigma.value = self.value_stack[-1] if self.value_stack else 0.0
 
         self.cons = new_cons
+        self.chi = new_chi
         self.cheap = new_cheap
         self._refresh_vstar()
         self.pool = sorted(self.cheap - set(sigma.order))

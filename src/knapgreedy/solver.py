@@ -2,9 +2,10 @@
 
 The trade-off parameter lam in [1, k] splits elements into a cheap set
 (every per-knapsack cost at most lam * W_j / k) that is optimized greedily
-by marginal-gain-per-max-cost, and an expensive remainder that is searched
-exhaustively. The returned solution is the best of the greedy sequence, the
-best single element, and the best feasible expensive subset.
+by marginal-gain-per-max-cost, and an expensive remainder whose best
+feasible subset is found exactly by branch and bound. The returned solution
+is the best of the greedy sequence, the best single element, and the best
+feasible expensive subset.
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ from .core import (
     validate,
 )
 
-# Exhaustive search over more expensive elements than this is legal but slow;
-# a warning is emitted and the run proceeds.
+# Searching more expensive elements than this is legal but may take time
+# exponential in their number; a warning is emitted and the run proceeds.
 COMPLEMENT_SIZE_WARNING = 25
+
+# Relative slack on the branch-and-bound prune test, so that rounding in the
+# oracle's prefix state can never prune a subtree holding a true optimum.
+BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,20 +63,12 @@ def check_lambda(lam, k):
 def chi(cons):
     """Largest cardinality at which every subset is automatically feasible.
 
-    Per knapsack: sort costs descending and take the longest prefix whose sum
-    fits the budget; the result is the minimum over knapsacks.
+    Per knapsack: sort costs descending and count the prefix sums that fit
+    the budget (cumsum adds in sequence, and costs are nonnegative, so the
+    sums never decrease); the result is the minimum over knapsacks.
     """
-    best = None
-    for i in range(cons.k):
-        ordered = np.sort(cons.costs[i])[::-1]
-        acc, j = 0.0, 0
-        for c in ordered:
-            acc += c
-            if acc > cons.weights[i] + FEAS_TOL:
-                break
-            j += 1
-        best = j if best is None else min(best, j)
-    return best
+    prefix = np.cumsum(np.sort(cons.costs, axis=1)[:, ::-1], axis=1)
+    return int((prefix <= (cons.weights + FEAS_TOL)[:, None]).sum(axis=1).min())
 
 
 def split_by_threshold(cons, lam):
@@ -89,7 +86,11 @@ def greedy_step(obj, cons, sigma, pool):
     state). Removes the one with the largest marginal gain divided by its
     maximum per-knapsack cost (ties to the earliest in pool order), and
     appends it to sigma when the gain is nonnegative and the extended set is
-    feasible. A NaN gain is never appended. Returns whether sigma grew.
+    feasible. A NaN gain is never appended. When the winner's density is
+    negative, every other candidate's density is at most that, so no gain
+    in the pool is nonnegative and sigma cannot grow until it changes: the
+    pool is cleared instead of being discarded one scan at a time. Returns
+    whether sigma grew.
     """
     obj.follow(sigma.order)
     current = frozenset(sigma.order)
@@ -100,6 +101,9 @@ def greedy_step(obj, cons, sigma, pool):
         density = (fe - sigma.value) / max_costs[e]
         if best_density is None or density > best_density:
             best_e, best_density, best_fval = e, density, fe
+    if best_density < 0:
+        pool.clear()
+        return False
     pool.remove(best_e)
     new_cost = sigma.cost_acc + cons.costs[:, best_e]
     if not (best_fval - sigma.value >= 0 and cons.is_feasible_cost(new_cost)):
@@ -124,36 +128,56 @@ def greedy_phase(obj, cons, part):
 def complement_search(obj, cons, part):
     """Exact maximizer of f over feasible subsets of the expensive set.
 
-    Depth-first enumeration in index order; a branch is pruned as soon as
-    some knapsack overflows, which is sound because costs are nonnegative.
-    The objective follows the DFS path, so each subset is evaluated as the
-    path plus one element.
+    Depth-first branch and bound over subsets in index order. At each node,
+    with path S, every remaining element that still fits is evaluated once
+    as f(S + e) (the objective follows S). For submodular f, monotone or
+    not, f(S + T) <= f(S) + sum over e in T of max(0, f(S + e) - f(S)), so
+    the subtree below S + e_j, whose sets add only later fitting siblings,
+    is entered only when f(S + e_j) plus their positive gains is not below
+    the best value so far (up to BOUND_SLACK). A sibling that does not fit
+    S cannot fit any superset, because costs are nonnegative. Ties go to
+    the lexicographically smallest index tuple, the set an exhaustive
+    preorder enumeration finds first; every feasible subset is evaluated
+    at most once.
     Returns (set, value); the empty set has value 0 by the oracle contract.
     """
     elems = list(part.expensive)
     if len(elems) > COMPLEMENT_SIZE_WARNING:
         warnings.warn(
-            "complement too large: exhaustive search over %d elements" % len(elems),
+            "complement too large: branch-and-bound search over %d elements" % len(elems),
             RuntimeWarning,
         )
-    best_set, best_val = frozenset(), 0.0
+    costs = cons.costs[:, elems]
+    limit = (cons.weights + FEAS_TOL)[:, None]
+    best_val, best_path = 0.0, ()
+    path = []  # positions in elems
 
-    def dfs(i, chosen, cost):
-        nonlocal best_set, best_val
-        for j in range(i, len(elems)):
-            e = elems[j]
-            new_cost = cost + cons.costs[:, e]
-            if cons.is_feasible_cost(new_cost):
-                obj.follow(chosen)
-                chosen.append(e)
-                v = obj.value(chosen)
-                if v > best_val:
-                    best_set, best_val = frozenset(chosen), v
-                dfs(j + 1, chosen, new_cost)
-                chosen.pop()
+    def visit(cand, cost, f_path):
+        nonlocal best_val, best_path
+        child_costs = cost[:, None] + costs[:, cand]
+        fit = (child_costs <= limit).all(axis=0)
+        cand, child_costs = cand[fit], child_costs[:, fit]
+        if not cand.size:
+            return
+        chosen = [elems[p] for p in path]
+        obj.follow(chosen)
+        base = frozenset(chosen)
+        idx = cand.tolist()
+        vals = np.array([obj.value(base | {elems[p]}) for p in idx])
+        for p, v in zip(idx, vals.tolist()):
+            if v > best_val or (v == best_val and tuple(path) + (p,) < best_path):
+                best_val, best_path = v, tuple(path) + (p,)
+        gains = np.maximum(vals - f_path, 0.0)
+        later = np.append(np.cumsum(gains[:0:-1])[::-1], 0.0)  # sum of gains[j + 1:]
+        for j, p in enumerate(idx):
+            if vals[j] + later[j] + BOUND_SLACK * max(1.0, abs(best_val)) < best_val:
+                continue
+            path.append(p)
+            visit(cand[j + 1:], child_costs[:, j], vals[j])
+            path.pop()
 
-    dfs(0, [], np.zeros(cons.k))
-    return best_set, best_val
+    visit(np.arange(len(elems)), np.zeros(cons.k), 0.0)
+    return frozenset(elems[p] for p in best_path), best_val
 
 
 def best_singleton(obj, n):

@@ -4,7 +4,9 @@ The reference oracles here deliberately avoid the library's own numerics:
 determinants go through cofactor expansion, eigenvalues through power
 iteration, cut values through a plain adjacency scan, and the from-scratch
 greedy is a standalone loop that shares no step code with the solver or the
-dynamic engine.
+dynamic engine. The loops that faster library code replaced are kept here
+as references: chi's per-element walk, the exhaustive complement search and
+the greedy step that discards a negative-gain winner one scan at a time.
 """
 
 import math
@@ -22,6 +24,7 @@ from knapgreedy import (
     ModularObjective,
     Solution,
 )
+from knapgreedy.core import FEAS_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +96,78 @@ def reference_greedy(obj, cons, part):
     return sigma
 
 
+def reference_chi(cons):
+    """chi by the per-element loop: per knapsack, walk the costs in
+    descending order and count them until the running sum exceeds the
+    budget; the minimum over knapsacks."""
+    best = None
+    for i in range(cons.k):
+        ordered = np.sort(cons.costs[i])[::-1]
+        acc, j = 0.0, 0
+        for c in ordered:
+            acc += c
+            if acc > cons.weights[i] + FEAS_TOL:
+                break
+            j += 1
+        best = j if best is None else min(best, j)
+    return best
+
+
+def reference_complement(obj, cons, part):
+    """The exhaustive complement search: depth-first enumeration of every
+    feasible subset of the expensive set in index order, each evaluated once
+    as its DFS path plus one element, keeping the first strictly better
+    value. Returns (set, value)."""
+    elems = list(part.expensive)
+    best_set, best_val = frozenset(), 0.0
+
+    def dfs(i, chosen, cost):
+        nonlocal best_set, best_val
+        for j in range(i, len(elems)):
+            e = elems[j]
+            new_cost = cost + cons.costs[:, e]
+            if cons.is_feasible_cost(new_cost):
+                obj.follow(chosen)
+                chosen.append(e)
+                v = obj.value(chosen)
+                if v > best_val:
+                    best_set, best_val = frozenset(chosen), v
+                dfs(j + 1, chosen, new_cost)
+                chosen.pop()
+
+    dfs(0, [], np.zeros(cons.k))
+    return best_set, best_val
+
+
+def eager_greedy_step(obj, cons, sigma, pool):
+    """solver.greedy_step without the negative-density early end: the
+    winner is removed and discarded one scan at a time, so a pool whose
+    gains are all negative takes one scan per candidate to empty."""
+    obj.follow(sigma.order)
+    current = frozenset(sigma.order)
+    max_costs = cons.max_costs
+    best_e, best_density, best_fval = None, None, None
+    for e in pool:
+        fe = obj.value(current | {e})
+        density = (fe - sigma.value) / max_costs[e]
+        if best_density is None or density > best_density:
+            best_e, best_density, best_fval = e, density, fe
+    pool.remove(best_e)
+    new_cost = sigma.cost_acc + cons.costs[:, best_e]
+    if not (best_fval - sigma.value >= 0 and cons.is_feasible_cost(new_cost)):
+        return False
+    sigma.order.append(best_e)
+    sigma.cost_acc = new_cost
+    sigma.value = best_fval
+    return True
+
+
+def eager_greedy_calls(cheap_size):
+    """Oracle calls of an eager greedy phase over cheap_size candidates: one
+    scan per step, and every step removes one candidate."""
+    return cheap_size * (cheap_size + 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # random instance generators
 
@@ -131,6 +206,35 @@ def random_instance(rng, n, k, family):
 
 
 FAMILIES = ("modular", "cut", "dpp", "entropy")
+
+
+def twin_instance(rng, family, pairs):
+    """2 * pairs elements where 2i and 2i + 1 are twins: identical costs and
+    interchangeable in f, so every density comparison between them ties
+    exactly, in the fast path and in the from-scratch reference alike."""
+    n = 2 * pairs
+    twin = np.repeat(np.arange(pairs), 2)
+    costs = np.repeat(rng.integers(1, 4, size=(2, pairs)).astype(float), 2, axis=1)
+    weights = 0.5 * costs.sum(axis=1)
+    if family == "modular":
+        obj = ModularObjective(rng.integers(0, 3, pairs)[twin].astype(float))
+    elif family == "cut":
+        arcs = [(u, v, float(rng.integers(1, 3)))
+                for u in range(pairs) for v in range(pairs) if u != v and rng.random() < 0.5]
+        obj = DirectedCutObjective(n, [(2 * u + a, 2 * v + b, w)
+                                       for u, v, w in arcs for a in (0, 1) for b in (0, 1)])
+    else:
+        M = rng.normal(size=(pairs, 3))[twin]
+        if family == "dpp-duplicate-rows":
+            L = M @ M.T + np.eye(n)
+            L[1::2] = L[::2]
+            L[:, 1::2] = L[:, ::2]
+            obj = DppLogDetObjective(L)
+        elif family == "dpp":
+            obj = DppLogDetObjective(M @ M.T + np.eye(n))
+        else:
+            obj = EntropyObjective(M @ M.T + np.eye(n))
+    return Instance(GroundSet(n), KnapsackConstraints(costs, weights), obj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from knapgreedy import (
     DirectedCutObjective,
     DynamicGreedy,
     EmptyAfterReductionError,
+    EntropyObjective,
     GroundSet,
     Instance,
     InvalidInstanceError,
@@ -23,7 +26,7 @@ from knapgreedy import (
 from knapgreedy.core import FEAS_TOL
 from knapgreedy.dynamic import WeightUpdate
 
-from conftest import FAMILIES, random_instance, reference_greedy
+from conftest import FAMILIES, eager_greedy_step, random_instance, reference_greedy
 
 
 def tightened_weights(rng, weights):
@@ -78,6 +81,22 @@ class TestStep:
         eng.step()
         assert eng.sigma.order == [0]  # 1 had marginal -2: removed, not added
         assert eng.phase == "finished"
+
+    def test_negative_gain_winner_finishes(self):
+        # variance-0.02 elements have negative entropy gain: the third scan's
+        # winner is one of them, so that step empties the pool
+        inst = Instance(
+            GroundSet(5),
+            KnapsackConstraints([[1.0] * 5], [5.0]),
+            EntropyObjective(np.diag([1.0, 0.02, 1.0, 0.02, 0.02])),
+        )
+        eng = DynamicGreedy(inst, 1.0)
+        start = eng.obj.eval_count
+        for _ in range(3):
+            eng.step()
+        assert eng.sigma.order == [0, 2]
+        assert eng.pool == [] and eng.phase == "finished"
+        assert eng.obj.eval_count - start == 5 + 4 + 3
 
 
 class TestApplyWeights:
@@ -405,6 +424,38 @@ class TestEngineProperties:
             eng.sigma.cost_acc, eng.cons.set_cost(eng.sigma.order), rtol=0, atol=FEAS_TOL
         )
         assert inst.constraints.with_weights(eng.cons.weights).is_feasible(result.chosen)
+
+    @PROPERTY_SETTINGS
+    @given(engine_runs(0.3, 1.7))
+    def test_mixed_updates_trail_matches_eager_engine(self, run):
+        # the same prefix after every step and update, and the same result,
+        # as an engine that discards a negative-gain winner one scan at a
+        # time, with no more oracle calls
+        inst, lam, updates = run
+
+        def trail():
+            try:
+                eng = DynamicGreedy(
+                    Instance(inst.ground, inst.constraints, inst.objective.clone()), lam
+                )
+            except EmptyAfterReductionError:
+                return None, 0
+            seen = []
+            for steps, factors in updates:
+                for _ in range(steps):
+                    eng.step()
+                    seen.append((tuple(eng.sigma.order), eng.sigma.value))
+                eng.apply_weights(eng.cons.weights * np.array(factors))
+                seen.append((tuple(eng.sigma.order), eng.sigma.value))
+            result = eng.finalize()
+            seen.append((result.chosen, result.value, result.which, result.greedy_order))
+            return seen, eng.obj.eval_count
+
+        got, calls = trail()
+        with mock.patch("knapgreedy.dynamic.greedy_step", eager_greedy_step):
+            expected, eager_calls = trail()
+        assert got == expected
+        assert calls <= eager_calls
 
     @PROPERTY_SETTINGS
     @given(engine_runs(0.4, 1.0))

@@ -25,7 +25,7 @@ from knapgreedy import (
     split_by_threshold,
 )
 
-from conftest import FAMILIES, random_objective, reference_greedy
+from conftest import FAMILIES, random_objective, reference_greedy, twin_instance
 
 
 def close(v, ref):
@@ -187,35 +187,6 @@ class TestNotPositiveDefinite:
 
 # ---------------------------------------------------------------------------
 # exact ties: the fast path must break them exactly as the reference does
-
-
-def twin_instance(rng, family, pairs):
-    """2 * pairs elements where 2i and 2i + 1 are twins: identical costs and
-    interchangeable in f, so every density comparison between them ties
-    exactly, in the fast path and in the from-scratch reference alike."""
-    n = 2 * pairs
-    twin = np.repeat(np.arange(pairs), 2)
-    costs = np.repeat(rng.integers(1, 4, size=(2, pairs)).astype(float), 2, axis=1)
-    weights = 0.5 * costs.sum(axis=1)
-    if family == "modular":
-        obj = ModularObjective(rng.integers(0, 3, pairs)[twin].astype(float))
-    elif family == "cut":
-        arcs = [(u, v, float(rng.integers(1, 3)))
-                for u in range(pairs) for v in range(pairs) if u != v and rng.random() < 0.5]
-        obj = DirectedCutObjective(n, [(2 * u + a, 2 * v + b, w)
-                                       for u, v, w in arcs for a in (0, 1) for b in (0, 1)])
-    else:
-        M = rng.normal(size=(pairs, 3))[twin]
-        if family == "dpp-duplicate-rows":
-            L = M @ M.T + np.eye(n)
-            L[1::2] = L[::2]
-            L[:, 1::2] = L[:, ::2]
-            obj = DppLogDetObjective(L)
-        elif family == "dpp":
-            obj = DppLogDetObjective(M @ M.T + np.eye(n))
-        else:
-            obj = EntropyObjective(M @ M.T + np.eye(n))
-    return Instance(GroundSet(n), KnapsackConstraints(costs, weights), obj)
 
 
 class TestTies:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from knapgreedy import (
+    DirectedCutObjective,
+    DppLogDetObjective,
     EmptyAfterReductionError,
+    EntropyObjective,
     GroundSet,
     Instance,
     InvalidInstanceError,
@@ -21,8 +24,36 @@ from knapgreedy import (
     split_by_threshold,
 )
 from knapgreedy.core import FEAS_TOL
+from knapgreedy.solver import Partition
 
-from conftest import FAMILIES, random_instance, reference_greedy
+from conftest import (
+    FAMILIES,
+    eager_greedy_calls,
+    random_instance,
+    random_spd,
+    reference_chi,
+    reference_complement,
+    reference_greedy,
+    twin_instance,
+)
+
+
+def integer_instance(rng, n, k, family):
+    """Integer costs, budgets and objective data, so that many subsets tie
+    exactly in value; every element is expensive."""
+    costs = rng.integers(1, 4, size=(k, n)).astype(float)
+    weights = rng.integers(costs.max(axis=1), np.maximum(costs.max(axis=1), costs.sum(axis=1) // 2) + 1)
+    if family == "modular":
+        obj = ModularObjective(rng.integers(0, 4, n).astype(float))
+    elif family == "cut":
+        arcs = [(u, v, float(rng.integers(1, 3)))
+                for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+        obj = DirectedCutObjective(n, arcs)
+    else:
+        A = rng.integers(-1, 2, size=(n, 3)).astype(float)
+        K = A @ A.T + np.eye(n)
+        obj = DppLogDetObjective(K) if family == "dpp" else EntropyObjective(K)
+    return Instance(GroundSet(n), KnapsackConstraints(costs, weights.astype(float)), obj)
 
 
 class TestChi:
@@ -38,6 +69,24 @@ class TestChi:
     def test_two_knapsacks(self):
         cons = KnapsackConstraints([[3, 2, 2], [1, 1, 1]], [5, 3])
         assert chi(cons) == 2
+
+    def test_matches_reference_loop(self):
+        # integer costs make budgets that equal a prefix sum exactly common
+        rng = np.random.default_rng(22)
+        for _ in range(2000):
+            k, n = int(rng.integers(1, 4)), int(rng.integers(1, 15))
+            if rng.random() < 0.5:
+                costs = rng.integers(0, 5, size=(k, n)).astype(float)
+                weights = rng.integers(0, 5 * n, size=k).astype(float)
+            else:
+                # a budget at a prefix sum, or just inside or outside its
+                # FEAS_TOL slack
+                costs = rng.uniform(0.0, 2.0, size=(k, n))
+                prefix = np.cumsum(-np.sort(-costs, axis=1), axis=1)
+                weights = prefix[np.arange(k), rng.integers(0, n, size=k)]
+                weights = weights + rng.choice([-2.0, -0.5, 0.0, 0.5], size=k) * FEAS_TOL
+            cons = KnapsackConstraints(costs, weights)
+            assert chi(cons) == reference_chi(cons)
 
     def test_soundness_exhaustive(self):
         rng = np.random.default_rng(21)
@@ -98,8 +147,6 @@ class TestGreedyPhase:
         assert sigma.value == 3.25
 
     def test_empty_cheap_set(self, worked_example):
-        from knapgreedy.solver import Partition
-
         part = Partition(cheap=(), expensive=(0, 1, 2, 3, 4))
         sigma = greedy_phase(worked_example.objective, worked_example.constraints, part)
         assert sigma.order == []
@@ -128,10 +175,42 @@ class TestGreedyPhase:
                 prev = v
 
 
+    def test_negative_gain_winner_ends_phase(self):
+        # independent entropy: an element of variance 0.02 has gain
+        # 1.419 + ln(0.02) / 2 < 0, so the third scan's winner is negative
+        # and ends the phase after 5 + 4 + 3 calls; the eager greedy
+        # discards the last three one scan at a time
+        cons = KnapsackConstraints([[1.0] * 5], [5.0])
+        obj = EntropyObjective(np.diag([1.0, 0.02, 1.0, 0.02, 0.02]))
+        part = split_by_threshold(cons, 1.0)
+        sigma = greedy_phase(obj, cons, part)
+        assert sigma.order == [0, 2] == reference_greedy(obj, cons, part).order
+        assert obj.eval_count == 12 < eager_greedy_calls(5)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_reference_with_no_more_calls(self, family):
+        # kernels scaled down and modular values of both signs, so that
+        # negative gains are common in every family
+        rng = np.random.default_rng(24)
+        for _ in range(15):
+            n, k = int(rng.integers(3, 21)), int(rng.integers(1, 4))
+            inst = random_instance(rng, n, k, family)
+            obj = inst.objective
+            if family == "modular":
+                obj = ModularObjective(rng.uniform(-1.0, 2.0, n))
+            elif family == "dpp":
+                obj = DppLogDetObjective(0.5 * random_spd(rng, n))
+            elif family == "entropy":
+                obj = EntropyObjective(0.05 * random_spd(rng, n))
+            part = split_by_threshold(inst.constraints, float(rng.choice([1.0, k])))
+            sigma = greedy_phase(obj, inst.constraints, part)
+            ref = reference_greedy(obj, inst.constraints, part)
+            assert (sigma.order, sigma.value) == (ref.order, pytest.approx(ref.value))
+            assert obj.eval_count <= eager_greedy_calls(len(part.cheap))
+
+
 class TestComplementSearch:
     def test_empty_expensive(self, worked_example):
-        from knapgreedy.solver import Partition
-
         part = Partition(cheap=(0, 1), expensive=())
         s, v = complement_search(worked_example.objective, worked_example.constraints, part)
         assert s == frozenset() and v == 0.0
@@ -139,8 +218,6 @@ class TestComplementSearch:
     def test_pairwise_infeasible(self):
         cons = KnapsackConstraints([[6, 7]], [10])
         obj = ModularObjective([5.0, 6.0])
-        from knapgreedy.solver import Partition
-
         part = Partition(cheap=(), expensive=(0, 1))
         s, v = complement_search(obj, cons, part)
         assert s == frozenset({1}) and v == 6.0
@@ -148,23 +225,63 @@ class TestComplementSearch:
     def test_matches_full_subset_scan(self):
         rng = np.random.default_rng(25)
         inst = random_instance(rng, 6, 2, "cut")
-        from knapgreedy.solver import Partition
-
         part = Partition(cheap=(), expensive=tuple(range(6)))
         s, v = complement_search(inst.objective.clone(), inst.constraints, part)
-        best = 0.0
+        best, best_set = 0.0, frozenset()
         for mask in range(1, 1 << 6):
             S = [e for e in range(6) if mask >> e & 1]
             if inst.constraints.is_feasible(S):
-                best = max(best, inst.objective.clone().value(S))
+                value = inst.objective.clone().value(S)
+                if value > best:
+                    best, best_set = value, frozenset(S)
         assert v == pytest.approx(best)
+        assert s == best_set
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_exhaustive_reference(self, family):
+        # the same set and value as the exhaustive search, ties included,
+        # with no more oracle calls
+        rng = np.random.default_rng(26)
+        for trial in range(40):
+            if trial % 4 == 3:
+                inst = twin_instance(rng, family, int(rng.integers(2, 7)))
+            else:
+                inst = integer_instance(rng, int(rng.integers(1, 13)), int(rng.integers(1, 3)), family)
+            part = Partition(cheap=(), expensive=tuple(range(inst.ground.n)))
+            bb_obj, ref_obj = inst.objective.clone(), inst.objective.clone()
+            got = complement_search(bb_obj, inst.constraints, part)
+            expected = reference_complement(ref_obj, inst.constraints, part)
+            assert got == expected
+            assert bb_obj.eval_count <= ref_obj.eval_count
+
+    def test_tie_inside_a_subtree_whose_bound_equals_the_best(self):
+        # {0, 1} and {1} both have value 2; the exhaustive preorder finds
+        # {0, 1} first. Child 0's bound 0 + 2 equals the best so far, found
+        # at child 1, so its subtree must still be entered.
+        cons = KnapsackConstraints([[1.0, 1.0]], [2.0])
+        obj = ModularObjective([0.0, 2.0])
+        part = Partition(cheap=(), expensive=(0, 1))
+        assert complement_search(obj.clone(), cons, part) == (frozenset({0, 1}), 2.0)
+        assert reference_complement(obj.clone(), cons, part) == (frozenset({0, 1}), 2.0)
+
+    def test_heavy_tail_prunes(self):
+        # a DPP whose elements each take a tenth to two fifths of the budget,
+        # with qualities that make some gains negative: the same answer as
+        # the exhaustive search with strictly fewer calls
+        rng = np.random.default_rng(28)
+        n, k = 16, 2
+        cons = KnapsackConstraints(rng.uniform(0.1, 0.4, size=(k, n)), [1.0] * k)
+        q = rng.uniform(0.5, 2.0, n)
+        obj = DppLogDetObjective(0.3 * q[:, None] * random_spd(rng, n) * q[None, :])
+        part = Partition(cheap=(), expensive=tuple(range(n)))
+        bb_obj, ref_obj = obj.clone(), obj.clone()
+        assert complement_search(bb_obj, cons, part) == reference_complement(ref_obj, cons, part)
+        assert bb_obj.eval_count < ref_obj.eval_count
 
     def test_large_complement_warns(self):
         n = 30
         cons = KnapsackConstraints([[1.0] * n], [0.5])
         obj = ModularObjective([1.0] * n)
-        from knapgreedy.solver import Partition
-
         part = Partition(cheap=(), expensive=tuple(range(n)))
         with pytest.warns(RuntimeWarning, match="complement too large"):
             complement_search(obj, cons, part)
@@ -241,6 +358,12 @@ class TestLambdaGreedy:
             part = split_by_threshold(red.constraints, lam)
             ref = reference_greedy(red.objective, red.constraints, part)
             assert result.greedy_order == tuple(red.to_original(e) for e in ref.order)
+            # no more calls than the singleton scan, the eager greedy and
+            # the exhaustive complement search
+            comp_obj = red.objective.clone()
+            reference_complement(comp_obj, red.constraints, part)
+            eager = red.ground.n + eager_greedy_calls(len(part.cheap)) + comp_obj.eval_count
+            assert result.oracle_calls <= eager
             checked += 1
 
     def test_deterministic(self):

@@ -5,7 +5,9 @@ scale. Two contestants consume the same weight stream under the same
 per-interval oracle-call budget: a persistent dynamic engine that rolls its
 solution back at each update, and a static greedy restarted from scratch.
 The trace records, at every update, each contestant's best feasible value
-and the oracle calls it spent in the interval.
+and the oracle calls it spent in the interval. Both are scored by the same
+rule, DynamicGreedy.current_best(): the greedy prefix versus the best
+feasible singleton, with no complement search outside the budget.
 """
 
 from __future__ import annotations
@@ -73,16 +75,6 @@ def _fresh_engine(inst, weights, lam):
         return None
 
 
-def _restart_value(engine):
-    """Restart contestant's score: 0 when nothing fit; complement-set
-    candidates count only once its greedy has finished."""
-    if engine is None:
-        return 0.0
-    if engine.phase == "finished":
-        return engine.finalize().value
-    return engine.current_best()
-
-
 def run_dynamic(inst, cfg):
     """Simulate cfg.n_updates budget drifts; returns the per-update trace."""
     check_lambda(cfg.lam, inst.constraints.k)
@@ -120,7 +112,7 @@ def run_dynamic(inst, cfg):
         if restart is not None:
             restart.run_to_completion(rs_start + cfg.tau)
         dg_value = engine.current_best()
-        rs_value = _restart_value(restart)  # may spend calls on the complement
+        rs_value = restart.current_best() if restart is not None else 0.0
         trace.rows.append(
             TraceRow(
                 update=u,

@@ -10,6 +10,8 @@ feasible expensive subset.
 
 from __future__ import annotations
 
+import heapq
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -77,16 +79,31 @@ def split_by_threshold(cons, lam):
     return Partition(tuple(np.flatnonzero(cheap).tolist()), tuple(np.flatnonzero(~cheap).tolist()))
 
 
+def _density(fe, base, max_cost):
+    """The greedy's selection key: marginal gain per maximum cost."""
+    return (fe - base) / max_cost
+
+
+def _take(cons, sigma, e, fe):
+    """Append the winner e, with f(sigma + e) = fe, when its gain is
+    nonnegative and sigma + e is feasible; a NaN gain is never appended.
+    Returns whether sigma grew."""
+    new_cost = sigma.cost_acc + cons.costs[:, e]
+    if not (fe - sigma.value >= 0 and cons.is_feasible_cost(new_cost)):
+        return False
+    sigma.order.append(e)
+    sigma.cost_acc = new_cost
+    sigma.value = fe
+    return True
+
+
 def greedy_step(obj, cons, sigma, pool):
-    """One density-greedy selection, shared by the static solver and the
-    dynamic engine.
+    """One eager density-greedy selection, the dynamic engine's step.
 
     Follows sigma's order on the objective, then evaluates f(sigma + e) for
     every candidate in pool (one oracle call each, answered from the prefix
-    state). Removes the one with the largest marginal gain divided by its
-    maximum per-knapsack cost (ties to the earliest in pool order), and
-    appends it to sigma when the gain is nonnegative and the extended set is
-    feasible. A NaN gain is never appended. When the winner's density is
+    state). Removes the one with the largest density (ties to the earliest
+    in pool order) and appends or discards it. When the winner's density is
     negative, every other candidate's density is at most that, so no gain
     in the pool is nonnegative and sigma cannot grow until it changes: the
     pool is cleared instead of being discarded one scan at a time. Returns
@@ -98,30 +115,65 @@ def greedy_step(obj, cons, sigma, pool):
     best_e, best_density, best_fval = None, None, None
     for e in pool:
         fe = obj.value(current | {e})
-        density = (fe - sigma.value) / max_costs[e]
+        density = _density(fe, sigma.value, max_costs[e])
         if best_density is None or density > best_density:
             best_e, best_density, best_fval = e, density, fe
     if best_density < 0:
         pool.clear()
         return False
     pool.remove(best_e)
-    new_cost = sigma.cost_acc + cons.costs[:, best_e]
-    if not (best_fval - sigma.value >= 0 and cons.is_feasible_cost(new_cost)):
-        return False
-    sigma.order.append(best_e)
-    sigma.cost_acc = new_cost
-    sigma.value = best_fval
-    return True
+    return _take(cons, sigma, best_e, best_fval)
 
 
-def greedy_phase(obj, cons, part):
-    """Density greedy over the cheap set: greedy_step until no candidate is
-    left. Only nonnegative gains are appended, so prefix values never
-    decrease."""
+def _heap_key(density):
+    """Min-heap key of a density: its negation, with NaN as +inf."""
+    return -density if density == density else math.inf
+
+
+def greedy_phase(obj, cons, part, singleton_values=None):
+    """Lazy density greedy over the cheap set (Minoux 1978), with the
+    eager greedy_step's sequence.
+
+    For submodular f, monotone or not, a marginal gain can only shrink as
+    the prefix grows and max_costs is fixed, so a density computed at an
+    earlier depth bounds the current one from above. A heap holds one
+    (-density, e) entry per candidate, each stamped with the prefix depth
+    it was computed at; the top is re-evaluated until its stamp is the
+    current depth. An exact top is the eager winner: every other density
+    is at most its bound, and a bound equal to the top's belongs to a
+    higher index, a later position in the ascending cheap set. A negative
+    exact top ends the phase; a NaN density sorts as -inf and is never
+    appended. singleton_values (f({e}) for every e, from best_singleton)
+    are exact densities at depth 0, so the first pick makes no call;
+    without them every bound starts at +inf at depth -1.
+    """
     sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
-    pool = list(part.cheap)
-    while pool:
-        greedy_step(obj, cons, sigma, pool)
+    max_costs = cons.max_costs
+    fvals = [None] * cons.n
+    stamps = [-1] * cons.n
+    heap = []
+    for e in part.cheap:
+        key = -math.inf
+        if singleton_values is not None:
+            fvals[e], stamps[e] = singleton_values[e], 0
+            key = _heap_key(_density(singleton_values[e], 0.0, max_costs[e]))
+        heap.append((key, e))
+    heapq.heapify(heap)
+    depth, followed = 0, -1
+    while heap:
+        key, e = heap[0]
+        if stamps[e] != depth:
+            if followed != depth:
+                obj.follow(sigma.order)
+                current, followed = frozenset(sigma.order), depth
+            fvals[e], stamps[e] = obj.value(current | {e}), depth
+            heapq.heapreplace(heap, (_heap_key(_density(fvals[e], sigma.value, max_costs[e])), e))
+            continue
+        if key > 0:  # negative or NaN density
+            break
+        heapq.heappop(heap)
+        if _take(cons, sigma, e, fvals[e]):
+            depth += 1
     return sigma
 
 
@@ -181,14 +233,15 @@ def complement_search(obj, cons, part):
 
 
 def best_singleton(obj, n):
-    """argmax of f over single elements, ties to the lowest index. n calls."""
+    """argmax of f over single elements, ties to the lowest index, and the
+    list of every f({e}). n calls."""
     obj.follow(())
+    values = [obj.value({e}) for e in range(n)]
     best_e, best_v = None, None
-    for e in range(n):
-        v = obj.value({e})
+    for e, v in enumerate(values):
         if best_v is None or v > best_v:
             best_e, best_v = e, v
-    return best_e, best_v
+    return best_e, best_v, values
 
 
 def best_of(inst, sigma, vstar, vstar_val, comp_set, comp_val, calls):
@@ -218,9 +271,9 @@ def lambda_greedy(inst, lam):
     obj, cons = red.objective, red.constraints
     calls_before = obj.eval_count
     try:
-        vstar, vstar_val = best_singleton(obj, red.ground.n)
+        vstar, vstar_val, singleton_values = best_singleton(obj, red.ground.n)
         part = split_by_threshold(cons, lam)
-        sigma = greedy_phase(obj, cons, part)
+        sigma = greedy_phase(obj, cons, part, singleton_values)
         comp_set, comp_val = complement_search(obj, cons, part)
     finally:
         obj.follow(None)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from knapgreedy import (
+    DynamicGreedy,
+    EmptyAfterReductionError,
     Instance,
     SimConfig,
     perturb_weights,
@@ -125,6 +127,28 @@ class TestRunDynamic:
             # one greedy step can overshoot by at most a full candidate scan
             assert row.dgreedy_calls <= cfg.tau + n
             assert row.restart_calls <= cfg.tau + n
+
+    @pytest.mark.parametrize("family", ["modular", "dpp"])
+    def test_restart_scored_like_engine_within_tau(self, family):
+        # tau covers a whole run, so each restart finishes its greedy; it is
+        # scored by current_best() like the engine and runs no complement
+        # search, so its row holds exactly the calls of a fresh engine run
+        rng = np.random.default_rng(8)
+        inst = random_instance(rng, 12, 2, family)
+        cfg = SimConfig(tau=10000, noise_sigma=0.1, n_updates=10, seed=3, lam=1.0)
+        trace = run_dynamic(inst, cfg)
+        for row in trace.rows:
+            obj = inst.objective.clone()
+            try:
+                fresh = DynamicGreedy(
+                    Instance(inst.ground, inst.constraints.with_weights(row.weights), obj), cfg.lam)
+            except EmptyAfterReductionError:
+                assert (row.restart_value, row.restart_calls) == (0.0, 0)
+                continue
+            fresh.run_to_completion()
+            assert fresh.phase == "finished"
+            assert row.restart_calls == obj.eval_count
+            assert row.restart_value == fresh.current_best()
 
     def test_small_tau_warns(self):
         inst = worked_example_instance()

@@ -13,6 +13,7 @@ from knapgreedy import (
     InvalidInstanceError,
     KnapsackConstraints,
     ModularObjective,
+    Solution,
     brute_force_curvature,
     brute_force_opt,
     chi,
@@ -24,7 +25,7 @@ from knapgreedy import (
     split_by_threshold,
 )
 from knapgreedy.core import FEAS_TOL
-from knapgreedy.solver import Partition
+from knapgreedy.solver import Partition, best_singleton, greedy_step
 
 from conftest import (
     FAMILIES,
@@ -54,6 +55,41 @@ def integer_instance(rng, n, k, family):
         K = A @ A.T + np.eye(n)
         obj = DppLogDetObjective(K) if family == "dpp" else EntropyObjective(K)
     return Instance(GroundSet(n), KnapsackConstraints(costs, weights.astype(float)), obj)
+
+
+def lazy_case(rng, family, trial):
+    """An instance on which lazy evaluation has shortcuts to get wrong:
+    integer data with exact ties, twins, scaled kernels or signed values
+    for negative gains, or a reduced instance; with k = 1 or 2."""
+    kind = trial % 4
+    k = int(rng.integers(1, 3))
+    if kind == 0:
+        return integer_instance(rng, int(rng.integers(2, 16)), k, family)
+    if kind == 1:
+        return twin_instance(rng, family, int(rng.integers(2, 8)))
+    n = int(rng.integers(3, 21))
+    inst = random_instance(rng, n, k, family)
+    if kind == 2:
+        obj = inst.objective
+        if family == "modular":
+            obj = ModularObjective(rng.uniform(-1.0, 2.0, n))
+        elif family == "dpp":
+            obj = DppLogDetObjective(0.5 * random_spd(rng, n))
+        elif family == "entropy":
+            obj = EntropyObjective(0.05 * random_spd(rng, n))
+        return Instance(inst.ground, inst.constraints, obj)
+    # element 0 always fits, some others do not
+    weights = np.maximum(np.quantile(inst.constraints.costs, 0.8, axis=1), inst.constraints.costs[:, 0])
+    return reduce_instance(Instance(inst.ground, inst.constraints.with_weights(weights), inst.objective))[0]
+
+
+def eager_phase(obj, cons, part):
+    """The greedy phase as a loop over the eager greedy_step."""
+    sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
+    pool = list(part.cheap)
+    while pool:
+        greedy_step(obj, cons, sigma, pool)
+    return sigma
 
 
 class TestChi:
@@ -177,15 +213,17 @@ class TestGreedyPhase:
 
     def test_negative_gain_winner_ends_phase(self):
         # independent entropy: an element of variance 0.02 has gain
-        # 1.419 + ln(0.02) / 2 < 0, so the third scan's winner is negative
-        # and ends the phase after 5 + 4 + 3 calls; the eager greedy
-        # discards the last three one scan at a time
+        # 1.419 + ln(0.02) / 2 < 0. Without seeds the first pick evaluates
+        # all 5; element 2's stale bound is exact again at depth 1 (1 call),
+        # and at depth 2 the top, element 1, is negative once re-evaluated
+        # (1 call) and ends the phase: 7 calls. The eager greedy discards
+        # the last three one scan at a time
         cons = KnapsackConstraints([[1.0] * 5], [5.0])
         obj = EntropyObjective(np.diag([1.0, 0.02, 1.0, 0.02, 0.02]))
         part = split_by_threshold(cons, 1.0)
         sigma = greedy_phase(obj, cons, part)
         assert sigma.order == [0, 2] == reference_greedy(obj, cons, part).order
-        assert obj.eval_count == 12 < eager_greedy_calls(5)
+        assert obj.eval_count == 7 < eager_greedy_calls(5)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_reference_with_no_more_calls(self, family):
@@ -208,6 +246,83 @@ class TestGreedyPhase:
             assert (sigma.order, sigma.value) == (ref.order, pytest.approx(ref.value))
             assert obj.eval_count <= eager_greedy_calls(len(part.cheap))
 
+    def test_seeded_first_pick_makes_no_call(self):
+        # singleton values are exact densities at depth 0, so the first pick
+        # is free; modular gains never shrink, so each later pick
+        # re-evaluates only the top: 0 + 1 + 1 + 1 calls (unseeded 4 + 3)
+        values = [3.0, 1.0, 4.0, 1.5]
+        cons = KnapsackConstraints([[1, 1, 1, 1]], [4])
+        obj = ModularObjective(values)
+        part = split_by_threshold(cons, 1.0)
+        vstar, vstar_val, seeds = best_singleton(obj, 4)
+        assert (vstar, vstar_val, seeds) == (2, 4.0, values)
+        assert obj.eval_count == 4
+        assert greedy_phase(obj, cons, part, seeds).order == [2, 0, 3, 1]
+        assert obj.eval_count == 4 + 3
+        unseeded = ModularObjective(values)
+        assert greedy_phase(unseeded, cons, part).order == [2, 0, 3, 1]
+        assert unseeded.eval_count == 4 + 3
+
+    def test_discarded_winner_costs_no_call(self):
+        # element 0 is the densest but does not fit; once it is discarded,
+        # element 1's density, computed at the same depth, is still exact
+        cons = KnapsackConstraints([[4.0, 1.0]], [3.0])
+        obj = ModularObjective([10.0, 1.0])
+        part = Partition(cheap=(0, 1), expensive=())
+        sigma = greedy_phase(obj, cons, part)
+        assert sigma.order == [1] == reference_greedy(obj, cons, part).order
+        assert obj.eval_count == 2 < eager_greedy_calls(2)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lazy_matches_eager_and_reference(self, family):
+        # with and without singleton seeds: the eager loop's order and value
+        # bit for bit, the standalone reference's order, and no more calls
+        rng = np.random.default_rng(31)
+        for trial in range(48):
+            inst = lazy_case(rng, family, trial)
+            cons, n = inst.constraints, inst.ground.n
+            if trial % 3 == 0:
+                part = Partition(cheap=tuple(range(n)), expensive=())
+            else:
+                part = split_by_threshold(cons, float(rng.choice([1.0, cons.k])))
+            eager_obj = inst.objective.clone()
+            eager = eager_phase(eager_obj, cons, part)
+            if trial % 4 or family in ("modular", "cut"):
+                # integer kernels tie elements that are not twins, and the
+                # prefix state and a from-scratch determinant may round such
+                # ties apart; the eager loop shares the prefix state
+                ref = reference_greedy(inst.objective, cons, part)
+                assert eager.order == ref.order
+            assert eager_obj.eval_count <= eager_greedy_calls(len(part.cheap))
+            for seeded in (False, True):
+                obj = inst.objective.clone()
+                seeds = best_singleton(obj, n)[2] if seeded else None
+                start = obj.eval_count
+                sigma = greedy_phase(obj, cons, part, seeds)
+                assert (sigma.order, sigma.value) == (eager.order, eager.value)
+                assert np.array_equal(sigma.cost_acc, eager.cost_acc)
+                assert obj.eval_count - start <= eager_obj.eval_count
+
+    def test_nan_density_never_appended(self):
+        # every set holding a NaN-valued element evaluates to NaN; such a
+        # density sorts as -inf, so the order is the reference's, in which
+        # a NaN winner is discarded
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            n = int(rng.integers(3, 25))
+            values = rng.integers(-1, 5, n).astype(float)
+            values[rng.random(n) < 0.3] = np.nan
+            costs = rng.integers(1, 4, size=(1, n)).astype(float)
+            cons = KnapsackConstraints(costs, [0.6 * costs.sum()])
+            part = Partition(cheap=tuple(range(n)), expensive=())
+            ref = reference_greedy(ModularObjective(values), cons, part)
+            for seeded in (False, True):
+                obj = ModularObjective(values)
+                seeds = best_singleton(obj, n)[2] if seeded else None
+                sigma = greedy_phase(obj, cons, part, seeds)
+                assert sigma.order == ref.order
+                assert not np.isnan(values[sigma.order]).any()
+                assert sigma.value == pytest.approx(ref.value)
 
 class TestComplementSearch:
     def test_empty_expensive(self, worked_example):

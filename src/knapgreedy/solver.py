@@ -79,11 +79,6 @@ def split_by_threshold(cons, lam):
     return Partition(tuple(np.flatnonzero(cheap).tolist()), tuple(np.flatnonzero(~cheap).tolist()))
 
 
-def _density(fe, base, max_cost):
-    """The greedy's selection key: marginal gain per maximum cost."""
-    return (fe - base) / max_cost
-
-
 def _take(cons, sigma, e, fe):
     """Append the winner e, with f(sigma + e) = fe, when its gain is
     nonnegative and sigma + e is feasible; a NaN gain is never appended.
@@ -102,8 +97,9 @@ def greedy_step(obj, cons, sigma, pool):
 
     Follows sigma's order on the objective, then evaluates f(sigma + e) for
     every candidate in pool (one oracle call each, answered from the prefix
-    state). Removes the one with the largest density (ties to the earliest
-    in pool order) and appends or discards it. When the winner's density is
+    state). Removes the one with the largest density, marginal gain per
+    maximum cost (ties to the earliest in pool order), and appends or
+    discards it. When the winner's density is
     negative, every other candidate's density is at most that, so no gain
     in the pool is nonnegative and sigma cannot grow until it changes: the
     pool is cleared instead of being discarded one scan at a time. Returns
@@ -115,7 +111,7 @@ def greedy_step(obj, cons, sigma, pool):
     best_e, best_density, best_fval = None, None, None
     for e in pool:
         fe = obj.value(current | {e})
-        density = _density(fe, sigma.value, max_costs[e])
+        density = (fe - sigma.value) / max_costs[e]
         if best_density is None or density > best_density:
             best_e, best_density, best_fval = e, density, fe
     if best_density < 0:
@@ -156,7 +152,7 @@ def greedy_phase(obj, cons, part, singleton_values=None):
         key = -math.inf
         if singleton_values is not None:
             fvals[e], stamps[e] = singleton_values[e], 0
-            key = _heap_key(_density(singleton_values[e], 0.0, max_costs[e]))
+            key = _heap_key(singleton_values[e] / max_costs[e])  # gain over f(empty) = 0
         heap.append((key, e))
     heapq.heapify(heap)
     depth, followed = 0, -1
@@ -167,7 +163,7 @@ def greedy_phase(obj, cons, part, singleton_values=None):
                 obj.follow(sigma.order)
                 current, followed = frozenset(sigma.order), depth
             fvals[e], stamps[e] = obj.value(current | {e}), depth
-            heapq.heapreplace(heap, (_heap_key(_density(fvals[e], sigma.value, max_costs[e])), e))
+            heapq.heapreplace(heap, (_heap_key((fvals[e] - sigma.value) / max_costs[e]), e))
             continue
         if key > 0:  # negative or NaN density
             break

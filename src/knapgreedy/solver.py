@@ -99,11 +99,11 @@ def greedy_step(obj, cons, sigma, pool):
     every candidate in pool (one oracle call each, answered from the prefix
     state). Removes the one with the largest density, marginal gain per
     maximum cost (ties to the earliest in pool order), and appends or
-    discards it. When the winner's density is
-    negative, every other candidate's density is at most that, so no gain
-    in the pool is nonnegative and sigma cannot grow until it changes: the
-    pool is cleared instead of being discarded one scan at a time. Returns
-    whether sigma grew.
+    discards it. When the winner's density is negative, every other
+    candidate's density is at most that, so no gain in the pool is
+    nonnegative and sigma cannot grow until it changes: the pool is cleared
+    instead of being discarded one scan at a time. Returns whether sigma
+    grew.
     """
     obj.follow(sigma.order)
     current = frozenset(sigma.order)

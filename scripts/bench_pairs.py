@@ -1,15 +1,15 @@
 """Alternating parent/change benchmark pairs, summarized in one JSON file.
 
     python3 scripts/bench_pairs.py <parent-rev> --out BENCH_8.json
-    python3 scripts/bench_pairs.py HEAD~1 --change-rev HEAD --pairs 10 \
-        --workload static-solve --seed 1911 --out BENCH_8.json
+    python3 scripts/bench_pairs.py HEAD~1 --change-rev HEAD --out BENCH_8.json
 
 Both revisions are exported with ``git archive`` into fresh temporary
 directories, so each run sees only committed files, and the working tree and
-the repository's git metadata are left alone. For every workload, ``--pairs``
-pairs of ``benchmark/run.py --trace 0`` runs are made one after the other,
-the parent first in even pairs and the change first in odd ones, so slow
-drift of the machine's speed falls on both sides. The output holds every
+the repository's git metadata are left alone. For every workload that
+BENCHMARK.json declares, PAIRS pairs of ``benchmark/run.py --trace 0`` runs
+at the held-out seed 1911, each as long as run.py's default, are made one
+after the other, the parent first in even pairs and the change first in odd
+ones, so slow drift of the machine's speed falls on both sides. The output holds every
 run's end-to-end metrics, per metric the median and quartiles of each side,
 the ratio of the medians and the number of pairs the change won (by the
 ``better`` direction in BENCHMARK.json), the environment the benchmark
@@ -31,7 +31,8 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("static-solve", "drift-race", "verify-small")
+PAIRS = 10  # the pairs a claimed gain is judged on
+SEED = 1911  # held out from development
 
 
 def git(*args):
@@ -44,11 +45,11 @@ def export(rev, dest):
         tar.extractall(dest, filter="data")
 
 
-def run(tree, workload, seed, seconds):
+def run(tree, workload):
     """One benchmark run in tree; returns its result (the JSON document it
     prints last) and the environment it reports on its "# env" line."""
-    cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(SEED),
+           "--trace", "0"]
     lines = subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.PIPE,
                            text=True).stdout.splitlines()
     env = next((json.loads(x[len("# env "):]) for x in lines if x.startswith("# env ")), None)
@@ -83,33 +84,27 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_rev")
     p.add_argument("--change-rev", default="HEAD")
-    p.add_argument("--workload", action="append", choices=WORKLOADS,
-                   help="repeatable; default: every workload")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1911)
-    p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
 
     revs = {side: git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
             for side, rev in (("parent", args.parent_rev), ("change", args.change_rev))}
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    doc = {"revs": revs, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-           "started": time.time(), "env": None, "workloads": {}}
+    doc = {"revs": revs, "seed": SEED, "pairs": PAIRS, "started": time.time(), "env": None,
+           "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: os.path.join(tmp, side) for side in revs}
         for side, tree in trees.items():
             export(revs[side], tree)
-        for workload in args.workload or WORKLOADS:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 pair = {}
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                    res, env = run(trees[side], workload, args.seed, args.seconds)
+                    res, env = run(trees[side], workload)
                     doc["env"] = doc["env"] or env
                     if not res["correct"]:
                         print("bench_pairs: %s %s run %d is not correct" % (side, workload, i),
@@ -118,7 +113,7 @@ def main(argv=None):
                     pair[side + "_failed"] = res["failed"]
                 runs.append(pair)
                 print("%s pair %d/%d: ops_per_s %.4g -> %.4g" % (
-                    workload, i + 1, args.pairs, pair["parent"]["ops_per_s"],
+                    workload, i + 1, PAIRS, pair["parent"]["ops_per_s"],
                     pair["change"]["ops_per_s"]), flush=True)
             doc["workloads"][workload] = {"summary": summarize(runs, better), "runs": runs}
 

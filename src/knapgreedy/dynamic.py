@@ -19,6 +19,7 @@ import numpy as np
 from .core import Solution, check_weights, reduce_instance, validate
 from .solver import (
     best_of,
+    best_singleton,
     check_lambda,
     chi,
     complement_search,
@@ -56,8 +57,7 @@ class DynamicGreedy:
         # Singleton values are deterministic; scanning them once here (n
         # calls) lets later updates re-derive the best feasible singleton
         # for free when singleton feasibility shifts.
-        self.obj.follow(())
-        self.singleton_values = [self.obj.value({e}) for e in range(n)]
+        self.singleton_values = best_singleton(self.obj, n)[2]
         self._refresh_vstar()
 
         self.chi = chi(self.cons)  # of the current weights; the old chi at the next update

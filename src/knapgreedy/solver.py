@@ -126,6 +126,18 @@ def _heap_key(density):
     return -density if density == density else math.inf
 
 
+def _below_root(heap, limit):
+    """Positions other than the root whose key is at most limit; by the heap
+    property they hang together under the root."""
+    found, todo = [], [1, 2]
+    while todo:
+        i = todo.pop()
+        if i < len(heap) and heap[i][0] <= limit:
+            found.append(i)
+            todo += (2 * i + 1, 2 * i + 2)
+    return found
+
+
 def greedy_phase(obj, cons, part, singleton_values=None):
     """Lazy density greedy over the cheap set (Minoux 1978), with the
     eager greedy_step's sequence.
@@ -135,26 +147,32 @@ def greedy_phase(obj, cons, part, singleton_values=None):
     earlier depth bounds the current one from above. A heap holds one
     (-density, e) entry per candidate, each stamped with the prefix depth
     it was computed at; the top is re-evaluated until its stamp is the
-    current depth. An exact top is the eager winner: every other density
-    is at most its bound, and a bound equal to the top's belongs to a
-    higher index, a later position in the ascending cheap set. A negative
-    exact top ends the phase; a NaN density sorts as -inf and is never
-    appended. singleton_values (f({e}) for every e, from best_singleton)
-    are exact densities at depth 0, so the first pick makes no call;
-    without them every bound starts at +inf at depth -1.
+    current depth. In exact arithmetic an exact top is then the eager
+    winner. In floating point a gain may round a little above an earlier
+    bound, so every stale entry whose bound is within the rounding slack
+    of the exact top is re-evaluated too before the top is taken. Among
+    exact entries the heap order is the eager scan's: the largest density,
+    ties to the lowest index, the earliest position in the ascending cheap
+    set. An exact top that stays negative with the slack added ends the
+    phase; a NaN density sorts as -inf and is never appended.
+    singleton_values (f({e}) for every e, from best_singleton) are exact
+    densities at depth 0, so the first pick makes no call. Without them
+    (the three-argument form) the phase evaluates the cheap singletons.
     """
     sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
     max_costs = cons.max_costs
-    fvals = [None] * cons.n
-    stamps = [-1] * cons.n
-    heap = []
-    for e in part.cheap:
-        key = -math.inf
-        if singleton_values is not None:
-            fvals[e], stamps[e] = singleton_values[e], 0
-            key = _heap_key(singleton_values[e] / max_costs[e])  # gain over f(empty) = 0
-        heap.append((key, e))
+    if singleton_values is None:
+        obj.follow(())
+        singleton_values = [None] * cons.n
+        for e in part.cheap:
+            singleton_values[e] = obj.value({e})
+    fvals = list(singleton_values)
+    stamps = [0] * cons.n
+    heap = [(_heap_key(fvals[e] / max_costs[e]), e) for e in part.cheap]  # gain over f(empty) = 0
     heapq.heapify(heap)
+    # A gain's rounding error scales with the f-values it is the difference
+    # of, which are at most sigma.value plus the gain itself.
+    min_cost = min((max_costs[e] for e in part.cheap), default=1.0)
     depth, followed = 0, -1
     while heap:
         key, e = heap[0]
@@ -165,7 +183,17 @@ def greedy_phase(obj, cons, part, singleton_values=None):
             fvals[e], stamps[e] = obj.value(current | {e}), depth
             heapq.heapreplace(heap, (_heap_key((fvals[e] - sigma.value) / max_costs[e]), e))
             continue
-        if key > 0:  # negative or NaN density
+        slack = BOUND_SLACK * (max(1.0, abs(key)) + sigma.value / min_cost)
+        if key > slack:  # every density left is negative, or NaN
+            break
+        if len(heap) > 1 and min(heap[1:3])[0] <= key + slack:
+            near = [i for i in _below_root(heap, key + slack) if stamps[heap[i][1]] != depth]
+            if near:  # move them to the top, where they are re-evaluated
+                for i in near:
+                    heap[i] = (-math.inf, heap[i][1])
+                heapq.heapify(heap)
+                continue
+        if key > 0:
             break
         heapq.heappop(heap)
         if _take(cons, sigma, e, fvals[e]):

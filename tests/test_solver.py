@@ -304,38 +304,32 @@ class TestGreedyPhase:
                 assert obj.eval_count - start <= eager_obj.eval_count
 
     def test_gain_rounded_above_stale_bound(self):
-        # elements 1 and 2 differ by one ulp, or sit just below one multiple
-        # of the ulp of f({0}) = 1e6; both gains over {0} round to the same
-        # value, above element 1's singleton bound, so the eager scan ties
-        # them and takes element 1. Taking element 2 once it is exact,
-        # because element 1's stale bound is lower, gives [0, 2, 1]
+        # In the fixed cases elements 1 and 2 differ by one ulp, or sit just
+        # below one multiple of the ulp of f({0}) = 1e6: both gains over {0}
+        # round to the same value, above element 1's singleton bound, so
+        # the eager scan ties them and takes element 1, where taking element
+        # 2 once it is exact gives [0, 2, 1]. The random cases put values a
+        # fraction of an ulp of a large first element apart, so that gains
+        # over it round onto a few values, up or down.
         u = np.spacing(1e6)
         m = round(0.1 / u)
-        cons = KnapsackConstraints([[1, 1, 1]], [3])
-        part = Partition(cheap=(0, 1, 2), expensive=())
-        for values in ([1.0, 0.1, np.nextafter(0.1, 1)], [1e6, (m - 0.3) * u, (m - 0.2) * u]):
-            assert values[1] < values[2]
-            for seeded in (False, True):
-                obj = ModularObjective(values)
-                seeds = best_singleton(obj, 3)[2] if seeded else None
-                sigma = greedy_phase(obj, cons, part, seeds)
-                assert sigma.order == eager_phase(ModularObjective(values), cons, part).order == [0, 1, 2]
-
-    def test_near_ties_match_eager(self):
-        # values a fraction of an ulp of a large first element apart, so
-        # that gains over it round onto a few values, up or down
+        cases = [([1.0, 0.1, np.nextafter(0.1, 1)], [[1, 1, 1]]),
+                 ([1e6, (m - 0.3) * u, (m - 0.2) * u], [[1, 1, 1]])]
         rng = np.random.default_rng(33)
         for _ in range(60):
             n = int(rng.integers(3, 12))
             base = float(rng.choice([1.0, 1e3, 1e6]))
-            u = np.spacing(base)
-            values = (rng.integers(1, 4, n) * 1000 + rng.uniform(-0.5, 0.5, n)) * u
+            values = (rng.integers(1, 4, n) * 1000 + rng.uniform(-0.5, 0.5, n)) * np.spacing(base)
             values[0] = base
-            costs = rng.integers(1, 3, size=(1, n)).astype(float)
-            cons = KnapsackConstraints(costs, [0.7 * costs.sum()])
+            cases.append((values, rng.integers(1, 3, size=(1, n)).astype(float)))
+        for i, (values, costs) in enumerate(cases):
+            n = len(values)
+            cons = KnapsackConstraints(costs, [0.7 * np.sum(costs)] if i >= 2 else [3])
             part = Partition(cheap=tuple(range(n)), expensive=())
             eager_obj = ModularObjective(values)
             eager = eager_phase(eager_obj, cons, part)
+            if i < 2:
+                assert values[1] < values[2] and eager.order == [0, 1, 2]
             for seeded in (False, True):
                 obj = ModularObjective(values)
                 seeds = best_singleton(obj, n)[2] if seeded else None

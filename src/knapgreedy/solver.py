@@ -201,7 +201,7 @@ def greedy_phase(obj, cons, part, singleton_values=None):
     return sigma
 
 
-def complement_search(obj, cons, part):
+def complement_search(obj, cons, part, floor=None):
     """Exact maximizer of f over feasible subsets of the expensive set.
 
     Depth-first branch and bound over subsets in index order. At each node,
@@ -215,6 +215,10 @@ def complement_search(obj, cons, part):
     the lexicographically smallest index tuple, the set an exhaustive
     preorder enumeration finds first; every feasible subset is evaluated
     at most once.
+    floor, when given, is a value the caller already holds and keeps unless
+    a subset beats it strictly. A subtree is then also skipped when its
+    bound is below floor. The answer is unchanged when the maximum exceeds
+    floor; otherwise it is some feasible subset of value at most floor.
     Returns (set, value); the empty set has value 0 by the oracle contract.
     """
     elems = list(part.expensive)
@@ -246,7 +250,8 @@ def complement_search(obj, cons, part):
         gains = np.maximum(vals - f_path, 0.0)
         later = np.append(np.cumsum(gains[:0:-1])[::-1], 0.0)  # sum of gains[j + 1:]
         for j, p in enumerate(idx):
-            if vals[j] + later[j] + BOUND_SLACK * max(1.0, abs(best_val)) < best_val:
+            bar = best_val if floor is None else max(best_val, floor)
+            if vals[j] + later[j] + BOUND_SLACK * max(1.0, abs(bar)) < bar:
                 continue
             path.append(p)
             visit(cand[j + 1:], child_costs[:, j], vals[j])
@@ -298,7 +303,9 @@ def lambda_greedy(inst, lam):
         vstar, vstar_val, singleton_values = best_singleton(obj, red.ground.n)
         part = split_by_threshold(cons, lam)
         sigma = greedy_phase(obj, cons, part, singleton_values)
-        comp_set, comp_val = complement_search(obj, cons, part)
+        # best_of takes the complement set only when it beats both strictly
+        floor = sigma.value if vstar is None else max(sigma.value, vstar_val)
+        comp_set, comp_val = complement_search(obj, cons, part, floor)
     finally:
         obj.follow(None)
 

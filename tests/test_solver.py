@@ -25,7 +25,7 @@ from knapgreedy import (
     split_by_threshold,
 )
 from knapgreedy.core import FEAS_TOL
-from knapgreedy.solver import Partition, best_singleton, greedy_step
+from knapgreedy.solver import Partition, best_of, best_singleton, greedy_step
 
 from conftest import (
     FAMILIES,
@@ -428,6 +428,30 @@ class TestComplementSearch:
         assert complement_search(bb_obj, cons, part) == reference_complement(ref_obj, cons, part)
         assert bb_obj.eval_count < ref_obj.eval_count
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_floor_keeps_every_answer_above_it(self, family):
+        # above the floor the same set as the exhaustive search, ties
+        # included; at or below it some set no better than the floor
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            if trial % 4 == 3:
+                inst = twin_instance(rng, family, int(rng.integers(2, 7)))
+            else:
+                inst = integer_instance(rng, int(rng.integers(1, 13)), int(rng.integers(1, 3)), family)
+            part = Partition(cheap=(), expensive=tuple(range(inst.ground.n)))
+            plain_obj = inst.objective.clone()
+            expected = complement_search(plain_obj, inst.constraints, part)
+            for floor in (expected[1] - 1.0, expected[1] - 1e-9, expected[1], expected[1] + 1.0):
+                floored_obj = inst.objective.clone()
+                got_set, got_val = complement_search(floored_obj, inst.constraints, part, floor)
+                if expected[1] > floor:
+                    assert (got_set, got_val) == expected
+                else:
+                    assert got_val <= floor
+                    assert inst.constraints.is_feasible(got_set)
+                    assert got_val == pytest.approx(inst.objective._value(got_set))
+                assert floored_obj.eval_count <= plain_obj.eval_count
+
     def test_large_complement_warns(self):
         n = 30
         cons = KnapsackConstraints([[1.0] * n], [0.5])
@@ -515,6 +539,44 @@ class TestLambdaGreedy:
             eager = red.ground.n + eager_greedy_calls(len(part.cheap)) + comp_obj.eval_count
             assert result.oracle_calls <= eager
             checked += 1
+
+    def test_complement_pair_beats_the_floor_by_a_little(self):
+        # element 2 is cheap and worth 9.9 alone; 0 and 1 are expensive and
+        # only their pair, worth 10, beats it, so the subtree below 0 must
+        # be entered although the floor is above f({0}) + 0
+        inst = Instance(
+            GroundSet(3),
+            KnapsackConstraints([[8.0, 1.0, 7.0], [1.0, 8.0, 7.0]], [14.0, 14.0]),
+            ModularObjective([5.0, 5.0, 9.9]),
+        )
+        result = lambda_greedy(inst, 1.0)
+        assert (result.chosen, result.value, result.which) == ((0, 1), 10.0, "complement-set")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_floored_complement_gives_the_unfloored_result(self, family):
+        # lambda_greedy's complement search skips what cannot beat the greedy
+        # value and the best singleton; the pick is that of a full search
+        rng = np.random.default_rng(32)
+        for trial in range(40):
+            case = lazy_case(rng, family, trial)
+            inst = Instance(case.ground, case.constraints, case.objective)
+            lam = float(rng.choice([1.0, inst.constraints.k]))
+            try:
+                result = lambda_greedy(
+                    Instance(inst.ground, inst.constraints, inst.objective.clone()), lam
+                )
+            except EmptyAfterReductionError:
+                continue
+            red, _ = reduce_instance(inst)
+            obj, cons = red.objective.clone(), red.constraints
+            vstar, vstar_val, values = best_singleton(obj, red.ground.n)
+            part = split_by_threshold(cons, lam)
+            sigma = greedy_phase(obj, cons, part, values)
+            comp_set, comp_val = complement_search(obj, cons, part)
+            expected = best_of(red, sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count)
+            assert (result.chosen, result.value, result.which, result.greedy_order) == (
+                expected.chosen, expected.value, expected.which, expected.greedy_order)
+            assert result.oracle_calls <= expected.oracle_calls
 
     def test_deterministic(self):
         rng = np.random.default_rng(29)

@@ -7,7 +7,9 @@ and the new budgets (small enough to be automatically feasible in both,
 and contained in both cheap sets), then resumes stepping under the new
 weights. Popping restores cached costs and values, and the objective's
 prefix state is truncated on the next step, so recovery consumes oracle
-calls only for the greedy re-extension.
+calls only for the greedy re-extension. The engine keeps the whole ground
+set: an element that does not fit the budgets sits out until an update
+makes it fit again.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Solution, check_weights, reduce_instance, validate
+from .core import EmptyAfterReductionError, Solution, check_weights, validate
 from .solver import (
     best_of,
     best_singleton,
@@ -46,19 +48,20 @@ class DynamicGreedy:
     def __init__(self, inst, lam):
         check_lambda(lam, inst.constraints.k)
         validate(inst)
-        red, _ = reduce_instance(inst)
-        self.inst = red
-        self._calls_baseline = red.objective.eval_count
+        self.inst = inst
+        self._calls_baseline = inst.objective.eval_count
         self.lam = float(lam)
-        self.cons = red.constraints
-        self.obj = red.objective
-        n = red.ground.n
+        self.cons = inst.constraints
+        self.obj = inst.objective
 
-        # Singleton values are deterministic; scanning them once here (n
-        # calls) lets later updates re-derive the best feasible singleton
-        # for free when singleton feasibility shifts.
-        self.singleton_values = best_singleton(self.obj, n)[2]
+        # An element that does not fit the current budgets is in no cheap
+        # set and no complement. Its singleton value is evaluated the first
+        # time it fits (n calls at most over a run) and kept, so later
+        # updates re-derive the best feasible singleton for free.
+        self.singleton_values = {}
         self._refresh_vstar()
+        if self.vstar is None:
+            raise EmptyAfterReductionError("empty after reduction")
 
         self.chi = chi(self.cons)  # of the current weights; the old chi at the next update
         self.cheap = set(split_by_threshold(self.cons, lam).cheap)
@@ -68,8 +71,12 @@ class DynamicGreedy:
         self.phase = "greedy" if self.pool else "finished"
 
     def _refresh_vstar(self):
+        fitting = np.flatnonzero(self.cons.fits()).tolist()
+        new = [e for e in fitting if e not in self.singleton_values]
+        if new:
+            self.singleton_values.update(zip(new, best_singleton(self.obj, new)[2]))
         best_e, best_v = None, None
-        for e in np.flatnonzero(self.cons.fits()).tolist():
+        for e in fitting:
             v = self.singleton_values[e]
             if best_v is None or v > best_v:
                 best_e, best_v = e, v

@@ -74,9 +74,12 @@ def chi(cons):
 
 
 def split_by_threshold(cons, lam):
-    """Partition into cheap (c_j(e) <= lam*W_j/k for all j) and the rest."""
+    """Partition the elements that fit the budgets into cheap (c_j(e) <=
+    lam*W_j/k for all j) and expensive (the rest). An element that does not
+    fit alone is in neither part: no feasible set holds it."""
     cheap = cons.fits(lam * cons.weights / cons.k)
-    return Partition(tuple(np.flatnonzero(cheap).tolist()), tuple(np.flatnonzero(~cheap).tolist()))
+    expensive = cons.fits() & ~cheap
+    return Partition(tuple(np.flatnonzero(cheap).tolist()), tuple(np.flatnonzero(expensive).tolist()))
 
 
 def _take(cons, sigma, e, fe):
@@ -261,13 +264,14 @@ def complement_search(obj, cons, part, floor=None):
     return frozenset(elems[p] for p in best_path), best_val
 
 
-def best_singleton(obj, n):
-    """argmax of f over single elements, ties to the lowest index, and the
-    list of every f({e}). n calls."""
+def best_singleton(obj, elements):
+    """argmax of f over the single elements of a nonempty ascending
+    sequence, ties to the lowest index, and the list of their f({e}) in the
+    same order. One call per element."""
     obj.follow(())
-    values = [obj.value({e}) for e in range(n)]
+    values = [obj.value({e}) for e in elements]
     best_e, best_v = None, None
-    for e, v in enumerate(values):
+    for e, v in zip(elements, values):
         if best_v is None or v > best_v:
             best_e, best_v = e, v
     return best_e, best_v, values
@@ -300,7 +304,7 @@ def lambda_greedy(inst, lam):
     obj, cons = red.objective, red.constraints
     calls_before = obj.eval_count
     try:
-        vstar, vstar_val, singleton_values = best_singleton(obj, red.ground.n)
+        vstar, vstar_val, singleton_values = best_singleton(obj, range(red.ground.n))
         part = split_by_threshold(cons, lam)
         sigma = greedy_phase(obj, cons, part, singleton_values)
         # best_of takes the complement set only when it beats both strictly

@@ -5,8 +5,9 @@ determinants go through cofactor expansion, eigenvalues through power
 iteration, cut values through a plain adjacency scan, and the from-scratch
 greedy is a standalone loop that shares no step code with the solver or the
 dynamic engine. The loops that faster library code replaced are kept here
-as references: chi's per-element walk, the exhaustive complement search and
-the greedy step that discards a negative-gain winner one scan at a time.
+as references: chi's per-element walk, the exhaustive complement search,
+the greedy step that discards a negative-gain winner one scan at a time and
+the pairwise curvature scan.
 """
 
 import math
@@ -25,6 +26,12 @@ from knapgreedy import (
     Solution,
 )
 from knapgreedy.core import FEAS_TOL
+from knapgreedy.oracle import (
+    CURVATURE_CAP,
+    CurvatureDegenerateError,
+    OracleCapError,
+    _value_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +144,44 @@ def reference_complement(obj, cons, part):
 
     dfs(0, [], np.zeros(cons.k))
     return best_set, best_val
+
+
+def reference_curvature(obj, n):
+    """The pairwise curvature scan that oracle.brute_force_curvature's
+    subset-max transform replaced, verbatim: every submask pair A of B over
+    the masks omitting omega, O(n * 3^(n-1)) table lookups."""
+    if n > CURVATURE_CAP:
+        raise OracleCapError("instance too large for oracle: n=%d > %d" % (n, CURVATURE_CAP))
+    table = _value_table(obj, n)
+    alpha = 0.0
+    for omega in range(n):
+        bit = 1 << omega
+        others = [1 << e for e in range(n) if e != omega]
+        full = sum(others)
+        # All masks B omitting omega, then all submasks A of B.
+        b = full
+        while True:
+            num = table[b | bit] - table[b]
+            a = b
+            while True:
+                den = table[a | bit] - table[a]
+                if den != 0.0:
+                    alpha = max(alpha, 1.0 - num / den)
+                elif num > 1e-12:
+                    # Diminishing returns force num <= den; a zero gain that
+                    # grows positive in a larger context breaks that, and no
+                    # finite scalar can witness the pair.
+                    raise CurvatureDegenerateError(
+                        "not submodular under curvature semantics: zero gain "
+                        "grows positive for element %d" % omega
+                    )
+                if a == 0:
+                    break
+                a = (a - 1) & b
+            if b == 0:
+                break
+            b = (b - 1) & full
+    return float(alpha)
 
 
 def eager_greedy_step(obj, cons, sigma, pool):

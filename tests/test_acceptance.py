@@ -158,6 +158,56 @@ def test_criterion_3_restart_equivalence(capsys):
     assert ok
 
 
+def test_criterion_3b_guarantee_after_any_updates(capsys):
+    """>= 200 engines meet the curvature-based bound after loosening and
+    mixed budget updates, n <= 9, all families; elements that did not fit
+    at start-up come back when a budget grows."""
+    start = time.time()
+    rng = np.random.default_rng(109)
+    checked, failures, regained = 0, 0, 0
+    while checked < 200:
+        n = int(rng.integers(4, 10))
+        k = int(rng.integers(1, 4))
+        family = FAMILIES[checked % len(FAMILIES)]
+        lam = float(rng.choice([1.0, math.ceil(k / 2), k]))
+        inst = random_instance(rng, n, k, family)
+        base = inst.constraints.weights
+        if checked % 2:  # built tight, then loosened back to the instance's budgets
+            walk = [f * base for f in (0.3, 0.6, 1.0)]
+        else:  # per-knapsack factors in [0.3, 1.7], tightening and loosening
+            walk = [base * rng.uniform(0.3, 1.7, size=k) for _ in range(int(rng.integers(2, 5)))]
+        try:
+            eng = DynamicGreedy(
+                Instance(inst.ground, inst.constraints.with_weights(walk[0]),
+                         inst.objective.clone()), lam
+            )
+        except EmptyAfterReductionError:
+            continue
+        unfit = set(np.flatnonzero(~eng.cons.fits()).tolist())
+        for w in walk[1:]:
+            for _ in range(int(rng.integers(0, n + 1))):
+                eng.step()
+            eng.apply_weights(w)
+        result = eng.finalize()
+        final = Instance(inst.ground, inst.constraints.with_weights(walk[-1]),
+                         inst.objective.clone())
+        opt_val, _ = brute_force_opt(final)
+        alpha = brute_force_curvature(inst.objective.clone(), n)
+        bad = result.value < guarantee_bound(lam, alpha) * opt_val - 1e-9
+        failures += bad or not final.constraints.is_feasible(result.chosen)
+        regained += bool(unfit & set(result.chosen))
+        checked += 1
+    elapsed = time.time() - start
+    ok = failures == 0 and regained > 0 and elapsed < 120
+    report(
+        capsys,
+        "[criterion 3b] guarantee after loosening and mixed updates on %d engines "
+        "(%d violations, %d solutions hold a regained element, %.1fs): %s"
+        % (checked, failures, regained, elapsed, "PASS" if ok else "FAIL"),
+    )
+    assert ok
+
+
 def test_criterion_4_recovery_cost(capsys):
     """Recovery oracle calls <= C*n*(n - chi_rec) with C = 3."""
     rng = np.random.default_rng(104)

@@ -458,6 +458,23 @@ class TestEngineProperties:
         assert calls <= eager_calls
 
     @PROPERTY_SETTINGS
+    @given(engine_runs(0.3, 1.7))
+    def test_mixed_updates_meet_guarantee(self, run):
+        # an element that did not fit at start-up competes again once a
+        # budget grows, so the bound holds against the final budgets' optimum
+        inst, lam, updates = run
+        eng = _engine_after(
+            Instance(inst.ground, inst.constraints, inst.objective.clone()), lam, updates
+        )
+        if eng is None:
+            return
+        value = eng.finalize().value
+        final = Instance(inst.ground, eng.cons, inst.objective.clone())
+        opt_val, _ = brute_force_opt(final)
+        alpha = brute_force_curvature(inst.objective.clone(), inst.ground.n)
+        assert value >= guarantee_bound(lam, alpha) * opt_val - 1e-9
+
+    @PROPERTY_SETTINGS
     @given(engine_runs(0.4, 1.0))
     def test_tightening_updates_match_reference(self, run):
         inst, lam, updates = run

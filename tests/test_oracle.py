@@ -18,7 +18,7 @@ from knapgreedy import (
     lambda_greedy,
 )
 
-from conftest import worked_example_instance
+from conftest import FAMILIES, random_objective, reference_curvature, worked_example_instance
 
 
 class CoverageLikeObjective(Objective):
@@ -40,6 +40,46 @@ class SupermodularObjective(Objective):
         table = {frozenset(): 0.0, frozenset({0}): 0.0,
                  frozenset({1}): 0.0, frozenset({0, 1}): 1.0}
         return table[frozenset(S)]
+
+
+class TableObjective(Objective):
+    """f given by a table indexed by bitmask; table[0] need not be 0, and
+    entries may be NaN or infinite, to reach every branch of the curvature
+    scan."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def _value(self, S):
+        return self.table[sum(1 << e for e in S)]
+
+
+def curvature_outcome(fn, obj, n):
+    """("alpha", value) or ("raises", error type, message)."""
+    try:
+        return ("alpha", fn(obj, n))
+    except CurvatureDegenerateError as exc:
+        return ("raises", type(exc), str(exc))
+
+
+def random_table(rng, n, trial):
+    """Small integers, so gains tie and hit zero often, with NaN, +inf and
+    -inf entries sprinkled in; some tables are scaled to gains around the
+    1e-12 raise threshold."""
+    if trial % 3:
+        table = rng.integers(-3, 4, size=1 << n).astype(float)
+    else:
+        table = np.cumsum(rng.integers(-1, 3, size=1 << n)).astype(float)
+    if trial % 5:
+        table[0] = 0.0
+    u = rng.random(1 << n)
+    table[u < 0.05] = np.nan
+    table[(u >= 0.05) & (u < 0.1)] = np.inf
+    table[(u >= 0.1) & (u < 0.15)] = -np.inf
+    if trial % 7 == 0:
+        table *= rng.choice([1e-13, 1e-12, 2e-12, 0.1, 1.0], size=1 << n)
+    return table
 
 
 class TestBruteForceOpt:
@@ -121,6 +161,56 @@ class TestBruteForceCurvature:
     def test_size_cap(self):
         with pytest.raises(OracleCapError, match="too large"):
             brute_force_curvature(ModularObjective([1.0] * 11), 11)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_pairwise_scan_on_families(self, family):
+        # bit for bit (==), at every size up to the cap
+        rng = np.random.default_rng(43)
+        for n in range(1, 11):
+            obj = random_objective(rng, n, family)
+            got = curvature_outcome(brute_force_curvature, obj.clone(), n)
+            assert got == curvature_outcome(reference_curvature, obj.clone(), n)
+
+    def test_matches_pairwise_scan_on_tables(self):
+        # zeros, ties, NaN and +-inf gains; a degenerate table raises the
+        # same error with the same message, so at the same omega
+        rng = np.random.default_rng(47)
+        raised = 0
+        for trial in range(400):
+            n = int(rng.integers(1, 7))
+            table = random_table(rng, n, trial)
+            with np.errstate(all="ignore"):
+                want = curvature_outcome(reference_curvature, TableObjective(table), n)
+                got = curvature_outcome(brute_force_curvature, TableObjective(table), n)
+            assert got == want, table.tolist()
+            raised += want[0] == "raises"
+        assert 100 < raised < 300
+
+    @pytest.mark.parametrize("table", [[0.0, np.inf, 0.0, -1.0], [0.0, -np.inf, 2.0, 3.0]])
+    def test_infinite_gain_is_a_denominator(self, table):
+        # for omega = 0 and B = {1}, the only positive (first table) or
+        # negative (second) denominator is the gain at A = {}, +inf or
+        # -inf: 1 - g[B]/(+-inf) = 1, and every other ratio is at most 0
+        # or NaN
+        with np.errstate(all="ignore"):
+            assert reference_curvature(TableObjective(np.array(table)), 2) == 1.0
+            assert brute_force_curvature(TableObjective(np.array(table)), 2) == 1.0
+
+    def test_same_oracle_calls_in_the_same_order(self):
+        seen = []
+
+        class Logged(TableObjective):
+            def _value(self, S):
+                seen.append(tuple(sorted(S)))
+                return super()._value(S)
+
+        table = np.arange(16, dtype=float)
+        obj = Logged(table)
+        brute_force_curvature(obj, 4)
+        ours, seen[:] = list(seen), []
+        reference_curvature(Logged(table), 4)
+        assert ours == seen and len(seen) == 15
+        assert obj.eval_count == 15
 
 
 class TestGuaranteeBound:

@@ -165,14 +165,15 @@ class TestSplit:
             costs = rng.integers(0, 5, size=(k, n)).astype(float)
             weights = rng.integers(1, 10, size=k).astype(float)
             cons = KnapsackConstraints(costs, weights)
+            fits = [bool(np.all(costs[:, e] <= weights + FEAS_TOL)) for e in range(n)]
+            assert cons.fits().tolist() == fits
             for lam in (1.0, float(k)):
                 bounds = lam * weights / k + FEAS_TOL
                 cheap = tuple(e for e in range(n) if np.all(costs[:, e] <= bounds))
                 part = split_by_threshold(cons, lam)
                 assert part.cheap == cheap
-                assert part.expensive == tuple(e for e in range(n) if e not in cheap)
-            fits = [bool(np.all(costs[:, e] <= weights + FEAS_TOL)) for e in range(n)]
-            assert cons.fits().tolist() == fits
+                # an element that does not fit alone is in neither part
+                assert part.expensive == tuple(e for e in range(n) if fits[e] and e not in cheap)
 
 
 class TestGreedyPhase:
@@ -254,7 +255,7 @@ class TestGreedyPhase:
         cons = KnapsackConstraints([[1, 1, 1, 1]], [4])
         obj = ModularObjective(values)
         part = split_by_threshold(cons, 1.0)
-        vstar, vstar_val, seeds = best_singleton(obj, 4)
+        vstar, vstar_val, seeds = best_singleton(obj, range(4))
         assert (vstar, vstar_val, seeds) == (2, 4.0, values)
         assert obj.eval_count == 4
         assert greedy_phase(obj, cons, part, seeds).order == [2, 0, 3, 1]
@@ -296,7 +297,7 @@ class TestGreedyPhase:
             assert eager_obj.eval_count <= eager_greedy_calls(len(part.cheap))
             for seeded in (False, True):
                 obj = inst.objective.clone()
-                seeds = best_singleton(obj, n)[2] if seeded else None
+                seeds = best_singleton(obj, range(n))[2] if seeded else None
                 start = obj.eval_count
                 sigma = greedy_phase(obj, cons, part, seeds)
                 assert (sigma.order, sigma.value) == (eager.order, eager.value)
@@ -332,7 +333,7 @@ class TestGreedyPhase:
                 assert values[1] < values[2] and eager.order == [0, 1, 2]
             for seeded in (False, True):
                 obj = ModularObjective(values)
-                seeds = best_singleton(obj, n)[2] if seeded else None
+                seeds = best_singleton(obj, range(n))[2] if seeded else None
                 start = obj.eval_count
                 sigma = greedy_phase(obj, cons, part, seeds)
                 assert (sigma.order, sigma.value) == (eager.order, eager.value)
@@ -353,7 +354,7 @@ class TestGreedyPhase:
             ref = reference_greedy(ModularObjective(values), cons, part)
             for seeded in (False, True):
                 obj = ModularObjective(values)
-                seeds = best_singleton(obj, n)[2] if seeded else None
+                seeds = best_singleton(obj, range(n))[2] if seeded else None
                 sigma = greedy_phase(obj, cons, part, seeds)
                 assert sigma.order == ref.order
                 assert not np.isnan(values[sigma.order]).any()
@@ -569,7 +570,7 @@ class TestLambdaGreedy:
                 continue
             red, _ = reduce_instance(inst)
             obj, cons = red.objective.clone(), red.constraints
-            vstar, vstar_val, values = best_singleton(obj, red.ground.n)
+            vstar, vstar_val, values = best_singleton(obj, range(red.ground.n))
             part = split_by_threshold(cons, lam)
             sigma = greedy_phase(obj, cons, part, values)
             comp_set, comp_val = complement_search(obj, cons, part)

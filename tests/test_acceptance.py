@@ -120,7 +120,7 @@ def _dynamic_trial(rng):
         eng = DynamicGreedy(inst, lam)
     except EmptyAfterReductionError:
         return None
-    m = eng.inst.ground.n
+    m = int(eng.cons.fits().sum())  # the elements that fit; the rest sit out
     for _ in range(int(rng.integers(0, m))):
         eng.step()
     old_chi = chi(eng.cons)

@@ -299,7 +299,7 @@ class TestRecoveryCost:
                 eng = DynamicGreedy(inst, float(k))
             except EmptyAfterReductionError:
                 continue
-            m = eng.inst.ground.n
+            m = int(eng.cons.fits().sum())  # the elements that fit; the rest sit out
             for _ in range(int(rng.integers(0, m))):
                 eng.step()
             old_chi = chi(eng.cons)

@@ -43,9 +43,9 @@ class SupermodularObjective(Objective):
 
 
 class TableObjective(Objective):
-    """f given by a table indexed by bitmask; table[0] need not be 0, and
-    entries may be NaN or infinite, to reach every branch of the curvature
-    scan."""
+    """f given by a table indexed by bitmask. Entries may be NaN or
+    infinite, to reach every branch of the curvature scan, which never asks
+    for f of the empty set."""
 
     def __init__(self, table):
         super().__init__()
@@ -71,8 +71,6 @@ def random_table(rng, n, trial):
         table = rng.integers(-3, 4, size=1 << n).astype(float)
     else:
         table = np.cumsum(rng.integers(-1, 3, size=1 << n)).astype(float)
-    if trial % 5:
-        table[0] = 0.0
     u = rng.random(1 << n)
     table[u < 0.05] = np.nan
     table[(u >= 0.05) & (u < 0.1)] = np.inf

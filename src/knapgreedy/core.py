@@ -202,50 +202,13 @@ class Objective:
         return other
 
 
-class RestrictedObjective:
-    """View of an objective over a re-indexed subset of the ground set.
-
-    Oracle calls and follow() hints are forwarded to (and counted by) the
-    base objective, so a solver running on a reduced instance keeps the
-    caller's accounting.
-    """
-
-    def __init__(self, base, new_to_old):
-        self.base = base
-        self.new_to_old = tuple(new_to_old)
-
-    def _map(self, S):
-        return frozenset(self.new_to_old[e] for e in S)
-
-    def value(self, S):
-        return self.base.value(self._map(S))
-
-    def follow(self, order):
-        self.base.follow(None if order is None else [self.new_to_old[e] for e in order])
-
-    @property
-    def eval_count(self):
-        return self.base.eval_count
-
-    def clone(self):
-        return RestrictedObjective(self.base.clone(), self.new_to_old)
-
-
 @dataclass
 class Instance:
-    """Bundle of everything a solve operates on.
-
-    index_map, when set, maps this instance's indices back to the indices of
-    the instance it was reduced from; traces report original indices with it.
-    """
+    """Bundle of everything a solve operates on."""
 
     ground: GroundSet
     constraints: KnapsackConstraints
     objective: Objective
-    index_map: tuple | None = None
-
-    def to_original(self, e):
-        return e if self.index_map is None else self.index_map[e]
 
 
 @dataclass
@@ -298,24 +261,16 @@ def validate(inst):
 
 
 def reduce_instance(inst):
-    """Drop every element whose singleton cost violates some knapsack.
+    """Split the elements by singleton feasibility under the budgets.
 
-    Returns (reduced instance, removed element list). The reduced instance
-    is re-indexed densely and carries index_map back to the original
-    indices. The theoretical zero-value filler element is not materialized;
-    the solver's negative-marginal skip rule plays its role.
+    Returns (kept, removed), ascending element lists: the elements that fit
+    every knapsack alone, and the rest, which no feasible set holds. Raises
+    EmptyAfterReductionError when nothing fits. The theoretical zero-value
+    filler element is not materialized; the solver's negative-marginal skip
+    rule plays its role.
     """
-    cons = inst.constraints
-    fits = cons.fits()
-    keep, removed = np.flatnonzero(fits).tolist(), np.flatnonzero(~fits).tolist()
-    if not keep:
+    fits = inst.constraints.fits()
+    kept, removed = np.flatnonzero(fits).tolist(), np.flatnonzero(~fits).tolist()
+    if not kept:
         raise EmptyAfterReductionError("empty after reduction")
-    if not removed:
-        return inst, []
-    sub = Instance(
-        ground=GroundSet(len(keep)),
-        constraints=KnapsackConstraints(cons.costs[:, keep], cons.weights),
-        objective=RestrictedObjective(inst.objective, keep),
-        index_map=tuple(inst.to_original(e) for e in keep),
-    )
-    return sub, [inst.to_original(e) for e in removed]
+    return kept, removed

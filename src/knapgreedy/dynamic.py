@@ -48,7 +48,6 @@ class DynamicGreedy:
     def __init__(self, inst, lam):
         check_lambda(lam, inst.constraints.k)
         validate(inst)
-        self.inst = inst
         self._calls_baseline = inst.objective.eval_count
         self.lam = float(lam)
         self.cons = inst.constraints
@@ -74,14 +73,9 @@ class DynamicGreedy:
         fitting = np.flatnonzero(self.cons.fits()).tolist()
         new = [e for e in fitting if e not in self.singleton_values]
         if new:
-            self.singleton_values.update(zip(new, best_singleton(self.obj, new)[2]))
-        best_e, best_v = None, None
-        for e in fitting:
-            v = self.singleton_values[e]
-            if best_v is None or v > best_v:
-                best_e, best_v = e, v
-        self.vstar = best_e
-        self.vstar_value = best_v if best_v is not None else 0.0
+            self.singleton_values.update(best_singleton(self.obj, new)[2])
+        self.vstar = max(fitting, key=self.singleton_values.__getitem__, default=None)
+        self.vstar_value = 0.0 if self.vstar is None else self.singleton_values[self.vstar]
 
     def step(self):
         """One greedy_step on the current prefix; an appended element's
@@ -134,11 +128,11 @@ class DynamicGreedy:
 
     def finalize(self):
         """Exhaust the pool, search the expensive remainder under the
-        current weights, and return the overall argmax."""
+        current weights, and return the overall argmax. The search is floored
+        at current_best(): best_of takes the complement set only when it
+        beats the greedy prefix and the best singleton strictly."""
         self.run_to_completion()
         part = split_by_threshold(self.cons, self.lam)
-        comp_set, comp_val = complement_search(self.obj, self.cons, part)
+        comp_set, comp_val = complement_search(self.obj, self.cons, part, self.current_best())
         calls = self.obj.eval_count - self._calls_baseline
-        return best_of(
-            self.inst, self.sigma, self.vstar, self.vstar_value, comp_set, comp_val, calls
-        )
+        return best_of(self.sigma, self.vstar, self.vstar_value, comp_set, comp_val, calls)

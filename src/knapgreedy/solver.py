@@ -158,18 +158,17 @@ def greedy_phase(obj, cons, part, singleton_values=None):
     ties to the lowest index, the earliest position in the ascending cheap
     set. An exact top that stays negative with the slack added ends the
     phase; a NaN density sorts as -inf and is never appended.
-    singleton_values (f({e}) for every e, from best_singleton) are exact
-    densities at depth 0, so the first pick makes no call. Without them
-    (the three-argument form) the phase evaluates the cheap singletons.
+    singleton_values (f({e}) keyed by element, for every cheap e, from
+    best_singleton) are exact densities at depth 0, so the first pick makes
+    no call. Without them (the three-argument form) the phase evaluates the
+    cheap singletons.
     """
     sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
     max_costs = cons.max_costs
     if singleton_values is None:
         obj.follow(())
-        singleton_values = [None] * cons.n
-        for e in part.cheap:
-            singleton_values[e] = obj.value({e})
-    fvals = list(singleton_values)
+        singleton_values = {e: obj.value({e}) for e in part.cheap}
+    fvals = {e: singleton_values[e] for e in part.cheap}
     stamps = [0] * cons.n
     heap = [(_heap_key(fvals[e] / max_costs[e]), e) for e in part.cheap]  # gain over f(empty) = 0
     heapq.heapify(heap)
@@ -266,51 +265,47 @@ def complement_search(obj, cons, part, floor=None):
 
 def best_singleton(obj, elements):
     """argmax of f over the single elements of a nonempty ascending
-    sequence, ties to the lowest index, and the list of their f({e}) in the
-    same order. One call per element."""
+    sequence, ties to the lowest index, its value, and the dict of their
+    f({e}) keyed by element. One call per element."""
     obj.follow(())
-    values = [obj.value({e}) for e in elements]
-    best_e, best_v = None, None
-    for e, v in zip(elements, values):
-        if best_v is None or v > best_v:
-            best_e, best_v = e, v
-    return best_e, best_v, values
+    values = {e: obj.value({e}) for e in elements}
+    best_e = max(values, key=values.__getitem__)
+    return best_e, values[best_e], values
 
 
-def best_of(inst, sigma, vstar, vstar_val, comp_set, comp_val, calls):
+def best_of(sigma, vstar, vstar_val, comp_set, comp_val, calls):
     """Argmax over the greedy sequence, the best singleton (None when no
-    singleton fits) and the best complement subset, ties to that order;
-    reported in the original indices of the instance inst was reduced from."""
+    singleton fits) and the best complement subset, ties to that order."""
     chosen, value, which = tuple(sigma.order), sigma.value, "greedy-sigma"
     if vstar is not None and vstar_val > value:
         chosen, value, which = (vstar,), vstar_val, "singleton-vstar"
     if comp_val > value:
         chosen, value, which = tuple(sorted(comp_set)), comp_val, "complement-set"
     return SolveResult(
-        chosen=tuple(inst.to_original(e) for e in chosen),
+        chosen=chosen,
         value=float(value),
         which=which,
-        greedy_order=tuple(inst.to_original(e) for e in sigma.order),
+        greedy_order=tuple(sigma.order),
         oracle_calls=calls,
     )
 
 
 def lambda_greedy(inst, lam):
-    """Full static solve; reports results in the instance's original indices.
+    """Full static solve on the caller's instance. An element that does not
+    fit the budgets alone is in no part of the split and is never evaluated.
     The objective's prefix state is dropped before returning."""
     check_lambda(lam, inst.constraints.k)
     validate(inst)
-    red, _ = reduce_instance(inst)
-    obj, cons = red.objective, red.constraints
+    fitting, _ = reduce_instance(inst)
+    obj, cons = inst.objective, inst.constraints
     calls_before = obj.eval_count
     try:
-        vstar, vstar_val, singleton_values = best_singleton(obj, range(red.ground.n))
+        vstar, vstar_val, values = best_singleton(obj, fitting)
         part = split_by_threshold(cons, lam)
-        sigma = greedy_phase(obj, cons, part, singleton_values)
+        sigma = greedy_phase(obj, cons, part, values)
         # best_of takes the complement set only when it beats both strictly
-        floor = sigma.value if vstar is None else max(sigma.value, vstar_val)
-        comp_set, comp_val = complement_search(obj, cons, part, floor)
+        comp_set, comp_val = complement_search(obj, cons, part, max(sigma.value, vstar_val))
     finally:
         obj.follow(None)
 
-    return best_of(red, sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count - calls_before)
+    return best_of(sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count - calls_before)

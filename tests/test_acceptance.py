@@ -131,7 +131,7 @@ def _dynamic_trial(rng):
     eng.run_to_completion()
     recovery_calls = eng.obj.eval_count - before
 
-    cons = eng.inst.constraints.with_weights(new_w)
+    cons = inst.constraints.with_weights(new_w)
     scratch = reference_greedy(eng.obj, cons, split_by_threshold(cons, lam))
     return scratch.order == eng.sigma.order, recovery_calls, m, chi_rec
 

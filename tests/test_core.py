@@ -97,18 +97,11 @@ class TestValidate:
 
 class TestReduce:
     def test_all_feasible_identity(self, worked_example):
-        red, removed = reduce_instance(worked_example)
-        assert removed == []
-        assert red is worked_example
+        assert reduce_instance(worked_example) == ([0, 1, 2, 3, 4], [])
 
     def test_removes_heavy_singleton(self):
-        inst = Instance(GroundSet(2), KnapsackConstraints([[5, 1]], [2]), modular([1, 1]))
-        red, removed = reduce_instance(inst)
-        assert removed == [0]
-        assert red.ground.n == 1
-        assert red.index_map == (1,)
-        # objective view is re-indexed
-        assert red.objective.value({0}) == 1.0
+        inst = Instance(GroundSet(3), KnapsackConstraints([[5, 1, 3]], [2]), modular([1, 1, 1]))
+        assert reduce_instance(inst) == ([1], [0, 2])
 
     def test_empty_after_reduction(self):
         inst = Instance(
@@ -118,15 +111,20 @@ class TestReduce:
             reduce_instance(inst)
 
     def test_idempotent(self):
+        # the kept elements partition the ground set with the removed ones,
+        # and restricted to the kept columns nothing more is removed
         rng = np.random.default_rng(5)
         for _ in range(20):
             inst = random_instance(rng, 8, 2, "modular")
             try:
-                red, _ = reduce_instance(inst)
+                kept, removed = reduce_instance(inst)
             except EmptyAfterReductionError:
                 continue
-            red2, removed2 = reduce_instance(red)
-            assert removed2 == []
+            assert sorted(kept + removed) == list(range(8))
+            assert kept == sorted(kept) and removed == sorted(removed)
+            cons = KnapsackConstraints(inst.constraints.costs[:, kept], inst.constraints.weights)
+            sub = Instance(GroundSet(len(kept)), cons, inst.objective)
+            assert reduce_instance(sub) == (list(range(len(kept))), [])
 
 
 class TestOracleAccounting:

@@ -18,6 +18,7 @@ from knapgreedy import (
     brute_force_curvature,
     brute_force_opt,
     chi,
+    complement_search,
     guarantee_bound,
     lambda_greedy,
     run_with_updates,
@@ -25,6 +26,7 @@ from knapgreedy import (
 )
 from knapgreedy.core import FEAS_TOL
 from knapgreedy.dynamic import WeightUpdate
+from knapgreedy.solver import best_singleton
 
 from conftest import FAMILIES, eager_greedy_step, random_instance, reference_greedy
 
@@ -55,6 +57,18 @@ class TestInit:
         before = worked_example.objective.eval_count
         DynamicGreedy(worked_example, 1.0)
         assert worked_example.objective.eval_count - before == 5
+
+    def test_vstar_ties_to_lowest_fitting_index(self):
+        # NaN compares false, so a NaN after the first element never wins; of
+        # equal maxima the lowest index does, in the solver's scan and in the
+        # engine after an update alike
+        obj = ModularObjective([1.0, float("nan"), 3.0, 3.0, 2.0])
+        inst = Instance(GroundSet(5), KnapsackConstraints([[1, 1, 2, 1, 1]], [2.0]), obj)
+        assert best_singleton(obj, range(5))[:2] == (2, 3.0)
+        eng = DynamicGreedy(inst, 1.0)
+        assert (eng.vstar, eng.vstar_value) == (2, 3.0)
+        eng.apply_weights([1.0])  # element 2 no longer fits
+        assert (eng.vstar, eng.vstar_value) == (3, 3.0)
 
 
 class TestStep:
@@ -197,6 +211,20 @@ class TestFinalize:
             assert dyn.which == static.which
             assert dyn.greedy_order == static.greedy_order
 
+    def test_complement_search_floored_at_current_best(self):
+        # best_of takes the complement set only when it beats the greedy
+        # prefix and the best singleton strictly, so the search may skip
+        # whatever cannot beat current_best()
+        rng = np.random.default_rng(34)
+        inst = random_instance(rng, 10, 3, "dpp")
+        eng = DynamicGreedy(inst, 1.0)
+        eng.apply_weights(0.8 * inst.constraints.weights)
+        eng.run_to_completion()
+        with mock.patch("knapgreedy.dynamic.complement_search", wraps=complement_search) as search:
+            eng.finalize()
+        (_, _, part, floor), _ = search.call_args
+        assert part.expensive and floor == eng.current_best()
+
     def test_empty_expensive_max_of_sigma_vstar(self, worked_example):
         eng = DynamicGreedy(worked_example, 1.0)
         eng.run_to_completion()
@@ -223,7 +251,7 @@ class TestRestartEquivalence:
             new_w = tightened_weights(rng, eng.cons.weights)
             eng.apply_weights(new_w)
             eng.run_to_completion()
-            cons = eng.inst.constraints.with_weights(new_w)
+            cons = inst.constraints.with_weights(new_w)
             scratch = reference_greedy(eng.obj, cons, split_by_threshold(cons, lam))
             assert scratch.order == eng.sigma.order
             checked += 1
@@ -249,7 +277,7 @@ class TestRestartEquivalence:
             new_w = eng.cons.weights * rng.uniform(0.5, 1.5, size=k)
             eng.apply_weights(new_w)
             eng.run_to_completion()
-            cons = eng.inst.constraints.with_weights(new_w)
+            cons = inst.constraints.with_weights(new_w)
             scratch = reference_greedy(eng.obj, cons, split_by_threshold(cons, lam))
             if scratch.order != eng.sigma.order:
                 mismatches += 1

@@ -89,17 +89,6 @@ class TestFastPathMatchesReference:
         for S in ({3, 1, 5}, {3, 1}, {0, 2, 4, 6}, {1, 5, 0, 2}, set()):
             assert close(obj.value(S), obj._value(frozenset(S)))
 
-    def test_restricted_view_forwards_follow(self):
-        from knapgreedy.core import RestrictedObjective
-
-        rng = np.random.default_rng(20)
-        base = random_objective(rng, 9, "dpp")
-        view = RestrictedObjective(base, [8, 2, 5, 0, 7])
-        view.follow([1, 4])
-        assert base._prefix.order == [2, 7]
-        v = view.value({1, 4, 0})
-        assert close(v, base._value(frozenset({2, 7, 8})))
-
 
 class TestAccounting:
     @pytest.mark.parametrize("family", FAMILIES)

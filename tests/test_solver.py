@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from knapgreedy import (
     DirectedCutObjective,
     DppLogDetObjective,
+    DynamicGreedy,
     EmptyAfterReductionError,
     EntropyObjective,
     GroundSet,
@@ -60,7 +62,8 @@ def integer_instance(rng, n, k, family):
 def lazy_case(rng, family, trial):
     """An instance on which lazy evaluation has shortcuts to get wrong:
     integer data with exact ties, twins, scaled kernels or signed values
-    for negative gains, or a reduced instance; with k = 1 or 2."""
+    for negative gains, or tightened budgets that some elements do not fit
+    alone; with k = 1 or 2."""
     kind = trial % 4
     k = int(rng.integers(1, 3))
     if kind == 0:
@@ -80,7 +83,45 @@ def lazy_case(rng, family, trial):
         return Instance(inst.ground, inst.constraints, obj)
     # element 0 always fits, some others do not
     weights = np.maximum(np.quantile(inst.constraints.costs, 0.8, axis=1), inst.constraints.costs[:, 0])
-    return reduce_instance(Instance(inst.ground, inst.constraints.with_weights(weights), inst.objective))[0]
+    return Instance(inst.ground, inst.constraints.with_weights(weights), inst.objective)
+
+
+def with_unfit_elements(rng, inst, m):
+    """inst with m elements interleaved that do not fit the budgets alone,
+    each costing more than its budget in one knapsack, and an objective
+    whose values on the original elements are unchanged. Returns the new
+    instance and the positions of the original elements in it."""
+    n, cons, obj = inst.ground.n, inst.constraints, inst.objective
+    N = n + m
+    extra = np.sort(rng.choice(N, m, replace=False))
+    pos = np.setdiff1d(np.arange(N), extra)
+    costs = np.empty((cons.k, N))
+    costs[:, pos] = cons.costs
+    costs[:, extra] = rng.uniform(0.2, 2.0, size=(cons.k, m))
+    over = rng.integers(0, cons.k, size=m)
+    costs[over, extra] = cons.weights[over] * rng.uniform(1.01, 2.0, size=m) + 0.01
+    if isinstance(obj, ModularObjective):
+        values = np.empty(N)
+        values[pos] = obj.singleton_values
+        values[extra] = rng.uniform(0.0, 5.0, m)
+        new = ModularObjective(values)
+    elif isinstance(obj, DirectedCutObjective):
+        arcs = [(pos[u], pos[v], w) for u, v, w in obj.arcs]
+        arcs += [(a, b, 1.0) for a in extra for b in extra if a != b and rng.random() < 0.5]
+        new = DirectedCutObjective(N, arcs)
+    else:
+        # [K, KX; X'K, X'KX + I] is positive definite with K as its block
+        K = obj.L if isinstance(obj, DppLogDetObjective) else obj.Sigma
+        X = rng.normal(size=(n, m))
+        KX = K @ X
+        C = X.T @ KX
+        big = np.empty((N, N))
+        big[np.ix_(pos, pos)] = K
+        big[np.ix_(pos, extra)] = KX
+        big[np.ix_(extra, pos)] = KX.T
+        big[np.ix_(extra, extra)] = (C + C.T) / 2 + np.eye(m)
+        new = type(obj)(big)
+    return Instance(GroundSet(N), KnapsackConstraints(costs, cons.weights), new), pos
 
 
 def eager_phase(obj, cons, part):
@@ -256,7 +297,7 @@ class TestGreedyPhase:
         obj = ModularObjective(values)
         part = split_by_threshold(cons, 1.0)
         vstar, vstar_val, seeds = best_singleton(obj, range(4))
-        assert (vstar, vstar_val, seeds) == (2, 4.0, values)
+        assert (vstar, vstar_val, seeds) == (2, 4.0, dict(enumerate(values)))
         assert obj.eval_count == 4
         assert greedy_phase(obj, cons, part, seeds).order == [2, 0, 3, 1]
         assert obj.eval_count == 4 + 3
@@ -462,6 +503,57 @@ class TestComplementSearch:
             complement_search(obj, cons, part)
 
 
+class TestUnfitElements:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_invisible(self, family):
+        # elements that never fit change no pick and no oracle call: the
+        # solver and the engine leave them out by the same fits mask
+        def picks(r, pos):
+            return (tuple(pos[e] for e in r.chosen), r.value, r.which,
+                    tuple(pos[e] for e in r.greedy_order), r.oracle_calls)
+
+        def chi_of_fitting(cons):
+            return chi(KnapsackConstraints(cons.costs[:, cons.fits()], cons.weights))
+
+        def fresh(case):
+            return Instance(case.ground, case.constraints, case.objective.clone())
+
+        rng = np.random.default_rng(33)
+        checked = 0
+        while checked < 25:
+            n, k = int(rng.integers(3, 12)), int(rng.integers(1, 4))
+            inst = random_instance(rng, n, k, family)
+            if family == "cut":
+                # integer weights: the prefix state's row sums are exact
+                # whatever the number of nodes
+                arcs = [(u, v, float(round(4 * w))) for u, v, w in inst.objective.arcs]
+                inst = Instance(inst.ground, inst.constraints, DirectedCutObjective(n, arcs))
+            big, pos = with_unfit_elements(rng, inst, int(rng.integers(1, 4)))
+            pos, same = pos.tolist(), range(big.ground.n)
+            lam = float(rng.choice([1.0, k]))
+            try:
+                small = lambda_greedy(fresh(inst), lam)
+            except EmptyAfterReductionError:
+                continue
+            result = lambda_greedy(fresh(big), lam)
+            assert picks(result, same) == picks(small, pos)
+
+            # chi counts every column, so an element that never fits sets it
+            # to 0 and deepens every rollback; with chi over the fitting
+            # columns the walk is the same in both engines
+            finals = []
+            with mock.patch("knapgreedy.dynamic.chi", chi_of_fitting):
+                for case in (inst, big):
+                    eng = DynamicGreedy(fresh(case), lam)
+                    for factor in (0.6, 1.0):
+                        for _ in range(3):
+                            eng.step()
+                        eng.apply_weights(factor * case.constraints.weights)
+                    finals.append(eng.finalize())
+            assert picks(finals[1], same) == picks(finals[0], pos)
+            checked += 1
+
+
 class TestLambdaGreedy:
     def test_worked_example_value(self, worked_example):
         result = lambda_greedy(worked_example, 1.0)
@@ -513,8 +605,8 @@ class TestLambdaGreedy:
             assert result.value >= guarantee_bound(lam, alpha) * opt_val - 1e-9
 
     def test_greedy_order_matches_reference(self):
-        # differential check against the standalone greedy in conftest, run on
-        # the reduced instance and mapped back to original indices
+        # differential check against the standalone greedy in conftest, whose
+        # cheap set leaves out the elements that do not fit
         rng = np.random.default_rng(30)
         checked = 0
         while checked < 40:
@@ -529,15 +621,15 @@ class TestLambdaGreedy:
                 )
             except EmptyAfterReductionError:
                 continue
-            red, _ = reduce_instance(inst)
-            part = split_by_threshold(red.constraints, lam)
-            ref = reference_greedy(red.objective, red.constraints, part)
-            assert result.greedy_order == tuple(red.to_original(e) for e in ref.order)
+            fitting, _ = reduce_instance(inst)
+            part = split_by_threshold(inst.constraints, lam)
+            ref = reference_greedy(inst.objective, inst.constraints, part)
+            assert result.greedy_order == tuple(ref.order)
             # no more calls than the singleton scan, the eager greedy and
             # the exhaustive complement search
-            comp_obj = red.objective.clone()
-            reference_complement(comp_obj, red.constraints, part)
-            eager = red.ground.n + eager_greedy_calls(len(part.cheap)) + comp_obj.eval_count
+            comp_obj = inst.objective.clone()
+            reference_complement(comp_obj, inst.constraints, part)
+            eager = len(fitting) + eager_greedy_calls(len(part.cheap)) + comp_obj.eval_count
             assert result.oracle_calls <= eager
             checked += 1
 
@@ -555,28 +647,45 @@ class TestLambdaGreedy:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_floored_complement_gives_the_unfloored_result(self, family):
-        # lambda_greedy's complement search skips what cannot beat the greedy
-        # value and the best singleton; the pick is that of a full search
+        # lambda_greedy's complement search, and the engine's at finalize
+        # after a tighten/loosen walk, skip what cannot beat the greedy value
+        # and the best singleton; the pick is that of a full search
+        def picks(r):
+            return r.chosen, r.value, r.which, r.greedy_order
+
         rng = np.random.default_rng(32)
         for trial in range(40):
-            case = lazy_case(rng, family, trial)
-            inst = Instance(case.ground, case.constraints, case.objective)
-            lam = float(rng.choice([1.0, inst.constraints.k]))
+            inst = lazy_case(rng, family, trial)
+            cons = inst.constraints
+            lam = float(rng.choice([1.0, cons.k]))
             try:
-                result = lambda_greedy(
-                    Instance(inst.ground, inst.constraints, inst.objective.clone()), lam
-                )
+                result = lambda_greedy(Instance(inst.ground, cons, inst.objective.clone()), lam)
             except EmptyAfterReductionError:
                 continue
-            red, _ = reduce_instance(inst)
-            obj, cons = red.objective.clone(), red.constraints
-            vstar, vstar_val, values = best_singleton(obj, range(red.ground.n))
+            fitting, _ = reduce_instance(inst)
+            obj = inst.objective.clone()
+            vstar, vstar_val, values = best_singleton(obj, fitting)
             part = split_by_threshold(cons, lam)
             sigma = greedy_phase(obj, cons, part, values)
             comp_set, comp_val = complement_search(obj, cons, part)
-            expected = best_of(red, sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count)
-            assert (result.chosen, result.value, result.which, result.greedy_order) == (
-                expected.chosen, expected.value, expected.which, expected.greedy_order)
+            expected = best_of(sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count)
+            assert picks(result) == picks(expected)
+            assert result.oracle_calls <= expected.oracle_calls
+
+            engines = [DynamicGreedy(Instance(inst.ground, cons, inst.objective.clone()), lam)
+                       for _ in range(2)]
+            for eng in engines:
+                for factor in (0.7, 1.0):
+                    eng.run_to_completion()
+                    eng.apply_weights(factor * cons.weights)
+            result = engines[0].finalize()
+            eng = engines[1]
+            eng.run_to_completion()
+            part = split_by_threshold(eng.cons, lam)
+            comp_set, comp_val = complement_search(eng.obj, eng.cons, part)
+            expected = best_of(eng.sigma, eng.vstar, eng.vstar_value, comp_set, comp_val,
+                               eng.obj.eval_count)
+            assert picks(result) == picks(expected)
             assert result.oracle_calls <= expected.oracle_calls
 
     def test_deterministic(self):

@@ -9,7 +9,6 @@ from .core import (
     KnapsackConstraints,
     Objective,
     Solution,
-    marginal,
     reduce_instance,
     validate,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "KnapsackConstraints",
     "Objective",
     "Solution",
-    "marginal",
     "reduce_instance",
     "validate",
     "DynamicGreedy",

@@ -92,12 +92,11 @@ class KnapsackConstraints:
             return np.zeros(self.k)
         return self.costs[:, idx].sum(axis=1)
 
-    def is_feasible_cost(self, cost_vec, weights=None):
-        w = self.weights if weights is None else weights
-        return bool((cost_vec <= w + FEAS_TOL).all())
+    def is_feasible_cost(self, cost_vec):
+        return bool((cost_vec <= self.weights + FEAS_TOL).all())
 
-    def is_feasible(self, S, weights=None):
-        return self.is_feasible_cost(self.set_cost(S), weights)
+    def is_feasible(self, S):
+        return self.is_feasible_cost(self.set_cost(S))
 
 
 class PrefixState:
@@ -222,12 +221,6 @@ class Solution:
     order: list = field(default_factory=list)
     cost_acc: np.ndarray = None
     value: float = 0.0
-
-
-def marginal(obj, S, omega):
-    """f(S | omega) - f(S). Consumes exactly two oracle calls."""
-    S = frozenset(S)
-    return obj.value(S | frozenset(omega)) - obj.value(S)
 
 
 def check_weights(weights):

@@ -40,9 +40,10 @@ class DynamicGreedy:
     """Single-owner state machine running the density greedy under mutable
     budgets.
 
-    Phases: "greedy" while candidates remain, "finished" when the pool is
-    exhausted. apply_weights() may be called in either phase and returns the
-    engine to the greedy phase with the surviving prefix.
+    The phase is derived from the pool, never stored: "greedy" while
+    candidates remain, "finished" when the pool is empty. apply_weights()
+    may be called in either phase; it refills the pool with the cheap
+    elements outside the surviving prefix.
     """
 
     def __init__(self, inst, lam):
@@ -50,42 +51,40 @@ class DynamicGreedy:
         validate(inst)
         self._calls_baseline = inst.objective.eval_count
         self.lam = float(lam)
-        self.cons = inst.constraints
         self.obj = inst.objective
-
+        self.sigma = Solution(order=[], cost_acc=np.zeros(inst.constraints.k), value=0.0)
+        self.value_stack = []  # f(prefix) after each append, for rollback
         # An element that does not fit the current budgets is in no cheap
         # set and no complement. Its singleton value is evaluated the first
         # time it fits (n calls at most over a run) and kept, so later
         # updates re-derive the best feasible singleton for free.
         self.singleton_values = {}
-        self._refresh_vstar()
+        self._adopt(inst.constraints, set(split_by_threshold(inst.constraints, lam).cheap))
         if self.vstar is None:
             raise EmptyAfterReductionError("empty after reduction")
 
-        self.chi = chi(self.cons)  # of the current weights; the old chi at the next update
-        self.cheap = set(split_by_threshold(self.cons, lam).cheap)
-        self.sigma = Solution(order=[], cost_acc=np.zeros(self.cons.k), value=0.0)
-        self.value_stack = []  # f(prefix) after each append, for rollback
-        self.pool = sorted(self.cheap)
-        self.phase = "greedy" if self.pool else "finished"
-
-    def _refresh_vstar(self):
-        fitting = np.flatnonzero(self.cons.fits()).tolist()
+    def _adopt(self, cons, cheap):
+        """Take cons and its cheap set as the current budgets: re-derive the
+        best feasible singleton and refill the pool with the cheap elements
+        outside the prefix."""
+        self.cons, self.cheap = cons, cheap
+        fitting = np.flatnonzero(cons.fits()).tolist()
         new = [e for e in fitting if e not in self.singleton_values]
         if new:
             self.singleton_values.update(best_singleton(self.obj, new)[2])
         self.vstar = max(fitting, key=self.singleton_values.__getitem__, default=None)
         self.vstar_value = 0.0 if self.vstar is None else self.singleton_values[self.vstar]
+        self.pool = sorted(cheap - set(self.sigma.order))
+
+    @property
+    def phase(self):
+        return "greedy" if self.pool else "finished"
 
     def step(self):
         """One greedy_step on the current prefix; an appended element's
         prefix value is pushed for rollback."""
-        if self.phase != "greedy":
-            return
-        if greedy_step(self.obj, self.cons, self.sigma, self.pool):
+        if self.pool and greedy_step(self.obj, self.cons, self.sigma, self.pool):
             self.value_stack.append(self.sigma.value)
-        if not self.pool:
-            self.phase = "finished"
 
     def apply_weights(self, new_weights):
         """Stack-rollback update rule for a new budget vector. A vector of
@@ -95,8 +94,7 @@ class DynamicGreedy:
         new_cons = old_cons.with_weights(new_weights)
         check_weights(new_cons.weights)
         new_cheap = set(split_by_threshold(new_cons, self.lam).cheap)
-        new_chi = chi(new_cons)
-        chi_cap = min(self.chi, new_chi)
+        chi_cap = min(chi(old_cons), chi(new_cons))
 
         sigma = self.sigma
         both = self.cheap & new_cheap
@@ -105,20 +103,14 @@ class DynamicGreedy:
             sigma.cost_acc = sigma.cost_acc - old_cons.costs[:, e]
             self.value_stack.pop()
             sigma.value = self.value_stack[-1] if self.value_stack else 0.0
-
-        self.cons = new_cons
-        self.chi = new_chi
-        self.cheap = new_cheap
-        self._refresh_vstar()
-        self.pool = sorted(self.cheap - set(sigma.order))
-        self.phase = "greedy" if self.pool else "finished"
+        self._adopt(new_cons, new_cheap)
 
     def run_to_completion(self, call_limit=None):
         """Step until the pool is empty or the objective's eval_count
         reaches call_limit, an absolute count (obj.eval_count + b budgets b
         more calls). The limit is checked between steps, so the last step
         may run past it by one scan of the pool."""
-        while self.phase == "greedy" and (call_limit is None or self.obj.eval_count < call_limit):
+        while self.pool and (call_limit is None or self.obj.eval_count < call_limit):
             self.step()
 
     def current_best(self):

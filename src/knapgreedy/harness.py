@@ -7,7 +7,10 @@ solution back at each update, and a static greedy restarted from scratch.
 The trace records, at every update, each contestant's best feasible value
 and the oracle calls it spent in the interval. Both are scored by the same
 rule, DynamicGreedy.current_best(): the greedy prefix versus the best
-feasible singleton, with no complement search outside the budget.
+feasible singleton, with no complement search outside the budget. Only
+the engine has a warm-up, an unrecorded interval under the initial weights;
+each recorded interval builds a fresh restart, so every restart call is
+charged to a row.
 """
 
 from __future__ import annotations
@@ -65,14 +68,17 @@ def perturb_weights(weights, totals, noise_sigma, rng):
     return fractions * totals
 
 
-def _fresh_engine(inst, weights, lam):
+def _restart_value(inst, weights, lam, call_limit):
     """The restart contestant for one interval: a static greedy started from
-    scratch under weights, or None when no element fits them."""
+    scratch under weights and run until inst.objective's eval_count reaches
+    call_limit, scored by current_best(); 0.0 when no element fits."""
     restarted = Instance(inst.ground, inst.constraints.with_weights(weights), inst.objective)
     try:
-        return DynamicGreedy(restarted, lam)
+        restart = DynamicGreedy(restarted, lam)
     except EmptyAfterReductionError:
-        return None
+        return 0.0
+    restart.run_to_completion(call_limit)
+    return restart.current_best()
 
 
 def run_dynamic(inst, cfg):
@@ -92,32 +98,23 @@ def run_dynamic(inst, cfg):
     dg_obj = inst.objective.clone()
     rs_obj = inst.objective.clone()
     dg_inst = Instance(inst.ground, inst.constraints.with_weights(weights), dg_obj)
-    rs_inst = Instance(inst.ground, inst.constraints.with_weights(weights), rs_obj)
-
+    rs_inst = Instance(inst.ground, inst.constraints, rs_obj)
     engine = DynamicGreedy(dg_inst, cfg.lam)
-    restart = _fresh_engine(rs_inst, weights, cfg.lam)
-
-    # Warm-up interval under the initial weights, not recorded.
+    # Warm-up interval of the engine under the initial weights, not recorded.
     engine.run_to_completion(dg_obj.eval_count + cfg.tau)
-    if restart is not None:
-        restart.run_to_completion(rs_obj.eval_count + cfg.tau)
 
     trace = RunTrace(config=cfg)
     for u in range(1, cfg.n_updates + 1):
         weights = perturb_weights(weights, totals, cfg.noise_sigma, rng)
         dg_start, rs_start = dg_obj.eval_count, rs_obj.eval_count
         engine.apply_weights(weights)
-        restart = _fresh_engine(rs_inst, weights, cfg.lam)
         engine.run_to_completion(dg_start + cfg.tau)
-        if restart is not None:
-            restart.run_to_completion(rs_start + cfg.tau)
-        dg_value = engine.current_best()
-        rs_value = restart.current_best() if restart is not None else 0.0
+        rs_value = _restart_value(rs_inst, weights, cfg.lam, rs_start + cfg.tau)
         trace.rows.append(
             TraceRow(
                 update=u,
                 weights=weights.copy(),
-                dgreedy_value=dg_value,
+                dgreedy_value=engine.current_best(),
                 restart_value=rs_value,
                 dgreedy_calls=dg_obj.eval_count - dg_start,
                 restart_calls=rs_obj.eval_count - rs_start,

@@ -203,7 +203,7 @@ def greedy_phase(obj, cons, part, singleton_values=None):
     return sigma
 
 
-def complement_search(obj, cons, part, floor=None):
+def complement_search(obj, cons, part, floor=0.0):
     """Exact maximizer of f over feasible subsets of the expensive set.
 
     Depth-first branch and bound over subsets in index order. At each node,
@@ -217,9 +217,10 @@ def complement_search(obj, cons, part, floor=None):
     the lexicographically smallest index tuple, the set an exhaustive
     preorder enumeration finds first; every feasible subset is evaluated
     at most once.
-    floor, when given, is a value the caller already holds and keeps unless
-    a subset beats it strictly. A subtree is then also skipped when its
-    bound is below floor. The answer is unchanged when the maximum exceeds
+    floor is a value the caller already holds and keeps unless a subset
+    beats it strictly; the default, 0.0, is the empty set's value, where
+    the search starts anyway. A subtree is also skipped when its bound is
+    below floor. The answer is unchanged when the maximum exceeds
     floor; otherwise it is some feasible subset of value at most floor.
     Returns (set, value); the empty set has value 0 by the oracle contract.
     """
@@ -252,7 +253,7 @@ def complement_search(obj, cons, part, floor=None):
         gains = np.maximum(vals - f_path, 0.0)
         later = np.append(np.cumsum(gains[:0:-1])[::-1], 0.0)  # sum of gains[j + 1:]
         for j, p in enumerate(idx):
-            bar = best_val if floor is None else max(best_val, floor)
+            bar = max(best_val, floor)
             if vals[j] + later[j] + BOUND_SLACK * max(1.0, abs(bar)) < bar:
                 continue
             path.append(p)

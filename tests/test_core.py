@@ -9,7 +9,6 @@ from knapgreedy import (
     KnapsackConstraints,
     ModularObjective,
     lambda_greedy,
-    marginal,
     reduce_instance,
     validate,
 )
@@ -19,25 +18,6 @@ from conftest import random_instance, FAMILIES
 
 def modular(values):
     return ModularObjective(values)
-
-
-class TestMarginal:
-    def test_modular_additivity(self):
-        obj = modular([1.0, 2.0, 3.0])
-        assert marginal(obj, {0}, {1}) == 2.0
-
-    def test_empty_omega_is_zero(self):
-        obj = modular([1.0, 2.0, 3.0])
-        assert marginal(obj, {0, 2}, set()) == 0.0
-
-    def test_worked_example_singleton(self, worked_example):
-        assert marginal(worked_example.objective, {4}, {2}) == 1.0
-
-    def test_consumes_two_calls(self):
-        obj = modular([1.0, 2.0])
-        before = obj.eval_count
-        marginal(obj, {0}, {1})
-        assert obj.eval_count - before == 2
 
 
 class TestSetCost:

@@ -8,6 +8,7 @@ from knapgreedy import (
     DynamicGreedy,
     EmptyAfterReductionError,
     Instance,
+    Objective,
     SimConfig,
     perturb_weights,
     run_dynamic,
@@ -149,6 +150,27 @@ class TestRunDynamic:
             assert fresh.phase == "finished"
             assert row.restart_calls == obj.eval_count
             assert row.restart_value == fresh.current_best()
+
+    def test_every_restart_call_is_charged_to_a_row(self, monkeypatch):
+        # run_dynamic clones the objective once per contestant, the engine's
+        # first; every restart call falls in a recorded interval, and the
+        # engine's only uncharged calls are its warm-up interval
+        made = []
+        clone = Objective.clone
+
+        def collecting_clone(obj):
+            made.append(clone(obj))
+            return made[-1]
+
+        monkeypatch.setattr(Objective, "clone", collecting_clone)
+        inst = random_instance(np.random.default_rng(5), 12, 2, "dpp")
+        cfg = SimConfig(tau=12, noise_sigma=0.1, n_updates=20, seed=7, lam=2.0,
+                        initial_fraction=0.5)
+        trace = run_dynamic(inst, cfg)
+        dg_obj, rs_obj = made
+        assert rs_obj.eval_count == sum(r.restart_calls for r in trace.rows)
+        warm_up = dg_obj.eval_count - sum(r.dgreedy_calls for r in trace.rows)
+        assert 0 < warm_up <= cfg.tau + inst.ground.n
 
     def test_small_tau_warns(self):
         inst = worked_example_instance()

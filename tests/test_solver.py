@@ -645,6 +645,24 @@ class TestLambdaGreedy:
         result = lambda_greedy(inst, 1.0)
         assert (result.chosen, result.value, result.which) == ((0, 1), 10.0, "complement-set")
 
+    def test_singleton_floor_prunes_the_complement(self):
+        # 0 and 1 are cheap but do not fit together, so sigma is (1,) worth
+        # 1.95 and the singleton 0 wins at 2.4; the complement pair {2, 3}
+        # is worth 2.0, so its subtree (bound 1 + 1) is skipped only by the
+        # singleton half of the floor: 4 singletons, 1 lazy re-evaluation
+        # and the 2 complement roots, without f({2, 3})
+        inst = Instance(
+            GroundSet(4),
+            KnapsackConstraints(
+                [[2.0, 1.5, 0.1, 0.1], [0.1, 0.1, 2.5, 0.1], [0.1, 0.1, 0.1, 2.5]],
+                [3.0, 3.0, 3.0],
+            ),
+            ModularObjective([2.4, 1.95, 1.0, 1.0]),
+        )
+        result = lambda_greedy(inst, 2.0)
+        assert (result.chosen, result.which, result.greedy_order) == ((0,), "singleton-vstar", (1,))
+        assert result.oracle_calls == 7
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_floored_complement_gives_the_unfloored_result(self, family):
         # lambda_greedy's complement search, and the engine's at finalize

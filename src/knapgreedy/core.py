@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,8 @@ import numpy as np
 # Feasibility comparisons allow this much absolute slack, to absorb
 # accumulated floating-point error in cost sums.
 FEAS_TOL = 1e-9
+# Most subsets of one size handled at once by subsets_by_size's callers.
+SUBSET_CHUNK = 4096
 
 
 class InvalidInstanceError(ValueError):
@@ -99,6 +102,20 @@ class KnapsackConstraints:
         return self.is_feasible_cost(self.set_cost(S))
 
 
+def subsets_by_size(n):
+    """Every nonempty subset of range(n), by size and then in lexicographic
+    order, as (rows, masks) chunks of at most SUBSET_CHUNK subsets of one
+    size: rows is a (G, s) array of ascending elements, one subset per row,
+    and masks their bitmasks. Memory stays at one chunk, never 2^n x n."""
+    for s in range(1, n + 1):
+        combos = itertools.combinations(range(n), s)
+        while True:
+            rows = np.array(list(itertools.islice(combos, SUBSET_CHUNK)), dtype=np.intp)
+            if not rows.size:
+                break
+            yield rows, (1 << rows).sum(axis=1)
+
+
 class PrefixState:
     """Oracle state of a tracked prefix P, kept as a stack.
 
@@ -153,7 +170,8 @@ class Objective:
     evaluation. Every call to value() is one oracle call and increments
     eval_count by exactly one; f(empty) must be 0. Families that return a
     PrefixState from _prefix_state() answer f(P + [e]) for the prefix P
-    named by follow() from that state instead of calling _value.
+    named by follow() from that state instead of calling _value. A set
+    evaluated in a batch by value_table() is one call too.
     """
 
     _prefix = None  # PrefixState while following a prefix
@@ -172,6 +190,16 @@ class Objective:
 
     def _value(self, S):
         raise NotImplementedError
+
+    def value_table(self, n):
+        """f on every subset of range(n), indexed by bitmask. f(empty) = 0 is
+        not a call; every other subset is one oracle call, counted in
+        eval_count. This default calls value(S) once per mask in mask order;
+        families that can evaluate many subsets at once override it."""
+        table = np.zeros(1 << n)
+        for mask in range(1, 1 << n):
+            table[mask] = self.value([e for e in range(n) if mask >> e & 1])
+        return table
 
     def _prefix_state(self):
         """A PrefixState at the empty prefix, or None (the default) when the

@@ -59,22 +59,23 @@ class DynamicGreedy:
         # time it fits (n calls at most over a run) and kept, so later
         # updates re-derive the best feasible singleton for free.
         self.singleton_values = {}
-        self._adopt(inst.constraints, set(split_by_threshold(inst.constraints, lam).cheap))
+        self._adopt(inst.constraints, split_by_threshold(inst.constraints, lam))
         if self.vstar is None:
             raise EmptyAfterReductionError("empty after reduction")
 
-    def _adopt(self, cons, cheap):
-        """Take cons and its cheap set as the current budgets: re-derive the
-        best feasible singleton and refill the pool with the cheap elements
-        outside the prefix."""
-        self.cons, self.cheap = cons, cheap
-        fitting = np.flatnonzero(cons.fits()).tolist()
+    def _adopt(self, cons, part):
+        """Take cons and its partition as the current budgets: re-derive the
+        best feasible singleton over the elements that fit (both parts) and
+        refill the pool with the cheap elements outside the prefix."""
+        self.cons, self.part = cons, part
+        fitting = sorted(part.cheap + part.expensive)
         new = [e for e in fitting if e not in self.singleton_values]
         if new:
             self.singleton_values.update(best_singleton(self.obj, new)[2])
         self.vstar = max(fitting, key=self.singleton_values.__getitem__, default=None)
         self.vstar_value = 0.0 if self.vstar is None else self.singleton_values[self.vstar]
-        self.pool = sorted(cheap - set(self.sigma.order))
+        taken = set(self.sigma.order)
+        self.pool = [e for e in part.cheap if e not in taken]
 
     @property
     def phase(self):
@@ -93,17 +94,17 @@ class DynamicGreedy:
         old_cons = self.cons
         new_cons = old_cons.with_weights(new_weights)
         check_weights(new_cons.weights)
-        new_cheap = set(split_by_threshold(new_cons, self.lam).cheap)
+        new_part = split_by_threshold(new_cons, self.lam)
         chi_cap = min(chi(old_cons), chi(new_cons))
 
         sigma = self.sigma
-        both = self.cheap & new_cheap
+        both = set(self.part.cheap).intersection(new_part.cheap)
         while len(sigma.order) > chi_cap or not set(sigma.order) <= both:
             e = sigma.order.pop()
             sigma.cost_acc = sigma.cost_acc - old_cons.costs[:, e]
             self.value_stack.pop()
             sigma.value = self.value_stack[-1] if self.value_stack else 0.0
-        self._adopt(new_cons, new_cheap)
+        self._adopt(new_cons, new_part)
 
     def run_to_completion(self, call_limit=None):
         """Step until the pool is empty or the objective's eval_count
@@ -124,7 +125,6 @@ class DynamicGreedy:
         at current_best(): best_of takes the complement set only when it
         beats the greedy prefix and the best singleton strictly."""
         self.run_to_completion()
-        part = split_by_threshold(self.cons, self.lam)
-        comp_set, comp_val = complement_search(self.obj, self.cons, part, self.current_best())
+        comp_set, comp_val = complement_search(self.obj, self.cons, self.part, self.current_best())
         calls = self.obj.eval_count - self._calls_baseline
         return best_of(self.sigma, self.vstar, self.vstar_value, comp_set, comp_val, calls)

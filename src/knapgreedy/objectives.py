@@ -9,13 +9,17 @@ encoding of per-group cardinality budgets as 0/1-cost knapsacks.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .core import InvalidInstanceError, KnapsackConstraints, Objective, PrefixState
+from .core import InvalidInstanceError, KnapsackConstraints, Objective, PrefixState, subsets_by_size
 
 SYMMETRY_TOL = 1e-9
 ENTROPY_PER_ELEMENT = 0.5 * (1.0 + math.log(2.0 * math.pi))
+# From Python 3.12 on, the built-in sum() of floats carries a Neumaier
+# compensation term, so a batched sum must do the same to match it.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -31,6 +35,18 @@ def _check_symmetric(M, name):
     return M
 
 
+def _logdet_principals(M, rows, jitter=0.0):
+    """log det of the principal submatrix of M + jitter*I indexed by each
+    row of rows, a (G, s) array of ascending indices, via one stacked
+    Cholesky. Raises np.linalg.LinAlgError when any submatrix is not
+    positive definite."""
+    sub = M[rows[:, :, None], rows[:, None, :]]
+    if jitter:
+        sub = sub + jitter * np.eye(rows.shape[1])
+    L = np.linalg.cholesky(sub)
+    return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=-1)
+
+
 def _logdet_principal(M, S, jitter=0.0):
     """log det of the principal submatrix of M indexed by S, via Cholesky.
 
@@ -40,16 +56,27 @@ def _logdet_principal(M, S, jitter=0.0):
     idx = sorted(S)
     if not idx:
         return 0.0
-    sub = M[np.ix_(idx, idx)]
-    if jitter:
-        sub = sub + jitter * np.eye(len(idx))
     try:
-        L = np.linalg.cholesky(sub)
+        return float(_logdet_principals(M, np.array([idx]), jitter)[0])
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(
             "principal submatrix %r is not positive definite" % (idx,)
         )
-    return float(2.0 * np.sum(np.log(np.diag(L))))
+
+
+def _table_by_size(obj, n, values):
+    """obj.value_table(n) from values(rows), f on each row of a (G, s) array
+    of ascending elements, one chunk of same-size subsets at a time. On a
+    LinAlgError the default one-by-one loop runs instead, so _value raises
+    NotPositiveDefiniteError at the first such subset in mask order."""
+    table = np.zeros(1 << n)
+    try:
+        for rows, masks in subsets_by_size(n):
+            table[masks] = values(rows)
+    except np.linalg.LinAlgError:
+        return Objective.value_table(obj, n)
+    obj.eval_count += (1 << n) - 1
+    return table
 
 
 def _with_room(buf, index):
@@ -166,6 +193,23 @@ class DirectedCutObjective(Objective):
     def _value(self, S):
         return float(sum(w for u, v, w in self.arcs if u in S and v not in S))
 
+    def value_table(self, n):
+        """_value on every mask at once: each arc adds its weight, in arc
+        order, where u is in the mask and v is not, as _value's sum() does."""
+        masks = np.arange(1 << n)
+        f, comp = np.zeros(1 << n), np.zeros(1 << n)
+        with np.errstate(invalid="ignore"):
+            for u, v, w in self.arcs:
+                x = np.where((masks >> u & 1) > (masks >> v & 1), w, 0.0)
+                t = f + x
+                if _COMPENSATED_SUM:
+                    comp += np.where(np.abs(f) >= np.abs(x), (f - t) + x, (x - t) + f)
+                f = t
+            if _COMPENSATED_SUM:
+                f = np.where((comp != 0) & np.isfinite(comp), f + comp, f)
+        self.eval_count += (1 << n) - 1
+        return f
+
     def _prefix_state(self):
         # W[u, v]: weight of the arcs u -> v; a self-loop never leaves S.
         # The gain of x is its out-weight to V - P minus its in-weight from
@@ -192,6 +236,9 @@ class DppLogDetObjective(Objective):
     def _value(self, S):
         return _logdet_principal(self.L, S, jitter=self.jitter)
 
+    def value_table(self, n):
+        return _table_by_size(self, n, lambda rows: _logdet_principals(self.L, rows, self.jitter))
+
     def _prefix_state(self):
         return _CholeskyPrefix(self.L, self.jitter)
 
@@ -208,6 +255,10 @@ class EntropyObjective(Objective):
         if not S:
             return 0.0
         return ENTROPY_PER_ELEMENT * len(S) + 0.5 * _logdet_principal(self.Sigma, S)
+
+    def value_table(self, n):
+        return _table_by_size(self, n, lambda rows: (
+            ENTROPY_PER_ELEMENT * rows.shape[1] + 0.5 * _logdet_principals(self.Sigma, rows)))
 
     def _prefix_state(self):
         return _EntropyPrefix(self.Sigma)

@@ -3,6 +3,8 @@
 Brute-force optimum over all feasible subsets, exact curvature over all
 witness triples, and the approximation-guarantee check that ties the two
 together with the solver's bound (1 - e^(-1/lam)) / (3 * max(1, alpha)).
+Both read f from a value table over all 2^n subsets
+(Objective.value_table), and the check builds that table once.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import FEAS_TOL, subsets_by_size
 
 OPT_CAP = 20
 CURVATURE_CAP = 10
@@ -34,37 +38,40 @@ class OracleReport:
     passed: bool
 
 
-def _value_table(obj, n):
-    """f over all 2^n subsets, indexed by bitmask."""
-    table = np.empty(1 << n)
-    table[0] = 0.0
-    for mask in range(1, 1 << n):
-        S = [e for e in range(n) if mask >> e & 1]
-        table[mask] = obj.value(S)
-    return table
+def _check_cap(n, cap):
+    if n > cap:
+        raise OracleCapError("instance too large for oracle: n=%d > %d" % (n, cap))
+
+
+def _opt(cons, table, n):
+    """The largest entry of the value table over the nonempty masks feasible
+    under cons, and its index tuple. Ties resolve to the lexicographically
+    smallest tuple; NaN never wins; when no feasible entry is > 0 the empty
+    set (value 0) wins."""
+    feasible = np.zeros(1 << n, dtype=bool)
+    bound = (cons.weights + FEAS_TOL)[:, None]
+    for rows, masks in subsets_by_size(n):
+        # Each row's costs are summed as set_cost sums a set, so a set on
+        # the FEAS_TOL boundary falls on the same side.
+        feasible[masks] = (cons.costs[:, rows].sum(axis=-1) <= bound).all(axis=0)
+    candidates = feasible & (table > 0)
+    if not candidates.any():
+        return 0.0, ()
+    best = table[candidates].max()
+    winners = np.flatnonzero(candidates & (table == best)).tolist()
+    return float(best), min(tuple(e for e in range(n) if m >> e & 1) for m in winners)
 
 
 def brute_force_opt(inst):
-    """Exact maximum of f over feasible subsets, by scanning all 2^n masks.
+    """Exact maximum of f over feasible subsets, read from the value table
+    of all 2^n subsets, evaluated on a clone of the objective.
 
     Ties resolve to the lexicographically smallest index tuple. The empty
     set (value 0) is always a candidate.
     """
     n = inst.ground.n
-    if n > OPT_CAP:
-        raise OracleCapError("instance too large for oracle: n=%d > %d" % (n, OPT_CAP))
-    cons = inst.constraints
-    obj = inst.objective
-    best_val, best_set = 0.0, ()
-    for mask in range(1, 1 << n):
-        S = [e for e in range(n) if mask >> e & 1]
-        if not cons.is_feasible(S):
-            continue
-        v = obj.value(S)
-        key = tuple(S)
-        if v > best_val or (v == best_val and key < best_set):
-            best_val, best_set = v, key
-    return float(best_val), best_set
+    _check_cap(n, OPT_CAP)
+    return _opt(inst.constraints, inst.objective.clone().value_table(n), n)
 
 
 def _submask_extremes(g):
@@ -108,12 +115,15 @@ def brute_force_curvature(obj, n):
     negative g[A] when g[B] >= 0, the smallest positive or the smallest
     negative when g[B] < 0. Those extremes come from a subset-max transform
     (O(n * 2^n) per omega instead of O(3^n)), and the result equals the
-    pairwise scan's bit for bit, NaN ratios ignored. The 2^n values of f are
-    evaluated from scratch, one oracle call each, in mask order.
+    pairwise scan's bit for bit, NaN ratios ignored. The 2^n values of f
+    come from obj.value_table(n), one oracle call per nonempty subset.
     """
-    if n > CURVATURE_CAP:
-        raise OracleCapError("instance too large for oracle: n=%d > %d" % (n, CURVATURE_CAP))
-    table = _value_table(obj, n)
+    _check_cap(n, CURVATURE_CAP)
+    return _curvature(obj.value_table(n), n)
+
+
+def _curvature(table, n):
+    """brute_force_curvature's transform of a value table over range(n)."""
     if n == 0:
         return 0.0
     # g[omega, B] for the 2^(n-1) masks B omitting omega, bit omega squeezed
@@ -145,9 +155,15 @@ def guarantee_bound(lam, alpha):
 
 def check_guarantee(inst, lam, alg_value):
     """Verify alg_value >= bound * OPT - 1e-9 with exhaustively computed
-    OPT and curvature. A zero optimum passes vacuously (ratio None)."""
-    opt_val, opt_set = brute_force_opt(inst)
-    alpha = brute_force_curvature(inst.objective.clone(), inst.ground.n)
+    OPT and curvature, both read from one value table evaluated on a clone
+    of the objective, so the caller's count and prefix are left alone. A
+    zero optimum passes vacuously (ratio None)."""
+    n = inst.ground.n
+    _check_cap(n, OPT_CAP)
+    _check_cap(n, CURVATURE_CAP)
+    table = inst.objective.clone().value_table(n)
+    opt_val, opt_set = _opt(inst.constraints, table, n)
+    alpha = _curvature(table, n)
     bound = guarantee_bound(lam, alpha)
     if opt_val <= 0:
         return OracleReport(opt_val, opt_set, alpha, bound, None, True)

@@ -76,9 +76,11 @@ def chi(cons):
 def split_by_threshold(cons, lam):
     """Partition the elements that fit the budgets into cheap (c_j(e) <=
     lam*W_j/k for all j) and expensive (the rest). An element that does not
-    fit alone is in neither part: no feasible set holds it."""
-    cheap = cons.fits(lam * cons.weights / cons.k)
-    expensive = cons.fits() & ~cheap
+    fit alone is in neither part: no feasible set holds it, even when
+    lam*W_j/k rounds one ulp above W_j (lam = k = 3, say)."""
+    fits = cons.fits()
+    cheap = fits & cons.fits(lam * cons.weights / cons.k)
+    expensive = fits & ~cheap
     return Partition(tuple(np.flatnonzero(cheap).tolist()), tuple(np.flatnonzero(expensive).tolist()))
 
 

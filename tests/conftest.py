@@ -6,8 +6,9 @@ iteration, cut values through a plain adjacency scan, and the from-scratch
 greedy is a standalone loop that shares no step code with the solver or the
 dynamic engine. The loops that faster library code replaced are kept here
 as references: chi's per-element walk, the exhaustive complement search,
-the greedy step that discards a negative-gain winner one scan at a time and
-the pairwise curvature scan.
+the greedy step that discards a negative-gain winner one scan at a time,
+the one-call-per-mask value table, the mask loop for the optimum and the
+pairwise curvature scan.
 """
 
 import math
@@ -28,9 +29,9 @@ from knapgreedy import (
 from knapgreedy.core import FEAS_TOL
 from knapgreedy.oracle import (
     CURVATURE_CAP,
+    OPT_CAP,
     CurvatureDegenerateError,
     OracleCapError,
-    _value_table,
 )
 
 
@@ -146,13 +147,48 @@ def reference_complement(obj, cons, part):
     return best_set, best_val
 
 
+def reference_value_table(obj, n):
+    """f over all 2^n subsets, indexed by bitmask: one value(S) call per
+    mask in mask order, the loop that Objective.value_table's batched
+    overrides replaced, verbatim."""
+    table = np.empty(1 << n)
+    table[0] = 0.0
+    for mask in range(1, 1 << n):
+        S = [e for e in range(n) if mask >> e & 1]
+        table[mask] = obj.value(S)
+    return table
+
+
+def reference_opt(inst):
+    """The mask loop that oracle.brute_force_opt's table argmax replaced,
+    verbatim: every feasible mask evaluated on the instance's objective,
+    ties to the lexicographically smallest index tuple, the empty set
+    (value 0) always a candidate."""
+    n = inst.ground.n
+    if n > OPT_CAP:
+        raise OracleCapError("instance too large for oracle: n=%d > %d" % (n, OPT_CAP))
+    cons = inst.constraints
+    obj = inst.objective
+    best_val, best_set = 0.0, ()
+    for mask in range(1, 1 << n):
+        S = [e for e in range(n) if mask >> e & 1]
+        if not cons.is_feasible(S):
+            continue
+        v = obj.value(S)
+        key = tuple(S)
+        if v > best_val or (v == best_val and key < best_set):
+            best_val, best_set = v, key
+    return float(best_val), best_set
+
+
 def reference_curvature(obj, n):
     """The pairwise curvature scan that oracle.brute_force_curvature's
     subset-max transform replaced, verbatim: every submask pair A of B over
-    the masks omitting omega, O(n * 3^(n-1)) table lookups."""
+    the masks omitting omega, O(n * 3^(n-1)) table lookups, on the
+    one-call-per-mask table."""
     if n > CURVATURE_CAP:
         raise OracleCapError("instance too large for oracle: n=%d > %d" % (n, CURVATURE_CAP))
-    table = _value_table(obj, n)
+    table = reference_value_table(obj, n)
     alpha = 0.0
     for omega in range(n):
         bit = 1 << omega

@@ -5,9 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from knapgreedy import load_instance
 from knapgreedy.cli import main
 
+from conftest import reference_curvature, reference_opt
+
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "worked_example.json")
+DPP_FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "dpp_small.json")
 
 
 def write_instance(tmp_path, doc, name="inst.json"):
@@ -139,6 +143,16 @@ class TestOracle:
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False
+
+    def test_dpp_fixture_matches_the_reference_loops(self, capsys):
+        inst = load_instance(DPP_FIXTURE)
+        opt_value, opt_set = reference_opt(inst)
+        alpha = reference_curvature(inst.objective.clone(), inst.ground.n)
+        assert main(["oracle", "--instance", DPP_FIXTURE, "--lambda", "1.0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["opt_value"], doc["opt_set"], doc["alpha"]) == (opt_value, list(opt_set), alpha)
+        assert main(["curvature", "--instance", DPP_FIXTURE]) == 0
+        assert json.loads(capsys.readouterr().out) == {"alpha": alpha}
 
     def test_too_large_exit_2(self, tmp_path, capsys):
         n = 25

@@ -58,6 +58,15 @@ class TestInit:
         DynamicGreedy(worked_example, 1.0)
         assert worked_example.objective.eval_count - before == 5
 
+    def test_vstar_and_pool_fit_when_the_cheap_bound_rounds_up(self):
+        # element 0 fits the cheap threshold 3 * 0.1 / 3, one ulp above the
+        # budget 0.1, but not the budget itself
+        c = 3.0 * 0.1 / 3 + FEAS_TOL
+        inst = Instance(GroundSet(2), KnapsackConstraints([[c, 0.01]] * 3, [0.1] * 3),
+                        ModularObjective([5.0, 1.0]))
+        eng = DynamicGreedy(inst, 3.0)
+        assert (eng.pool, eng.vstar, eng.vstar_value) == ([1], 1, 1.0)
+
     def test_vstar_ties_to_lowest_fitting_index(self):
         # NaN compares false, so a NaN after the first element never wins; of
         # equal maxima the lowest index does, in the solver's scan and in the

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+
+import knapgreedy.objectives as objectives
 
 from knapgreedy import (
     DirectedCutObjective,
@@ -24,6 +27,7 @@ from conftest import (
     power_iteration_max_eig,
     random_objective,
     random_spd,
+    reference_value_table,
 )
 
 
@@ -256,3 +260,114 @@ class TestEvalCounting:
         c = obj.clone()
         assert c.eval_count == 0
         assert obj.eval_count == 1
+
+
+def compensated_sum(xs):
+    """CPython's sum() over floats from 3.12 on, transcribed: Neumaier's
+    compensation term, added at the end when it is finite and nonzero."""
+    total, comp = 0.0, 0.0
+    for x in xs:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def plain_sum(xs):
+    """sum() over floats before Python 3.12: left to right."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def cut_terms(obj, mask):
+    """The arc weights that _value sums for the set with bitmask mask."""
+    return [w for u, v, w in obj.arcs if mask >> u & 1 and not mask >> v & 1]
+
+
+def wide_cut(rng, n):
+    """A cut whose arc weights span 16 decades, so that sums round."""
+    arcs = [(u, v, float(rng.uniform(0.5, 1.0) * 10.0 ** rng.integers(-8, 8)))
+            for u in range(n) for v in range(n) if u != v and rng.random() < 0.6]
+    return DirectedCutObjective(n, arcs)
+
+
+class TestValueTable:
+    """value_table against the one-call-per-mask loop on _value: equal bit
+    for bit, the same oracle calls, and the same error."""
+
+    @staticmethod
+    def assert_same_table(obj, n):
+        want_obj, got_obj = obj.clone(), obj.clone()
+        want = reference_value_table(want_obj, n)
+        got = got_obj.value_table(n)
+        assert got.tobytes() == want.tobytes()
+        assert got_obj.eval_count == want_obj.eval_count == (1 << n) - 1
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equals_scalar_loop(self, family):
+        rng = np.random.default_rng(53)
+        for n in range(1, 11):
+            for _ in range(3):
+                self.assert_same_table(random_objective(rng, n, family), n)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-10, 1e-3])
+    def test_dpp_jitter(self, jitter):
+        rng = np.random.default_rng(59)
+        for n in range(1, 11):
+            self.assert_same_table(DppLogDetObjective(random_spd(rng, n), jitter=jitter), n)
+
+    def test_cut_with_weights_that_round(self):
+        rng = np.random.default_rng(61)
+        for n in range(1, 11):
+            self.assert_same_table(wide_cut(rng, n), n)
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_cut_sums_like_either_builtin_sum(self, compensated, monkeypatch):
+        # Both rules of sum(), whichever Python runs the suite.
+        add = compensated_sum if compensated else plain_sum
+        monkeypatch.setattr(objectives, "_COMPENSATED_SUM", compensated)
+        rng = np.random.default_rng(67)
+        differ = 0
+        for n in range(2, 10):
+            obj = wide_cut(rng, n)
+            terms = [cut_terms(obj, mask) for mask in range(1 << n)]
+            assert obj.value_table(n).tobytes() == np.array([add(t) for t in terms]).tobytes()
+            differ += sum(plain_sum(t) != compensated_sum(t) for t in terms)
+        assert differ > 0  # the two rules round apart on these weights
+
+    def test_builtin_sum_rule(self):
+        xs = [1e16, 1.0, -1e16, 3.0]
+        assert (plain_sum(xs), compensated_sum(xs)) == (3.0, 4.0)
+        assert sum(xs) == (compensated_sum(xs) if sys.version_info >= (3, 12) else plain_sum(xs))
+
+    def test_modular_keeps_the_default_loop(self):
+        assert "value_table" not in vars(ModularObjective)
+
+    @pytest.mark.parametrize("make", [
+        lambda M: DppLogDetObjective(M, jitter=0.0),
+        lambda M: EntropyObjective(M),
+    ])
+    @pytest.mark.parametrize("bad", [(3,), (1, 2)])
+    def test_not_positive_definite_raises_the_same_error(self, make, bad):
+        # Singletons fine and the pair {1, 2} indefinite, or a negative
+        # diagonal entry at 3: the first failing subset in mask order is named.
+        M = np.eye(5)
+        if bad == (3,):
+            M[3, 3] = -1.0
+        else:
+            M[1, 2] = M[2, 1] = 2.0
+        outcomes = []
+        for table in (reference_value_table, lambda o, n: o.value_table(n)):
+            obj = make(M)
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                table(obj, 5)
+            outcomes.append((str(exc.value), obj.eval_count))
+        assert outcomes[0] == outcomes[1]
+        assert repr(list(bad)) in outcomes[0][0]

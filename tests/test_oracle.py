@@ -17,8 +17,17 @@ from knapgreedy import (
     guarantee_bound,
     lambda_greedy,
 )
+from knapgreedy.core import FEAS_TOL
 
-from conftest import FAMILIES, random_objective, reference_curvature, worked_example_instance
+from conftest import (
+    FAMILIES,
+    random_instance,
+    random_objective,
+    reference_curvature,
+    reference_opt,
+    twin_instance,
+    worked_example_instance,
+)
 
 
 class CoverageLikeObjective(Objective):
@@ -107,6 +116,18 @@ class TestBruteForceOpt:
         )
         assert brute_force_opt(inst) == (2.0, (0,))
 
+    def test_matches_reference_loop(self):
+        # value bits and set, ties and budgets on the FEAS_TOL boundary
+        rng = np.random.default_rng(71)
+        ties = boundary = 0
+        for inst in opt_instances(rng):
+            want = reference_opt(inst)
+            assert same_opt(brute_force_opt(inst), want)
+            ties += np.count_nonzero(inst.objective.clone().value_table(inst.ground.n) == want[0]) > 1
+            cost = inst.constraints.set_cost(want[1])
+            boundary += bool(np.any(cost == inst.constraints.weights))
+        assert ties >= 10 and boundary >= 5
+
     def test_size_cap(self):
         n = 25
         inst = Instance(
@@ -116,6 +137,34 @@ class TestBruteForceOpt:
         )
         with pytest.raises(OracleCapError, match="too large"):
             brute_force_opt(inst)
+
+
+def opt_instances(rng):
+    """Random instances for the OPT differential, n up to 14: plain ones,
+    twins (exact ties), integer modular values (ties among sets), and
+    budgets set to the cost of some subset, with and without FEAS_TOL taken
+    off, so that sets sit on the feasibility boundary."""
+    for trial in range(48):
+        family = FAMILIES[trial % 4]
+        n = 14 if trial in (3, 13) else int(rng.integers(1, 13))
+        k = int(rng.integers(1, 4))
+        kind = trial // 4 % 4
+        if kind == 0:
+            yield random_instance(rng, n, k, family)
+        elif kind == 1:
+            yield twin_instance(rng, family, max(1, n // 2))
+        else:
+            inst = random_instance(rng, n, k, family)
+            if kind == 2 and family == "modular":
+                inst.objective = ModularObjective(rng.integers(0, 3, n).astype(float))
+            S = [e for e in range(n) if rng.random() < 0.4]
+            w = inst.constraints.set_cost(S) - (FEAS_TOL if trial % 2 else 0.0)
+            inst.constraints = inst.constraints.with_weights(np.maximum(w, 0.0))
+            yield inst
+
+
+def same_opt(got, want):
+    return got[0].hex() == want[0].hex() and got[1] == want[1]
 
 
 class TestBruteForceCurvature:
@@ -240,6 +289,42 @@ class TestCheckGuarantee:
         report = check_guarantee(inst, 1.0, 0.0)
         assert report.passed
         assert report.ratio is None
+
+    def test_opt_matches_reference_loop(self):
+        rng = np.random.default_rng(73)
+        for inst in opt_instances(rng):
+            if inst.ground.n > 10:
+                continue
+            want = reference_opt(inst)
+            try:
+                report = check_guarantee(inst, 1.0, 0.0)
+            except CurvatureDegenerateError:
+                continue
+            assert same_opt((report.opt_value, report.opt_set), want)
+
+    def test_leaves_the_callers_objective_alone(self):
+        rng = np.random.default_rng(79)
+        for family in FAMILIES:
+            inst = random_instance(rng, 8, 2, family)
+            obj = inst.objective
+            obj.follow([3, 0, 5])
+            obj.value([3, 0, 5, 1])
+            state, count = obj._prefix, obj.eval_count
+            check_guarantee(inst, 1.0, 1.0)
+            assert obj.eval_count == count
+            assert obj._prefix is state and state.order == [3, 0, 5]
+
+    def test_one_table_on_one_clone(self, monkeypatch):
+        clones = []
+        clone = Objective.clone
+
+        def logged_clone(obj):
+            clones.append(clone(obj))
+            return clones[-1]
+
+        monkeypatch.setattr(Objective, "clone", logged_clone)
+        check_guarantee(worked_example_instance(), 1.0, 3.0)
+        assert [c.eval_count for c in clones] == [31]
 
     def test_low_claimed_value_fails(self, worked_example):
         report = check_guarantee(worked_example, 1.0, 0.01)

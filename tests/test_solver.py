@@ -197,6 +197,14 @@ class TestSplit:
         assert split_by_threshold(cons, 1.0).expensive == (0,)
         assert split_by_threshold(cons, 2.0).cheap == (0,)
 
+    def test_unfit_element_is_never_cheap(self):
+        # lam = k = 3: 3 * 0.1 / 3 rounds one ulp above 0.1, and element 0
+        # costs more than the budget but no more than that threshold
+        c = 3.0 * 0.1 / 3 + FEAS_TOL
+        cons = KnapsackConstraints([[c, 0.01]] * 3, [0.1] * 3)
+        assert cons.fits().tolist() == [False, True]
+        assert split_by_threshold(cons, 3.0) == Partition((1,), ())
+
     def test_matches_per_element_loop(self):
         # the per-element loop the vectorized masks replaced, as the
         # reference; integer costs put many elements exactly on a threshold

@@ -159,7 +159,6 @@ def check_guarantee(inst, lam, alg_value):
     of the objective, so the caller's count and prefix are left alone. A
     zero optimum passes vacuously (ratio None)."""
     n = inst.ground.n
-    _check_cap(n, OPT_CAP)
     _check_cap(n, CURVATURE_CAP)
     table = inst.objective.clone().value_table(n)
     opt_val, opt_set = _opt(inst.constraints, table, n)

@@ -347,9 +347,6 @@ class TestValueTable:
         assert (plain_sum(xs), compensated_sum(xs)) == (3.0, 4.0)
         assert sum(xs) == (compensated_sum(xs) if sys.version_info >= (3, 12) else plain_sum(xs))
 
-    def test_modular_keeps_the_default_loop(self):
-        assert "value_table" not in vars(ModularObjective)
-
     @pytest.mark.parametrize("make", [
         lambda M: DppLogDetObjective(M, jitter=0.0),
         lambda M: EntropyObjective(M),

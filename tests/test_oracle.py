@@ -89,6 +89,34 @@ def random_table(rng, n, trial):
     return table
 
 
+def opt_instances(rng):
+    """Random instances for the OPT differential, n up to 14: plain ones,
+    twins (exact ties), integer modular values (ties among sets), and
+    budgets set to the cost of some subset, with and without FEAS_TOL taken
+    off, so that sets sit on the feasibility boundary."""
+    for trial in range(48):
+        family = FAMILIES[trial % 4]
+        n = 14 if trial in (3, 13) else int(rng.integers(1, 13))
+        k = int(rng.integers(1, 4))
+        kind = trial // 4 % 4
+        if kind == 0:
+            yield random_instance(rng, n, k, family)
+        elif kind == 1:
+            yield twin_instance(rng, family, max(1, n // 2))
+        else:
+            inst = random_instance(rng, n, k, family)
+            if kind == 2 and family == "modular":
+                inst.objective = ModularObjective(rng.integers(0, 3, n).astype(float))
+            S = [e for e in range(n) if rng.random() < 0.4]
+            w = inst.constraints.set_cost(S) - (FEAS_TOL if trial % 2 else 0.0)
+            inst.constraints = inst.constraints.with_weights(np.maximum(w, 0.0))
+            yield inst
+
+
+def same_opt(got, want):
+    return got[0].hex() == want[0].hex() and got[1] == want[1]
+
+
 class TestBruteForceOpt:
     def test_worked_example_tight_budget(self, worked_example):
         val, S = brute_force_opt(worked_example)
@@ -137,34 +165,6 @@ class TestBruteForceOpt:
         )
         with pytest.raises(OracleCapError, match="too large"):
             brute_force_opt(inst)
-
-
-def opt_instances(rng):
-    """Random instances for the OPT differential, n up to 14: plain ones,
-    twins (exact ties), integer modular values (ties among sets), and
-    budgets set to the cost of some subset, with and without FEAS_TOL taken
-    off, so that sets sit on the feasibility boundary."""
-    for trial in range(48):
-        family = FAMILIES[trial % 4]
-        n = 14 if trial in (3, 13) else int(rng.integers(1, 13))
-        k = int(rng.integers(1, 4))
-        kind = trial // 4 % 4
-        if kind == 0:
-            yield random_instance(rng, n, k, family)
-        elif kind == 1:
-            yield twin_instance(rng, family, max(1, n // 2))
-        else:
-            inst = random_instance(rng, n, k, family)
-            if kind == 2 and family == "modular":
-                inst.objective = ModularObjective(rng.integers(0, 3, n).astype(float))
-            S = [e for e in range(n) if rng.random() < 0.4]
-            w = inst.constraints.set_cost(S) - (FEAS_TOL if trial % 2 else 0.0)
-            inst.constraints = inst.constraints.with_weights(np.maximum(w, 0.0))
-            yield inst
-
-
-def same_opt(got, want):
-    return got[0].hex() == want[0].hex() and got[1] == want[1]
 
 
 class TestBruteForceCurvature:
@@ -292,6 +292,7 @@ class TestCheckGuarantee:
 
     def test_opt_matches_reference_loop(self):
         rng = np.random.default_rng(73)
+        checked = 0
         for inst in opt_instances(rng):
             if inst.ground.n > 10:
                 continue
@@ -301,6 +302,8 @@ class TestCheckGuarantee:
             except CurvatureDegenerateError:
                 continue
             assert same_opt((report.opt_value, report.opt_set), want)
+            checked += 1
+        assert checked >= 30
 
     def test_leaves_the_callers_objective_alone(self):
         rng = np.random.default_rng(79)

@@ -171,7 +171,9 @@ class Objective:
     eval_count by exactly one; f(empty) must be 0. Families that return a
     PrefixState from _prefix_state() answer f(P + [e]) for the prefix P
     named by follow() from that state instead of calling _value. A set
-    evaluated in a batch by value_table() is one call too.
+    evaluated in a batch by value_table() is one call too. The built-in
+    families implement _values(rows) instead, one arithmetic for a single
+    set and for a batch (objectives._BatchedObjective).
     """
 
     _prefix = None  # PrefixState while following a prefix
@@ -195,7 +197,8 @@ class Objective:
         """f on every subset of range(n), indexed by bitmask. f(empty) = 0 is
         not a call; every other subset is one oracle call, counted in
         eval_count. This default calls value(S) once per mask in mask order;
-        families that can evaluate many subsets at once override it."""
+        the built-in families evaluate one chunk of same-size subsets at a
+        time instead."""
         table = np.zeros(1 << n)
         for mask in range(1, 1 << n):
             table[mask] = self.value([e for e in range(n) if mask >> e & 1])

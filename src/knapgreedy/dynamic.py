@@ -53,7 +53,9 @@ class DynamicGreedy:
         self.lam = float(lam)
         self.obj = inst.objective
         self.sigma = Solution(order=[], cost_acc=np.zeros(inst.constraints.k), value=0.0)
-        self.value_stack = []  # f(prefix) after each append, for rollback
+        # (f, cost vector) of the prefix at each depth, the empty one first:
+        # a rollback truncates it and restores both exactly.
+        self.stack = [(0.0, self.sigma.cost_acc)]
         # An element that does not fit the current budgets is in no cheap
         # set and no complement. Its singleton value is evaluated the first
         # time it fits (n calls at most over a run) and kept, so later
@@ -82,10 +84,10 @@ class DynamicGreedy:
         return "greedy" if self.pool else "finished"
 
     def step(self):
-        """One greedy_step on the current prefix; an appended element's
-        prefix value is pushed for rollback."""
+        """One greedy_step on the current prefix; the prefix an append makes
+        is pushed for rollback."""
         if self.pool and greedy_step(self.obj, self.cons, self.sigma, self.pool):
-            self.value_stack.append(self.sigma.value)
+            self.stack.append((self.sigma.value, self.sigma.cost_acc))
 
     def apply_weights(self, new_weights):
         """Stack-rollback update rule for a new budget vector. A vector of
@@ -100,10 +102,9 @@ class DynamicGreedy:
         sigma = self.sigma
         both = set(self.part.cheap).intersection(new_part.cheap)
         while len(sigma.order) > chi_cap or not set(sigma.order) <= both:
-            e = sigma.order.pop()
-            sigma.cost_acc = sigma.cost_acc - old_cons.costs[:, e]
-            self.value_stack.pop()
-            sigma.value = self.value_stack[-1] if self.value_stack else 0.0
+            sigma.order.pop()
+        del self.stack[len(sigma.order) + 1:]
+        sigma.value, sigma.cost_acc = self.stack[-1]
         self._adopt(new_cons, new_part)
 
     def run_to_completion(self, call_limit=None):

@@ -4,12 +4,17 @@ Four families: modular sums, directed-graph cuts, log-determinants of PSD
 kernels (DPP-style diversity), and Gaussian differential entropy of a
 covariance submatrix. Also the quality/diversity kernel builder and the
 encoding of per-group cardinality budgets as 0/1-cost knapsacks.
+
+Each family's arithmetic exists once, as _values(rows): f on every row of
+a (G, s) array of ascending elements, with bits that do not depend on G.
+A set alone is a batch of one, and value_table runs one batch per chunk
+of same-size subsets, so both agree bit for bit on every Python version.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 
 import numpy as np
 
@@ -17,9 +22,6 @@ from .core import InvalidInstanceError, KnapsackConstraints, Objective, PrefixSt
 
 SYMMETRY_TOL = 1e-9
 ENTROPY_PER_ELEMENT = 0.5 * (1.0 + math.log(2.0 * math.pi))
-# From Python 3.12 on, the built-in sum() of floats carries a Neumaier
-# compensation term, so a batched sum must do the same to match it.
-_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -45,38 +47,6 @@ def _logdet_principals(M, rows, jitter=0.0):
         sub = sub + jitter * np.eye(rows.shape[1])
     L = np.linalg.cholesky(sub)
     return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=-1)
-
-
-def _logdet_principal(M, S, jitter=0.0):
-    """log det of the principal submatrix of M indexed by S, via Cholesky.
-
-    Indices are sorted before extraction, so the result does not depend on
-    the iteration order of S.
-    """
-    idx = sorted(S)
-    if not idx:
-        return 0.0
-    try:
-        return float(_logdet_principals(M, np.array([idx]), jitter)[0])
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "principal submatrix %r is not positive definite" % (idx,)
-        )
-
-
-def _table_by_size(obj, n, values):
-    """obj.value_table(n) from values(rows), f on each row of a (G, s) array
-    of ascending elements, one chunk of same-size subsets at a time. On a
-    LinAlgError the default one-by-one loop runs instead, so _value raises
-    NotPositiveDefiniteError at the first such subset in mask order."""
-    table = np.zeros(1 << n)
-    try:
-        for rows, masks in subsets_by_size(n):
-            table[masks] = values(rows)
-    except np.linalg.LinAlgError:
-        return Objective.value_table(obj, n)
-    obj.eval_count += (1 << n) - 1
-    return table
 
 
 def _with_room(buf, index):
@@ -162,23 +132,65 @@ class _EntropyPrefix(_CholeskyPrefix):
         return None if logdet is None else ENTROPY_PER_ELEMENT * (d + 1) + 0.5 * logdet
 
 
-class ModularObjective(Objective):
-    """f(S) = sum of fixed singleton values."""
+class _BatchedObjective(Objective):
+    """A family that implements _values(rows), f on each row of a (G, s)
+    array of ascending elements, and gets _value and value_table from it."""
+
+    def _values(self, rows):
+        raise NotImplementedError
+
+    def _value(self, S):
+        if not S:
+            return 0.0
+        idx = sorted(S)
+        try:
+            return float(self._values(np.array([idx]))[0])
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError(
+                "principal submatrix %r is not positive definite" % (idx,)
+            )
+
+    def value_table(self, n):
+        """One _values batch per chunk of same-size subsets. On a LinAlgError
+        the default one-by-one loop runs instead, so _value raises
+        NotPositiveDefiniteError at the first such subset in mask order."""
+        table = np.zeros(1 << n)
+        try:
+            for rows, masks in subsets_by_size(n):
+                table[masks] = self._values(rows)
+        except np.linalg.LinAlgError:
+            return Objective.value_table(self, n)
+        self.eval_count += (1 << n) - 1
+        return table
+
+
+def _sum_in_order(terms):
+    """Column sums of an (m, G) array, each added top to bottom (np.sum adds
+    pairwise, so its rounding would depend on the shape)."""
+    if not terms.shape[0]:
+        return np.zeros(terms.shape[1])
+    return np.add.accumulate(terms)[-1]
+
+
+class ModularObjective(_BatchedObjective):
+    """f(S) = sum of fixed singleton values, added in ascending element
+    order."""
 
     def __init__(self, singleton_values):
         super().__init__()
         self.singleton_values = np.asarray(singleton_values, dtype=float)
 
-    def _value(self, S):
-        return float(sum(self.singleton_values[e] for e in S))
+    def _values(self, rows):
+        return _sum_in_order(self.singleton_values[rows.T])
 
     def _prefix_state(self):
         return _SumPrefix(self.singleton_values)
 
 
-class DirectedCutObjective(Objective):
-    """Weight of arcs leaving S. Non-monotone submodular. Its curvature is
-    not bounded by a constant; see "Known limitation" in the README."""
+class DirectedCutObjective(_BatchedObjective):
+    """Weight of arcs leaving S, added in arc order. Non-monotone
+    submodular. Its curvature is not bounded by a constant; see "Known
+    limitation" in the README."""
 
     def __init__(self, n, arcs):
         super().__init__()
@@ -190,38 +202,31 @@ class DirectedCutObjective(Objective):
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInstanceError("arc (%d, %d) out of range for n=%d" % (u, v, n))
 
-    def _value(self, S):
-        return float(sum(w for u, v, w in self.arcs if u in S and v not in S))
+    @functools.cached_property
+    def _arc_arrays(self):
+        """Tails, heads and weights of the arcs as arrays, built on first use
+        so that construction costs no more than the validation above."""
+        arcs = np.array(self.arcs, dtype=float).reshape(-1, 3)
+        return arcs[:, 0].astype(np.intp), arcs[:, 1].astype(np.intp), arcs[:, 2]
 
-    def value_table(self, n):
-        """_value on every mask at once: each arc adds its weight, in arc
-        order, where u is in the mask and v is not, as _value's sum() does."""
-        masks = np.arange(1 << n)
-        f, comp = np.zeros(1 << n), np.zeros(1 << n)
-        with np.errstate(invalid="ignore"):
-            for u, v, w in self.arcs:
-                x = np.where((masks >> u & 1) > (masks >> v & 1), w, 0.0)
-                t = f + x
-                if _COMPENSATED_SUM:
-                    comp += np.where(np.abs(f) >= np.abs(x), (f - t) + x, (x - t) + f)
-                f = t
-            if _COMPENSATED_SUM:
-                f = np.where((comp != 0) & np.isfinite(comp), f + comp, f)
-        self.eval_count += (1 << n) - 1
-        return f
+    def _values(self, rows):
+        u, v, w = self._arc_arrays
+        inside = np.zeros((self.n, rows.shape[0]), dtype=bool)
+        inside[rows, np.arange(rows.shape[0])[:, None]] = True
+        return _sum_in_order(np.where(inside[u] & ~inside[v], w[:, None], 0.0))
 
     def _prefix_state(self):
-        # W[u, v]: weight of the arcs u -> v; a self-loop never leaves S.
-        # The gain of x is its out-weight to V - P minus its in-weight from
-        # P, so pushing x lowers every gain by (W + W^T)[x].
+        # W[u, v]: weight of the arcs u -> v, added in arc order; a self-loop
+        # never leaves S. The gain of x is its out-weight to V - P minus its
+        # in-weight from P, so pushing x lowers every gain by (W + W^T)[x].
+        u, v, w = self._arc_arrays
         W = np.zeros((self.n, self.n))
-        for u, v, w in self.arcs:
-            if u != v:
-                W[u, v] += w
+        loop = u == v
+        np.add.at(W, (u[~loop], v[~loop]), w[~loop])
         return _SumPrefix(W.sum(axis=1), drop=W + W.T)
 
 
-class DppLogDetObjective(Objective):
+class DppLogDetObjective(_BatchedObjective):
     """f(S) = log det(L_S + jitter*I) for a symmetric PSD kernel L.
 
     f(empty) = 0 by convention; the normalization constant det(L + I) of the
@@ -233,17 +238,14 @@ class DppLogDetObjective(Objective):
         self.L = _check_symmetric(L, "L")
         self.jitter = float(jitter)
 
-    def _value(self, S):
-        return _logdet_principal(self.L, S, jitter=self.jitter)
-
-    def value_table(self, n):
-        return _table_by_size(self, n, lambda rows: _logdet_principals(self.L, rows, self.jitter))
+    def _values(self, rows):
+        return _logdet_principals(self.L, rows, self.jitter)
 
     def _prefix_state(self):
         return _CholeskyPrefix(self.L, self.jitter)
 
 
-class EntropyObjective(Objective):
+class EntropyObjective(_BatchedObjective):
     """Differential entropy of the Gaussian restricted to the chosen sensors:
     f(S) = (1 + ln(2 pi)) / 2 * |S| + ln det(Sigma_S) / 2."""
 
@@ -251,14 +253,8 @@ class EntropyObjective(Objective):
         super().__init__()
         self.Sigma = _check_symmetric(Sigma, "Sigma")
 
-    def _value(self, S):
-        if not S:
-            return 0.0
-        return ENTROPY_PER_ELEMENT * len(S) + 0.5 * _logdet_principal(self.Sigma, S)
-
-    def value_table(self, n):
-        return _table_by_size(self, n, lambda rows: (
-            ENTROPY_PER_ELEMENT * rows.shape[1] + 0.5 * _logdet_principals(self.Sigma, rows)))
+    def _values(self, rows):
+        return ENTROPY_PER_ELEMENT * rows.shape[1] + 0.5 * _logdet_principals(self.Sigma, rows)
 
     def _prefix_state(self):
         return _EntropyPrefix(self.Sigma)

@@ -12,6 +12,7 @@ from conftest import reference_curvature, reference_opt
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "worked_example.json")
 DPP_FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "dpp_small.json")
+CUT_FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "cut_small.json")
 
 
 def write_instance(tmp_path, doc, name="inst.json"):
@@ -79,6 +80,20 @@ class TestSolve:
             },
         )
         assert main(["solve", "--instance", path, "--lambda", "1.0"]) == 3
+
+
+@pytest.mark.parametrize("objective, size", [
+    ({"kind": "modular", "values": [0.25, 0.25, 1.0]}, 3),
+    ({"kind": "dpp", "L": np.eye(4).tolist()}, 4),
+    ({"kind": "entropy", "Sigma": np.eye(6).tolist()}, 6),
+], ids=["modular", "dpp", "entropy"])
+def test_objective_of_another_size_exit_2(tmp_path, capsys, objective, size):
+    doc = json.loads(open(FIXTURE).read())  # n = 5
+    doc["objective"] = objective
+    path = write_instance(tmp_path, doc)
+    for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"], ["curvature"]):
+        assert main([cmd[0], "--instance", path] + cmd[1:]) == 2
+        assert "size %d but n=5" % size in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -153,6 +168,16 @@ class TestOracle:
         assert (doc["opt_value"], doc["opt_set"], doc["alpha"]) == (opt_value, list(opt_set), alpha)
         assert main(["curvature", "--instance", DPP_FIXTURE]) == 0
         assert json.loads(capsys.readouterr().out) == {"alpha": alpha}
+
+    def test_cut_fixture_pinned(self, capsys):
+        # Arc weights over 16 decades, so the sums round: the same bits on
+        # every Python, where sum() with compensation would round apart.
+        assert main(["oracle", "--instance", CUT_FIXTURE, "--lambda", "1.0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["opt_value"], doc["opt_set"]) == (2771203.141363738, [2, 3, 4])
+        assert doc["alpha"] == 107927.3423742026
+        assert main(["curvature", "--instance", CUT_FIXTURE]) == 0
+        assert json.loads(capsys.readouterr().out) == {"alpha": 107927.3423742026}
 
     def test_too_large_exit_2(self, tmp_path, capsys):
         n = 25

@@ -167,6 +167,22 @@ class TestApplyWeights:
             fresh = eng.cons.set_cost(eng.sigma.order)
             assert np.allclose(eng.sigma.cost_acc, fresh, atol=1e-9)
 
+    def test_rollback_restores_the_prefix_cost_exactly(self):
+        # (0.1 + 0.2) - 0.2 is not 0.1: popping must restore, not subtract
+        inst = Instance(
+            GroundSet(2),
+            KnapsackConstraints([[0.1, 0.2]], [1.0]),
+            ModularObjective([2.0, 1.0]),
+        )
+        eng = DynamicGreedy(inst, 1.0)
+        eng.step()
+        eng.step()
+        assert eng.sigma.order == [0, 1]
+        eng.apply_weights([0.25])  # chi 1: one pop
+        assert eng.sigma.order == [0]
+        assert eng.sigma.cost_acc.tolist() == [0.1]
+        assert eng.sigma.value == 2.0
+
     @pytest.mark.parametrize("bad", [[float("nan")], [float("inf")], [-1.0]])
     def test_rejects_non_finite_or_negative_weights(self, worked_example, bad):
         eng = DynamicGreedy(worked_example, 1.0)

@@ -1,10 +1,7 @@
 import math
-import sys
 
 import numpy as np
 import pytest
-
-import knapgreedy.objectives as objectives
 
 from knapgreedy import (
     DirectedCutObjective,
@@ -262,24 +259,8 @@ class TestEvalCounting:
         assert obj.eval_count == 1
 
 
-def compensated_sum(xs):
-    """CPython's sum() over floats from 3.12 on, transcribed: Neumaier's
-    compensation term, added at the end when it is finite and nonzero."""
-    total, comp = 0.0, 0.0
-    for x in xs:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    if comp and math.isfinite(comp):
-        total += comp
-    return total
-
-
 def plain_sum(xs):
-    """sum() over floats before Python 3.12: left to right."""
+    """Left to right, one rounding per term."""
     total = 0.0
     for x in xs:
         total += x
@@ -296,6 +277,11 @@ def wide_cut(rng, n):
     arcs = [(u, v, float(rng.uniform(0.5, 1.0) * 10.0 ** rng.integers(-8, 8)))
             for u in range(n) for v in range(n) if u != v and rng.random() < 0.6]
     return DirectedCutObjective(n, arcs)
+
+
+def wide_values(rng, n):
+    """Modular values spanning 16 decades, so that sums round."""
+    return rng.uniform(0.5, 1.0, n) * 10.0 ** rng.integers(-8, 8, n)
 
 
 class TestValueTable:
@@ -328,24 +314,23 @@ class TestValueTable:
         for n in range(1, 11):
             self.assert_same_table(wide_cut(rng, n), n)
 
-    @pytest.mark.parametrize("compensated", [False, True])
-    def test_cut_sums_like_either_builtin_sum(self, compensated, monkeypatch):
-        # Both rules of sum(), whichever Python runs the suite.
-        add = compensated_sum if compensated else plain_sum
-        monkeypatch.setattr(objectives, "_COMPENSATED_SUM", compensated)
+    def test_sums_left_to_right(self):
+        # One summation rule on every Python: the cut adds its arcs in arc
+        # order, modular its values in ascending element order.
         rng = np.random.default_rng(67)
-        differ = 0
+        reordered = {"cut": 0, "modular": 0}
         for n in range(2, 10):
-            obj = wide_cut(rng, n)
-            terms = [cut_terms(obj, mask) for mask in range(1 << n)]
-            assert obj.value_table(n).tobytes() == np.array([add(t) for t in terms]).tobytes()
-            differ += sum(plain_sum(t) != compensated_sum(t) for t in terms)
-        assert differ > 0  # the two rules round apart on these weights
-
-    def test_builtin_sum_rule(self):
-        xs = [1e16, 1.0, -1e16, 3.0]
-        assert (plain_sum(xs), compensated_sum(xs)) == (3.0, 4.0)
-        assert sum(xs) == (compensated_sum(xs) if sys.version_info >= (3, 12) else plain_sum(xs))
+            cut = wide_cut(rng, n)
+            modular = ModularObjective(wide_values(rng, n))
+            for family, obj, terms in (
+                ("cut", cut, lambda mask: cut_terms(cut, mask)),
+                ("modular", modular, lambda mask: [
+                    modular.singleton_values[e] for e in range(n) if mask >> e & 1]),
+            ):
+                sums = [terms(mask) for mask in range(1 << n)]
+                assert obj.value_table(n).tobytes() == np.array([plain_sum(t) for t in sums]).tobytes()
+                reordered[family] += sum(plain_sum(t) != plain_sum(t[::-1]) for t in sums)
+        assert min(reordered.values()) > 0  # another order rounds apart on these values
 
     @pytest.mark.parametrize("make", [
         lambda M: DppLogDetObjective(M, jitter=0.0),

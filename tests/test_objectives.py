@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import knapgreedy.core as core
+import knapgreedy.objectives as objectives
+
 from knapgreedy import (
     DirectedCutObjective,
     DppLogDetObjective,
@@ -259,8 +262,24 @@ class TestEvalCounting:
         assert obj.eval_count == 1
 
 
+def compensated_sum(xs):
+    """CPython's sum() over floats from 3.12 on, transcribed: Neumaier's
+    compensation term, added at the end when it is finite and nonzero."""
+    total, comp = 0.0, 0.0
+    for x in xs:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
 def plain_sum(xs):
-    """Left to right, one rounding per term."""
+    """Left to right, one rounding per term: sum() over floats before 3.12."""
     total = 0.0
     for x in xs:
         total += x
@@ -313,6 +332,22 @@ class TestValueTable:
         rng = np.random.default_rng(61)
         for n in range(1, 11):
             self.assert_same_table(wide_cut(rng, n), n)
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_cut_sums_like_either_builtin_sum(self, compensated, monkeypatch):
+        # Either rule of sum(), as if each Python ran the suite: the cut
+        # table is the left-to-right sum in arc order under both.
+        add = compensated_sum if compensated else plain_sum
+        for module in (core, objectives):
+            monkeypatch.setattr(module, "sum", add, raising=False)
+        rng = np.random.default_rng(67)
+        differ = 0
+        for n in range(2, 10):
+            obj = wide_cut(rng, n)
+            terms = [cut_terms(obj, mask) for mask in range(1 << n)]
+            assert obj.value_table(n).tobytes() == np.array([plain_sum(t) for t in terms]).tobytes()
+            differ += sum(plain_sum(t) != compensated_sum(t) for t in terms)
+        assert differ > 0  # the two rules round apart on these weights
 
     def test_sums_left_to_right(self):
         # One summation rule on every Python: the cut adds its arcs in arc

@@ -13,7 +13,9 @@ ones, so slow drift of the machine's speed falls on both sides. The output holds
 run's end-to-end metrics, per metric the median and quartiles of each side,
 the ratio of the medians and the number of pairs the change won (by the
 ``better`` direction in BENCHMARK.json), the environment the benchmark
-reported, and both full revisions.
+reported, and both full revisions. Each run's ``correct`` flag is recorded
+too; when any run was not correct the script still writes the file but exits
+1, so that its numbers are not taken for a valid pair.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ def main(argv=None):
 
     doc = {"revs": revs, "seed": SEED, "pairs": PAIRS, "started": time.time(), "env": None,
            "workloads": {}}
+    incorrect = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: os.path.join(tmp, side) for side in revs}
         for side, tree in trees.items():
@@ -107,9 +110,9 @@ def main(argv=None):
                     res, env = run(trees[side], workload)
                     doc["env"] = doc["env"] or env
                     if not res["correct"]:
-                        print("bench_pairs: %s %s run %d is not correct" % (side, workload, i),
-                              file=sys.stderr)
+                        incorrect.append("%s %s run %d" % (side, workload, i))
                     pair[side] = {m: v["value"] for m, v in res["metrics"].items()}
+                    pair[side + "_correct"] = res["correct"]
                     pair[side + "_failed"] = res["failed"]
                 runs.append(pair)
                 print("%s pair %d/%d: ops_per_s %.4g -> %.4g" % (
@@ -120,7 +123,9 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return 0
+    for run_name in incorrect:
+        print("bench_pairs: %s is not correct" % run_name, file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,11 +109,11 @@ def subsets_by_size(n):
     size: rows is a (G, s) array of ascending elements, one subset per row,
     and masks their bitmasks. Memory stays at one chunk, never 2^n x n."""
     for s in range(1, n + 1):
-        combos = itertools.combinations(range(n), s)
-        while True:
-            rows = np.array(list(itertools.islice(combos, SUBSET_CHUNK)), dtype=np.intp)
-            if not rows.size:
-                break
+        combos, total = itertools.combinations(range(n), s), math.comb(n, s)
+        for start in range(0, total, SUBSET_CHUNK):
+            g = min(SUBSET_CHUNK, total - start)
+            flat = itertools.chain.from_iterable(itertools.islice(combos, g))
+            rows = np.fromiter(flat, dtype=np.intp, count=g * s).reshape(g, s)
             yield rows, (1 << rows).sum(axis=1)
 
 
@@ -246,12 +247,20 @@ class Solution:
     """Ordered selection with cached per-knapsack costs and cached f-value.
 
     Insertion order matters: the dynamic engine pops elements strictly in
-    reverse insertion order.
+    reverse insertion order. history[i], pushed by every append, is the
+    (value, cost_acc) of order[:i], which truncate() restores exactly.
     """
 
     order: list = field(default_factory=list)
     cost_acc: np.ndarray = None
     value: float = 0.0
+    history: list = field(default_factory=list)
+
+    def truncate(self, depth):
+        """Roll back to order[:depth] with its value and cost vector."""
+        if depth < len(self.order):
+            self.value, self.cost_acc = self.history[depth]
+            del self.order[depth:], self.history[depth:]
 
 
 def check_weights(weights):

@@ -20,11 +20,13 @@ import numpy as np
 
 from .core import EmptyAfterReductionError, Solution, check_weights, validate
 from .solver import (
+    Partition,
     best_of,
     best_singleton,
     check_lambda,
     chi,
     complement_search,
+    greedy_phase,
     greedy_step,
     split_by_threshold,
 )
@@ -53,9 +55,6 @@ class DynamicGreedy:
         self.lam = float(lam)
         self.obj = inst.objective
         self.sigma = Solution(order=[], cost_acc=np.zeros(inst.constraints.k), value=0.0)
-        # (f, cost vector) of the prefix at each depth, the empty one first:
-        # a rollback truncates it and restores both exactly.
-        self.stack = [(0.0, self.sigma.cost_acc)]
         # An element that does not fit the current budgets is in no cheap
         # set and no complement. Its singleton value is evaluated the first
         # time it fits (n calls at most over a run) and kept, so later
@@ -84,10 +83,9 @@ class DynamicGreedy:
         return "greedy" if self.pool else "finished"
 
     def step(self):
-        """One greedy_step on the current prefix; the prefix an append makes
-        is pushed for rollback."""
-        if self.pool and greedy_step(self.obj, self.cons, self.sigma, self.pool):
-            self.stack.append((self.sigma.value, self.sigma.cost_acc))
+        """One greedy_step on the current prefix."""
+        if self.pool:
+            greedy_step(self.obj, self.cons, self.sigma, self.pool)
 
     def apply_weights(self, new_weights):
         """Stack-rollback update rule for a new budget vector. A vector of
@@ -99,20 +97,27 @@ class DynamicGreedy:
         new_part = split_by_threshold(new_cons, self.lam)
         chi_cap = min(chi(old_cons), chi(new_cons))
 
-        sigma = self.sigma
+        # the longest prefix of at most chi_cap elements, all in both cheap sets
         both = set(self.part.cheap).intersection(new_part.cheap)
-        while len(sigma.order) > chi_cap or not set(sigma.order) <= both:
-            sigma.order.pop()
-        del self.stack[len(sigma.order) + 1:]
-        sigma.value, sigma.cost_acc = self.stack[-1]
+        order = self.sigma.order
+        depth = next((i for i, e in enumerate(order) if e not in both), len(order))
+        self.sigma.truncate(min(depth, chi_cap))
         self._adopt(new_cons, new_part)
 
     def run_to_completion(self, call_limit=None):
-        """Step until the pool is empty or the objective's eval_count
-        reaches call_limit, an absolute count (obj.eval_count + b budgets b
-        more calls). The limit is checked between steps, so the last step
-        may run past it by one scan of the pool."""
-        while self.pool and (call_limit is None or self.obj.eval_count < call_limit):
+        """Extend the prefix until the pool is empty. With call_limit, an
+        absolute count (obj.eval_count + b budgets b more calls), step
+        eagerly until eval_count reaches it; the limit is checked between
+        steps, so the last step may run past it by one scan of the pool.
+        Without one, run the lazy greedy_phase from the current prefix,
+        seeded by the cached singleton values, which bound the gains at any
+        depth by submodularity: it reaches the prefix eager steps reach."""
+        if call_limit is None:
+            part = Partition(cheap=tuple(self.pool), expensive=())
+            greedy_phase(self.obj, self.cons, part, self.singleton_values, self.sigma)
+            self.pool.clear()
+            return
+        while self.pool and self.obj.eval_count < call_limit:
             self.step()
 
     def current_best(self):
@@ -121,10 +126,11 @@ class DynamicGreedy:
         return max(self.sigma.value, self.vstar_value)
 
     def finalize(self):
-        """Exhaust the pool, search the expensive remainder under the
-        current weights, and return the overall argmax. The search is floored
-        at current_best(): best_of takes the complement set only when it
-        beats the greedy prefix and the best singleton strictly."""
+        """Exhaust the pool lazily, search the expensive remainder under the
+        current weights, and return the overall argmax (with no update, the
+        static solve). The search is floored at current_best(): best_of
+        takes the complement set only when it beats the greedy prefix and
+        the best singleton strictly."""
         self.run_to_completion()
         comp_set, comp_val = complement_search(self.obj, self.cons, self.part, self.current_best())
         calls = self.obj.eval_count - self._calls_baseline

@@ -38,6 +38,8 @@ class SimConfig:
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.n_updates < 1:
+            raise ValueError("n_updates must be at least 1")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError("noise_sigma must be finite and nonnegative")
         if self.initial_fraction is not None and not 0 < self.initial_fraction <= 1:

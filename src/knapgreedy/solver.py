@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FEAS_TOL,
-    InvalidInstanceError,
-    Solution,
-    reduce_instance,
-    validate,
-)
+from .core import FEAS_TOL, InvalidInstanceError
 
 # Searching more expensive elements than this is legal but may take time
 # exponential in their number; a warning is emitted and the run proceeds.
@@ -85,12 +79,13 @@ def split_by_threshold(cons, lam):
 
 
 def _take(cons, sigma, e, fe):
-    """Append the winner e, with f(sigma + e) = fe, when its gain is
-    nonnegative and sigma + e is feasible; a NaN gain is never appended.
-    Returns whether sigma grew."""
+    """Append the winner e, with f(sigma + e) = fe, pushing the prefix it
+    extends on sigma.history, when its gain is nonnegative and sigma + e is
+    feasible; a NaN gain is never appended. Returns whether sigma grew."""
     new_cost = sigma.cost_acc + cons.costs[:, e]
     if not (fe - sigma.value >= 0 and cons.is_feasible_cost(new_cost)):
         return False
+    sigma.history.append((sigma.value, sigma.cost_acc))
     sigma.order.append(e)
     sigma.cost_acc = new_cost
     sigma.value = fe
@@ -143,33 +138,30 @@ def _below_root(heap, limit):
     return found
 
 
-def greedy_phase(obj, cons, part, singleton_values=None):
-    """Lazy density greedy over the cheap set (Minoux 1978), with the
-    eager greedy_step's sequence.
+def greedy_phase(obj, cons, part, singleton_values, sigma):
+    """Lazy density greedy over the cheap set (Minoux 1978): extends the
+    prefix sigma in place with the eager greedy_step's sequence until no
+    candidate can be appended, and returns sigma.
 
     For submodular f, monotone or not, a marginal gain can only shrink as
     the prefix grows and max_costs is fixed, so a density computed at an
-    earlier depth bounds the current one from above. A heap holds one
-    (-density, e) entry per candidate, each stamped with the prefix depth
-    it was computed at; the top is re-evaluated until its stamp is the
-    current depth. In exact arithmetic an exact top is then the eager
-    winner. In floating point a gain may round a little above an earlier
-    bound, so every stale entry whose bound is within the rounding slack
-    of the exact top is re-evaluated too before the top is taken. Among
-    exact entries the heap order is the eager scan's: the largest density,
-    ties to the lowest index, the earliest position in the ascending cheap
-    set. An exact top that stays negative with the slack added ends the
-    phase; a NaN density sorts as -inf and is never appended.
-    singleton_values (f({e}) keyed by element, for every cheap e, from
-    best_singleton) are exact densities at depth 0, so the first pick makes
-    no call. Without them (the three-argument form) the phase evaluates the
-    cheap singletons.
+    earlier depth bounds the current one from above. singleton_values
+    (f({e}) keyed by element, for every cheap e, from best_singleton) are
+    the gains over the empty prefix, so they bound the gains over any
+    prefix. A heap holds one (-density, e) entry per candidate, each
+    stamped with the prefix depth it was computed at, 0 for the singleton
+    values; the top is re-evaluated until its stamp is the current depth.
+    In exact arithmetic an exact top is then the eager winner. In floating
+    point a gain may round a little above an earlier bound, so every stale
+    entry whose bound is within the rounding slack of the exact top is
+    re-evaluated too before the top is taken. Among exact entries the heap
+    order is the eager scan's: the largest density, ties to the lowest
+    index, the earliest position in the ascending cheap set. An exact top
+    that stays negative with the slack added ends the phase; a NaN density
+    sorts as -inf and is never appended. From the empty prefix the
+    singleton values are exact, so the first pick makes no call.
     """
-    sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
     max_costs = cons.max_costs
-    if singleton_values is None:
-        obj.follow(())
-        singleton_values = {e: obj.value({e}) for e in part.cheap}
     fvals = {e: singleton_values[e] for e in part.cheap}
     stamps = [0] * cons.n
     heap = [(_heap_key(fvals[e] / max_costs[e]), e) for e in part.cheap]  # gain over f(empty) = 0
@@ -177,7 +169,7 @@ def greedy_phase(obj, cons, part, singleton_values=None):
     # A gain's rounding error scales with the f-values it is the difference
     # of, which are at most sigma.value plus the gain itself.
     min_cost = min((max_costs[e] for e in part.cheap), default=1.0)
-    depth, followed = 0, -1
+    depth, followed = len(sigma.order), -1
     while heap:
         key, e = heap[0]
         if stamps[e] != depth:
@@ -294,21 +286,12 @@ def best_of(sigma, vstar, vstar_val, comp_set, comp_val, calls):
 
 
 def lambda_greedy(inst, lam):
-    """Full static solve on the caller's instance. An element that does not
-    fit the budgets alone is in no part of the split and is never evaluated.
-    The objective's prefix state is dropped before returning."""
-    check_lambda(lam, inst.constraints.k)
-    validate(inst)
-    fitting, _ = reduce_instance(inst)
-    obj, cons = inst.objective, inst.constraints
-    calls_before = obj.eval_count
-    try:
-        vstar, vstar_val, values = best_singleton(obj, fitting)
-        part = split_by_threshold(cons, lam)
-        sigma = greedy_phase(obj, cons, part, values)
-        # best_of takes the complement set only when it beats both strictly
-        comp_set, comp_val = complement_search(obj, cons, part, max(sigma.value, vstar_val))
-    finally:
-        obj.follow(None)
+    """Full static solve on the caller's instance, a fresh dynamic engine's
+    finalize(). An element that does not fit the budgets alone is never
+    evaluated. The objective's prefix state is dropped before returning."""
+    from .dynamic import DynamicGreedy  # dynamic imports this module
 
-    return best_of(sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count - calls_before)
+    try:
+        return DynamicGreedy(inst, lam).finalize()
+    finally:
+        inst.objective.follow(None)

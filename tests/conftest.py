@@ -223,7 +223,8 @@ def reference_curvature(obj, n):
 def eager_greedy_step(obj, cons, sigma, pool):
     """solver.greedy_step without the negative-density early end: the
     winner is removed and discarded one scan at a time, so a pool whose
-    gains are all negative takes one scan per candidate to empty."""
+    gains are all negative takes one scan per candidate to empty. An append
+    pushes the prefix it extends on sigma.history, as solver._take does."""
     obj.follow(sigma.order)
     current = frozenset(sigma.order)
     max_costs = cons.max_costs
@@ -237,6 +238,7 @@ def eager_greedy_step(obj, cons, sigma, pool):
     new_cost = sigma.cost_acc + cons.costs[:, best_e]
     if not (best_fval - sigma.value >= 0 and cons.is_feasible_cost(new_cost)):
         return False
+    sigma.history.append((sigma.value, sigma.cost_acc))
     sigma.order.append(best_e)
     sigma.cost_acc = new_cost
     sigma.value = best_fval

@@ -47,6 +47,19 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == 4.0
 
+    def test_update_before_the_first_step_then_lazy_finish(self, tmp_path, capsys):
+        # the update lands after the 5-call singleton scan and leaves 0, 1
+        # and 4 cheap; the lazy finish takes 4 for free, and 0 and 1 (one
+        # call each) no longer fit. Stepping eagerly takes 3 + 2 + 1 calls
+        stream = tmp_path / "updates.json"
+        stream.write_text(json.dumps([{"at_call": 2, "weights": [1.0]}]))
+        code = main(
+            ["solve", "--instance", FIXTURE, "--lambda", "1.0", "--updates", str(stream)]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["chosen"], doc["value"], doc["oracle_calls"]) == ([4], 3.0, 7)
+
     @pytest.mark.parametrize("bad", ["NaN", "-1.0"])
     def test_bad_update_weight_exit_2(self, tmp_path, capsys, bad):
         stream = tmp_path / "updates.json"
@@ -137,6 +150,17 @@ class TestSimulate:
             ["simulate", "--instance", FIXTURE, "--tau", "0", "--sigma", "0.1", "--out", out]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("updates", ["0", "-3"])
+    def test_no_updates_exit_2_before_any_work(self, tmp_path, capsys, updates):
+        out = tmp_path / "t.csv"
+        code = main(
+            ["simulate", "--instance", FIXTURE, "--tau", "10", "--sigma", "0.1",
+             "--updates", updates, "--out", str(out)]
+        )
+        assert code == 2
+        assert "n_updates must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOracle:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from knapgreedy import (
     reduce_instance,
     validate,
 )
+from knapgreedy.core import SUBSET_CHUNK, subsets_by_size
 
 from conftest import random_instance, FAMILIES
 
@@ -32,6 +35,21 @@ class TestSetCost:
     def test_two_knapsacks(self):
         cons = KnapsackConstraints([[3, 2, 2], [1, 1, 1]], [9, 9])
         assert np.array_equal(cons.set_cost({0, 1, 2}), [7.0, 3.0])
+
+
+class TestSubsetsBySize:
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_chunks_follow_combinations(self, n):
+        # C(15, 7) = 6,435 and C(16, 8) = 12,870 exceed SUBSET_CHUNK, so a
+        # size spans several chunks there
+        chunks = list(subsets_by_size(n))
+        rows = [tuple(r) for chunk, _ in chunks for r in chunk.tolist()]
+        expected = [c for s in range(1, n + 1) for c in itertools.combinations(range(n), s)]
+        assert rows == expected
+        assert max(len(chunk) for chunk, _ in chunks) == SUBSET_CHUNK
+        for chunk, masks in chunks:
+            assert chunk.dtype == np.intp and chunk.ndim == 2
+            assert masks.tolist() == [sum(1 << e for e in r) for r in chunk.tolist()]
 
 
 class TestValidate:

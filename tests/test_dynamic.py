@@ -217,6 +217,8 @@ class TestRunToCompletion:
 
 class TestFinalize:
     def test_without_updates_equals_static_solver(self):
+        # lambda_greedy is a fresh engine's lazy finalize(); an engine
+        # stepped eagerly to the end picks the same, with no fewer calls
         rng = np.random.default_rng(33)
         for family in FAMILIES:
             inst = random_instance(rng, 8, 2, family)
@@ -226,7 +228,8 @@ class TestFinalize:
                 )
             except EmptyAfterReductionError:
                 continue
-            eng.run_to_completion()
+            while eng.pool:
+                eng.step()
             dyn = eng.finalize()
             static = lambda_greedy(
                 Instance(inst.ground, inst.constraints, inst.objective.clone()), 1.0
@@ -235,6 +238,7 @@ class TestFinalize:
             assert dyn.value == static.value
             assert dyn.which == static.which
             assert dyn.greedy_order == static.greedy_order
+            assert static.oracle_calls <= dyn.oracle_calls
 
     def test_complement_search_floored_at_current_best(self):
         # best_of takes the complement set only when it beats the greedy
@@ -255,6 +259,66 @@ class TestFinalize:
         eng.run_to_completion()
         result = eng.finalize()
         assert result.value == max(eng.sigma.value, eng.vstar_value)
+
+
+class TestLazyFinish:
+    def test_unlimited_run_reaches_the_eager_prefix(self):
+        # random walks of eager steps and mixed updates: after each
+        # unlimited run_to_completion(), the prefix, its value bits and its
+        # cost bytes are those of stepping eagerly until the pool is empty,
+        # with no more calls; a rollback, also after finalize(), restores
+        # the value and the cost vector the prefix had when it was built
+        rng = np.random.default_rng(41)
+
+        def state(eng):
+            return tuple(eng.sigma.order), eng.sigma.value.hex(), eng.sigma.cost_acc.tobytes()
+
+        def update(eng, factors):
+            built = [(v.hex(), c.tobytes()) for v, c in eng.sigma.history]
+            built.append(state(eng)[1:])
+            eng.apply_weights(eng.cons.weights * factors)
+            assert state(eng)[1:] == built[len(eng.sigma.order)]
+
+        def walk(inst, lam, script, finish):
+            eng = DynamicGreedy(Instance(inst.ground, inst.constraints, inst.objective.clone()), lam)
+            seen = []
+            for steps, factors in script:
+                for _ in range(steps):
+                    eng.step()
+                finish(eng)
+                seen.append(state(eng))
+                update(eng, factors)
+                seen.append(state(eng))
+            result = eng.finalize()
+            seen.append(state(eng))
+            update(eng, script[0][1])
+            seen.append((result.chosen, result.value.hex(), result.which, result.greedy_order))
+            seen.append(state(eng))
+            return seen, eng.obj.eval_count
+
+        def eager(eng):
+            while eng.pool:
+                eng.step()
+
+        walks, lazy_calls, eager_calls = 0, 0, 0
+        while walks < 300:
+            n, k = int(rng.integers(3, 13)), int(rng.integers(1, 4))
+            family = FAMILIES[walks % len(FAMILIES)]
+            lam = float(rng.choice([1.0, k]))
+            inst = random_instance(rng, n, k, family)
+            script = [(int(rng.integers(0, n)), rng.uniform(0.3, 1.7, size=k))
+                      for _ in range(int(rng.integers(1, 5)))]
+            try:
+                got, calls = walk(inst, lam, script, DynamicGreedy.run_to_completion)
+            except EmptyAfterReductionError:
+                continue
+            expected, eager_walk_calls = walk(inst, lam, script, eager)
+            assert got == expected
+            assert calls <= eager_walk_calls
+            lazy_calls += calls
+            eager_calls += eager_walk_calls
+            walks += 1
+        assert lazy_calls < eager_calls
 
 
 class TestRestartEquivalence:

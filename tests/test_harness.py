@@ -134,6 +134,7 @@ class TestRunDynamic:
         # tau covers a whole run, so each restart finishes its greedy; it is
         # scored by current_best() like the engine and runs no complement
         # search, so its row holds exactly the calls of a fresh engine run
+        # under the same limit
         rng = np.random.default_rng(8)
         inst = random_instance(rng, 12, 2, family)
         cfg = SimConfig(tau=10000, noise_sigma=0.1, n_updates=10, seed=3, lam=1.0)
@@ -146,7 +147,7 @@ class TestRunDynamic:
             except EmptyAfterReductionError:
                 assert (row.restart_value, row.restart_calls) == (0.0, 0)
                 continue
-            fresh.run_to_completion()
+            fresh.run_to_completion(cfg.tau)
             assert fresh.phase == "finished"
             assert row.restart_calls == obj.eval_count
             assert row.restart_value == fresh.current_best()

@@ -21,9 +21,11 @@ from knapgreedy import (
     ModularObjective,
     NotPositiveDefiniteError,
     Objective,
+    Solution,
     greedy_phase,
     split_by_threshold,
 )
+from knapgreedy.solver import best_singleton
 
 from conftest import FAMILIES, random_objective, reference_greedy, twin_instance
 
@@ -187,7 +189,9 @@ class TestTies:
             obj, cons = inst.objective, inst.constraints
             part = split_by_threshold(cons, 2.0)
             expected = reference_greedy(obj, cons, part).order
-            assert greedy_phase(obj, cons, part).order == expected
+            seeds = best_singleton(obj, part.cheap)[2] if part.cheap else {}
+            sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
+            assert greedy_phase(obj, cons, part, seeds, sigma).order == expected
             eng = DynamicGreedy(Instance(inst.ground, cons, obj.clone()), 2.0)
             eng.run_to_completion()
             assert eng.sigma.order == expected

@@ -124,9 +124,20 @@ def with_unfit_elements(rng, inst, m):
     return Instance(GroundSet(N), KnapsackConstraints(costs, cons.weights), new), pos
 
 
+def empty_solution(cons):
+    return Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
+
+
+def lazy_phase(obj, cons, part):
+    """greedy_phase from the empty prefix, seeded by best_singleton's scan
+    of the cheap set, whose calls count on obj."""
+    values = best_singleton(obj, part.cheap)[2] if part.cheap else {}
+    return greedy_phase(obj, cons, part, values, empty_solution(cons))
+
+
 def eager_phase(obj, cons, part):
     """The greedy phase as a loop over the eager greedy_step."""
-    sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
+    sigma = empty_solution(cons)
     pool = list(part.cheap)
     while pool:
         greedy_step(obj, cons, sigma, pool)
@@ -228,20 +239,20 @@ class TestSplit:
 class TestGreedyPhase:
     def test_worked_example_sequence(self, worked_example):
         part = split_by_threshold(worked_example.constraints, 1.0)
-        sigma = greedy_phase(worked_example.objective, worked_example.constraints, part)
+        sigma = lazy_phase(worked_example.objective, worked_example.constraints, part)
         assert sigma.order == [4, 0]
         assert sigma.value == 3.25
 
     def test_empty_cheap_set(self, worked_example):
         part = Partition(cheap=(), expensive=(0, 1, 2, 3, 4))
-        sigma = greedy_phase(worked_example.objective, worked_example.constraints, part)
+        sigma = lazy_phase(worked_example.objective, worked_example.constraints, part)
         assert sigma.order == []
 
     def test_monotone_modular_sorts_by_value(self):
         values = [3.0, 1.0, 4.0, 1.5]
         cons = KnapsackConstraints([[1, 1, 1, 1]], [4])
         obj = ModularObjective(values)
-        sigma = greedy_phase(obj, cons, split_by_threshold(cons, 1.0))
+        sigma = lazy_phase(obj, cons, split_by_threshold(cons, 1.0))
         assert sigma.order == [2, 0, 3, 1]
 
     def test_prefix_values_nondecreasing(self):
@@ -251,7 +262,7 @@ class TestGreedyPhase:
             part = split_by_threshold(inst.constraints, 2.0)
             obj = inst.objective
             sigma_obj = obj.clone()
-            sigma = greedy_phase(sigma_obj, inst.constraints, part)
+            sigma = lazy_phase(sigma_obj, inst.constraints, part)
             prev = 0.0
             running = []
             for e in sigma.order:
@@ -263,15 +274,15 @@ class TestGreedyPhase:
 
     def test_negative_gain_winner_ends_phase(self):
         # independent entropy: an element of variance 0.02 has gain
-        # 1.419 + ln(0.02) / 2 < 0. Without seeds the first pick evaluates
-        # all 5; element 2's stale bound is exact again at depth 1 (1 call),
-        # and at depth 2 the top, element 1, is negative once re-evaluated
-        # (1 call) and ends the phase: 7 calls. The eager greedy discards
-        # the last three one scan at a time
+        # 1.419 + ln(0.02) / 2 < 0. The singleton scan evaluates all 5 and
+        # the first pick none; element 2's stale bound is exact again at
+        # depth 1 (1 call), and at depth 2 the top, element 1, is negative
+        # once re-evaluated (1 call) and ends the phase: 7 calls. The eager
+        # greedy discards the last three one scan at a time
         cons = KnapsackConstraints([[1.0] * 5], [5.0])
         obj = EntropyObjective(np.diag([1.0, 0.02, 1.0, 0.02, 0.02]))
         part = split_by_threshold(cons, 1.0)
-        sigma = greedy_phase(obj, cons, part)
+        sigma = lazy_phase(obj, cons, part)
         assert sigma.order == [0, 2] == reference_greedy(obj, cons, part).order
         assert obj.eval_count == 7 < eager_greedy_calls(5)
 
@@ -291,7 +302,7 @@ class TestGreedyPhase:
             elif family == "entropy":
                 obj = EntropyObjective(0.05 * random_spd(rng, n))
             part = split_by_threshold(inst.constraints, float(rng.choice([1.0, k])))
-            sigma = greedy_phase(obj, inst.constraints, part)
+            sigma = lazy_phase(obj, inst.constraints, part)
             ref = reference_greedy(obj, inst.constraints, part)
             assert (sigma.order, sigma.value) == (ref.order, pytest.approx(ref.value))
             assert obj.eval_count <= eager_greedy_calls(len(part.cheap))
@@ -299,7 +310,7 @@ class TestGreedyPhase:
     def test_seeded_first_pick_makes_no_call(self):
         # singleton values are exact densities at depth 0, so the first pick
         # is free; modular gains never shrink, so each later pick
-        # re-evaluates only the top: 0 + 1 + 1 + 1 calls (unseeded 4 + 3)
+        # re-evaluates only the top: 0 + 1 + 1 + 1 calls
         values = [3.0, 1.0, 4.0, 1.5]
         cons = KnapsackConstraints([[1, 1, 1, 1]], [4])
         obj = ModularObjective(values)
@@ -307,11 +318,8 @@ class TestGreedyPhase:
         vstar, vstar_val, seeds = best_singleton(obj, range(4))
         assert (vstar, vstar_val, seeds) == (2, 4.0, dict(enumerate(values)))
         assert obj.eval_count == 4
-        assert greedy_phase(obj, cons, part, seeds).order == [2, 0, 3, 1]
+        assert greedy_phase(obj, cons, part, seeds, empty_solution(cons)).order == [2, 0, 3, 1]
         assert obj.eval_count == 4 + 3
-        unseeded = ModularObjective(values)
-        assert greedy_phase(unseeded, cons, part).order == [2, 0, 3, 1]
-        assert unseeded.eval_count == 4 + 3
 
     def test_discarded_winner_costs_no_call(self):
         # element 0 is the densest but does not fit; once it is discarded,
@@ -319,14 +327,14 @@ class TestGreedyPhase:
         cons = KnapsackConstraints([[4.0, 1.0]], [3.0])
         obj = ModularObjective([10.0, 1.0])
         part = Partition(cheap=(0, 1), expensive=())
-        sigma = greedy_phase(obj, cons, part)
+        sigma = lazy_phase(obj, cons, part)
         assert sigma.order == [1] == reference_greedy(obj, cons, part).order
         assert obj.eval_count == 2 < eager_greedy_calls(2)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_lazy_matches_eager_and_reference(self, family):
-        # with and without singleton seeds: the eager loop's order and value
-        # bit for bit, the standalone reference's order, and no more calls
+        # the eager loop's order and value bit for bit, the standalone
+        # reference's order, and no more calls
         rng = np.random.default_rng(31)
         for trial in range(48):
             inst = lazy_case(rng, family, trial)
@@ -344,14 +352,13 @@ class TestGreedyPhase:
                 ref = reference_greedy(inst.objective, cons, part)
                 assert eager.order == ref.order
             assert eager_obj.eval_count <= eager_greedy_calls(len(part.cheap))
-            for seeded in (False, True):
-                obj = inst.objective.clone()
-                seeds = best_singleton(obj, range(n))[2] if seeded else None
-                start = obj.eval_count
-                sigma = greedy_phase(obj, cons, part, seeds)
-                assert (sigma.order, sigma.value) == (eager.order, eager.value)
-                assert np.array_equal(sigma.cost_acc, eager.cost_acc)
-                assert obj.eval_count - start <= eager_obj.eval_count
+            obj = inst.objective.clone()
+            seeds = best_singleton(obj, range(n))[2]
+            start = obj.eval_count
+            sigma = greedy_phase(obj, cons, part, seeds, empty_solution(cons))
+            assert (sigma.order, sigma.value) == (eager.order, eager.value)
+            assert np.array_equal(sigma.cost_acc, eager.cost_acc)
+            assert obj.eval_count - start <= eager_obj.eval_count
 
     def test_gain_rounded_above_stale_bound(self):
         # In the fixed cases elements 1 and 2 differ by one ulp, or sit just
@@ -380,13 +387,12 @@ class TestGreedyPhase:
             eager = eager_phase(eager_obj, cons, part)
             if i < 2:
                 assert values[1] < values[2] and eager.order == [0, 1, 2]
-            for seeded in (False, True):
-                obj = ModularObjective(values)
-                seeds = best_singleton(obj, range(n))[2] if seeded else None
-                start = obj.eval_count
-                sigma = greedy_phase(obj, cons, part, seeds)
-                assert (sigma.order, sigma.value) == (eager.order, eager.value)
-                assert obj.eval_count - start <= eager_obj.eval_count
+            obj = ModularObjective(values)
+            seeds = best_singleton(obj, range(n))[2]
+            start = obj.eval_count
+            sigma = greedy_phase(obj, cons, part, seeds, empty_solution(cons))
+            assert (sigma.order, sigma.value) == (eager.order, eager.value)
+            assert obj.eval_count - start <= eager_obj.eval_count
 
     def test_nan_density_never_appended(self):
         # every set holding a NaN-valued element evaluates to NaN; such a
@@ -401,13 +407,10 @@ class TestGreedyPhase:
             cons = KnapsackConstraints(costs, [0.6 * costs.sum()])
             part = Partition(cheap=tuple(range(n)), expensive=())
             ref = reference_greedy(ModularObjective(values), cons, part)
-            for seeded in (False, True):
-                obj = ModularObjective(values)
-                seeds = best_singleton(obj, range(n))[2] if seeded else None
-                sigma = greedy_phase(obj, cons, part, seeds)
-                assert sigma.order == ref.order
-                assert not np.isnan(values[sigma.order]).any()
-                assert sigma.value == pytest.approx(ref.value)
+            sigma = lazy_phase(ModularObjective(values), cons, part)
+            assert sigma.order == ref.order
+            assert not np.isnan(values[sigma.order]).any()
+            assert sigma.value == pytest.approx(ref.value)
 
 class TestComplementSearch:
     def test_empty_expensive(self, worked_example):
@@ -692,7 +695,7 @@ class TestLambdaGreedy:
             obj = inst.objective.clone()
             vstar, vstar_val, values = best_singleton(obj, fitting)
             part = split_by_threshold(cons, lam)
-            sigma = greedy_phase(obj, cons, part, values)
+            sigma = greedy_phase(obj, cons, part, values, empty_solution(cons))
             comp_set, comp_val = complement_search(obj, cons, part)
             expected = best_of(sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count)
             assert picks(result) == picks(expected)

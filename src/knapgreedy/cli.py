@@ -8,6 +8,7 @@ Subcommands: solve, simulate, oracle, curvature. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -78,18 +79,7 @@ def cmd_oracle(args):
     else:
         alg_value = lambda_greedy(inst, args.lam).value
     report = check_guarantee(inst, args.lam, alg_value)
-    _emit(
-        {
-            "opt_value": report.opt_value,
-            "opt_set": list(report.opt_set),
-            "alpha": report.alpha,
-            "bound": report.bound,
-            "ratio": report.ratio,
-            "alg_value": alg_value,
-            "passed": report.passed,
-        },
-        args.pretty,
-    )
+    _emit(dict(dataclasses.asdict(report), alg_value=alg_value), args.pretty)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 

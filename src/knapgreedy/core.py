@@ -44,7 +44,10 @@ class KnapsackConstraints:
 
     costs is a (k, n) nonnegative matrix, weights a length-k nonnegative
     vector. A set S is feasible iff costs[i] summed over S stays within
-    weights[i] (+ FEAS_TOL) for every i.
+    limit[i] = weights[i] + FEAS_TOL for every i. A budget vector is
+    checked where it is taken, at construction and in with_weights: one of
+    the wrong length, or with a non-finite or negative entry, raises
+    InvalidInstanceError naming the first offending knapsack.
     """
 
     def __init__(self, costs, weights):
@@ -60,6 +63,7 @@ class KnapsackConstraints:
                 "dimension mismatch: weights length %d, costs rows %d"
                 % (weights.shape[0] if weights.ndim == 1 else -1, self.costs.shape[0])
             )
+        check_weights(weights)
         return weights
 
     @property
@@ -69,6 +73,12 @@ class KnapsackConstraints:
     @property
     def n(self):
         return self.costs.shape[1]
+
+    @property
+    def limit(self):
+        """The budgets with the feasibility slack, weights + FEAS_TOL: a cost
+        sum is within budget iff it is at most this, per knapsack."""
+        return self.weights + FEAS_TOL
 
     @functools.cached_property
     def max_costs(self):
@@ -86,8 +96,8 @@ class KnapsackConstraints:
     def fits(self, bounds=None):
         """Boolean mask over elements: every per-knapsack cost of the
         element alone is within bounds (default: the budgets) + FEAS_TOL."""
-        b = self.weights if bounds is None else bounds
-        return (self.costs <= (b + FEAS_TOL)[:, None]).all(axis=0)
+        limit = self.limit if bounds is None else bounds + FEAS_TOL
+        return (self.costs <= limit[:, None]).all(axis=0)
 
     def set_cost(self, S):
         """Cost vector of a set: component i is the sum of costs[i] over S."""
@@ -97,7 +107,7 @@ class KnapsackConstraints:
         return self.costs[:, idx].sum(axis=1)
 
     def is_feasible_cost(self, cost_vec):
-        return bool((cost_vec <= self.weights + FEAS_TOL).all())
+        return bool((cost_vec <= self.limit).all())
 
     def is_feasible(self, S):
         return self.is_feasible_cost(self.set_cost(S))
@@ -264,10 +274,10 @@ class Solution:
 
 
 def check_weights(weights):
-    """Raise InvalidInstanceError unless every budget is finite and
-    nonnegative, naming the first offending knapsack."""
-    for i, w in enumerate(weights):
-        if not np.isfinite(w):
+    """Raise InvalidInstanceError unless every budget of the float array
+    weights is finite and nonnegative, naming the first offending knapsack."""
+    for i, w in enumerate(weights.tolist()):
+        if not math.isfinite(w):
             raise InvalidInstanceError("non-finite weight for knapsack %d" % i)
         if w < 0:
             raise InvalidInstanceError("negative weight for knapsack %d" % i)
@@ -275,7 +285,8 @@ def check_weights(weights):
 
 def validate(inst):
     """Check structural invariants; raises InvalidInstanceError on the first
-    violation, naming the offending element or knapsack."""
+    violation, naming the offending element. The budgets were checked when
+    the constraints were built."""
     cons = inst.constraints
     if cons.n != inst.ground.n:
         raise InvalidInstanceError(
@@ -286,7 +297,6 @@ def validate(inst):
         if bad.any():
             i, e = np.argwhere(bad)[0]
             raise InvalidInstanceError("%s cost for element %d in knapsack %d" % (what, e, i))
-    check_weights(cons.weights)
     col_max = cons.costs.max(axis=0)
     zero = np.nonzero(col_max <= 0)[0]
     if zero.size:

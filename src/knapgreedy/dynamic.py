@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyAfterReductionError, Solution, check_weights, validate
+from .core import EmptyAfterReductionError, InvalidInstanceError, Solution, validate
 from .solver import (
     Partition,
     best_of,
     best_singleton,
-    check_lambda,
     chi,
     complement_search,
     greedy_phase,
@@ -49,7 +48,9 @@ class DynamicGreedy:
     """
 
     def __init__(self, inst, lam):
-        check_lambda(lam, inst.constraints.k)
+        k = inst.constraints.k
+        if not 1.0 <= lam <= k:
+            raise InvalidInstanceError("lambda out of [1,k]: %r with k=%d" % (lam, k))
         validate(inst)
         self._calls_baseline = inst.objective.eval_count
         self.lam = float(lam)
@@ -65,16 +66,13 @@ class DynamicGreedy:
             raise EmptyAfterReductionError("empty after reduction")
 
     def _adopt(self, cons, part):
-        """Take cons and its partition as the current budgets: re-derive the
-        best feasible singleton over the elements that fit (both parts) and
-        refill the pool with the cheap elements outside the prefix."""
+        """Take cons and its partition as the current budgets: pick v* over
+        the elements that fit (both parts) with best_singleton, which
+        evaluates only those not yet in singleton_values, and refill the
+        pool with the cheap elements outside the prefix."""
         self.cons, self.part = cons, part
         fitting = sorted(part.cheap + part.expensive)
-        new = [e for e in fitting if e not in self.singleton_values]
-        if new:
-            self.singleton_values.update(best_singleton(self.obj, new)[2])
-        self.vstar = max(fitting, key=self.singleton_values.__getitem__, default=None)
-        self.vstar_value = 0.0 if self.vstar is None else self.singleton_values[self.vstar]
+        self.vstar, self.vstar_value = best_singleton(self.obj, fitting, self.singleton_values)
         taken = set(self.sigma.order)
         self.pool = [e for e in part.cheap if e not in taken]
 
@@ -93,7 +91,6 @@ class DynamicGreedy:
         InvalidInstanceError and leaves the engine unchanged."""
         old_cons = self.cons
         new_cons = old_cons.with_weights(new_weights)
-        check_weights(new_cons.weights)
         new_part = split_by_threshold(new_cons, self.lam)
         chi_cap = min(chi(old_cons), chi(new_cons))
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import EmptyAfterReductionError, Instance, check_weights
 from .dynamic import DynamicGreedy, WeightUpdate
-from .solver import check_lambda
 
 
 @dataclass
@@ -85,7 +84,6 @@ def _restart_value(inst, weights, lam, call_limit):
 
 def run_dynamic(inst, cfg):
     """Simulate cfg.n_updates budget drifts; returns the per-update trace."""
-    check_lambda(cfg.lam, inst.constraints.k)
     if cfg.tau < inst.ground.n:
         warnings.warn("budget too small: tau=%d < n=%d" % (cfg.tau, inst.ground.n), RuntimeWarning)
     rng = np.random.default_rng(cfg.seed)

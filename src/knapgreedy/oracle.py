@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FEAS_TOL, subsets_by_size
+from .core import subsets_by_size, validate
 
 OPT_CAP = 20
 CURVATURE_CAP = 10
@@ -49,11 +49,11 @@ def _opt(cons, table, n):
     smallest tuple; NaN never wins; when no feasible entry is > 0 the empty
     set (value 0) wins."""
     feasible = np.zeros(1 << n, dtype=bool)
-    bound = (cons.weights + FEAS_TOL)[:, None]
+    limit = cons.limit[:, None]
     for rows, masks in subsets_by_size(n):
         # Each row's costs are summed as set_cost sums a set, so a set on
-        # the FEAS_TOL boundary falls on the same side.
-        feasible[masks] = (cons.costs[:, rows].sum(axis=-1) <= bound).all(axis=0)
+        # the slack's boundary falls on the same side.
+        feasible[masks] = (cons.costs[:, rows].sum(axis=-1) <= limit).all(axis=0)
     candidates = feasible & (table > 0)
     if not candidates.any():
         return 0.0, ()
@@ -67,8 +67,10 @@ def brute_force_opt(inst):
     of all 2^n subsets, evaluated on a clone of the objective.
 
     Ties resolve to the lexicographically smallest index tuple. The empty
-    set (value 0) is always a candidate.
+    set (value 0) is always a candidate. A malformed instance raises
+    InvalidInstanceError (core.validate) before any oracle call.
     """
+    validate(inst)
     n = inst.ground.n
     _check_cap(n, OPT_CAP)
     return _opt(inst.constraints, inst.objective.clone().value_table(n), n)
@@ -157,7 +159,9 @@ def check_guarantee(inst, lam, alg_value):
     """Verify alg_value >= bound * OPT - 1e-9 with exhaustively computed
     OPT and curvature, both read from one value table evaluated on a clone
     of the objective, so the caller's count and prefix are left alone. A
-    zero optimum passes vacuously (ratio None)."""
+    zero optimum passes vacuously (ratio None). A malformed instance raises
+    InvalidInstanceError (core.validate) before any oracle call."""
+    validate(inst)
     n = inst.ground.n
     _check_cap(n, CURVATURE_CAP)
     table = inst.objective.clone().value_table(n)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FEAS_TOL, InvalidInstanceError
 
 # Searching more expensive elements than this is legal but may take time
 # exponential in their number; a warning is emitted and the run proceeds.
@@ -51,11 +50,6 @@ class SolveResult:
         }
 
 
-def check_lambda(lam, k):
-    if not 1.0 <= lam <= k:
-        raise InvalidInstanceError("lambda out of [1,k]: %r with k=%d" % (lam, k))
-
-
 def chi(cons):
     """Largest cardinality at which every subset is automatically feasible.
 
@@ -64,7 +58,7 @@ def chi(cons):
     sums never decrease); the result is the minimum over knapsacks.
     """
     prefix = np.cumsum(np.sort(cons.costs, axis=1)[:, ::-1], axis=1)
-    return int((prefix <= (cons.weights + FEAS_TOL)[:, None]).sum(axis=1).min())
+    return int((prefix <= cons.limit[:, None]).sum(axis=1).min())
 
 
 def split_by_threshold(cons, lam):
@@ -225,7 +219,7 @@ def complement_search(obj, cons, part, floor=0.0):
             RuntimeWarning,
         )
     costs = cons.costs[:, elems]
-    limit = (cons.weights + FEAS_TOL)[:, None]
+    limit = cons.limit[:, None]
     best_val, best_path = 0.0, ()
     path = []  # positions in elems
 
@@ -258,14 +252,18 @@ def complement_search(obj, cons, part, floor=0.0):
     return frozenset(elems[p] for p in best_path), best_val
 
 
-def best_singleton(obj, elements):
-    """argmax of f over the single elements of a nonempty ascending
-    sequence, ties to the lowest index, its value, and the dict of their
-    f({e}) keyed by element. One call per element."""
-    obj.follow(())
-    values = {e: obj.value({e}) for e in elements}
-    best_e = max(values, key=values.__getitem__)
-    return best_e, values[best_e], values
+def best_singleton(obj, elements, values):
+    """The best single element v*: argmax of f({e}) over the ascending
+    sequence elements, ties to the lowest index, and its value; (None, 0.0)
+    when elements is empty. values caches f({e}) keyed by element: only the
+    elements missing from it are evaluated, one call each, and stored there.
+    The objective's followed prefix is dropped only when one is missing."""
+    missing = [e for e in elements if e not in values]
+    if missing:
+        obj.follow(())
+        values.update((e, obj.value({e})) for e in missing)
+    best_e = max(elements, key=values.__getitem__, default=None)
+    return best_e, 0.0 if best_e is None else values[best_e]
 
 
 def best_of(sigma, vstar, vstar_val, comp_set, comp_val, calls):

@@ -109,6 +109,85 @@ def test_objective_of_another_size_exit_2(tmp_path, capsys, objective, size):
         assert "size %d but n=5" % size in capsys.readouterr().err
 
 
+class TestInstanceFiles:
+    PARTITION = {
+        "n": 4,
+        "partition": {"labels": [0, 0, 1, 1], "budgets": [1, 1]},
+        "objective": {"kind": "modular", "values": [1.0, 2.0, 3.0, 4.0]},
+    }
+
+    def test_partition_expands_to_unit_cost_knapsacks(self, tmp_path, capsys):
+        path = write_instance(tmp_path, self.PARTITION)
+        cons = load_instance(path).constraints
+        assert cons.costs.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1]]
+        assert cons.weights.tolist() == [1, 1]
+        assert main(["solve", "--instance", path, "--lambda", "2.0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["chosen"], doc["value"]) == ([3, 1], 6.0)
+        assert main(["oracle", "--instance", path, "--lambda", "2.0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["opt_set"], doc["opt_value"], doc["passed"]) == ([1, 3], 6.0, True)
+
+    def test_partition_labels_of_the_wrong_length(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(self.PARTITION))
+        doc["partition"]["labels"] = [0, 0, 1]
+        path = write_instance(tmp_path, doc)
+        for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"]):
+            assert main([cmd[0], "--instance", path] + cmd[1:]) == 2
+            assert "cost matrix has 3 columns, ground set has 4" in capsys.readouterr().err
+        # curvature reads the objective alone, never the costs
+        assert main(["curvature", "--instance", path]) == 0
+
+    def test_sigma_csv_resolves_next_to_the_instance_file(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(4, 4))
+        Sigma = A @ A.T / 4 + np.eye(4)
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "sigma.csv").write_text(
+            "\n".join(",".join(repr(x) for x in row) for row in Sigma.tolist()) + "\n"
+        )
+        doc = {"n": 4, "k": 1, "costs": [[1.0] * 4], "weights": [2.0],
+               "objective": {"kind": "entropy", "Sigma": Sigma.tolist()}}
+        inline = write_instance(data, doc, "inline.json")
+        doc["objective"] = {"kind": "entropy", "Sigma_csv": "sigma.csv"}
+        from_csv = write_instance(data, doc, "csv.json")
+        monkeypatch.chdir(tmp_path)  # no sigma.csv here
+        assert np.array_equal(load_instance(from_csv).objective.Sigma, Sigma)
+        outs = []
+        for path in (inline, from_csv):
+            for cmd in (["solve", "--lambda", "1.0"], ["curvature"]):
+                assert main([cmd[0], "--instance", path] + cmd[1:]) == 0
+                outs.append(capsys.readouterr().out)
+        assert outs[:2] == outs[2:]
+
+    def test_dpp_jitter_reaches_the_objective(self, tmp_path, capsys):
+        doc = {"n": 3, "k": 1, "costs": [[1.0] * 3], "weights": [1.0],
+               "objective": {"kind": "dpp", "L": np.diag([1.0, 2.0, 3.0]).tolist()}}
+        for jitter in (None, 0.5):
+            if jitter is not None:
+                doc["objective"]["jitter"] = jitter
+            path = write_instance(tmp_path, doc)
+            assert load_instance(path).objective.jitter == (jitter or 1e-10)
+            assert main(["solve", "--instance", path, "--lambda", "1.0"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["chosen"] == [2]
+            assert out["value"] == pytest.approx(math.log(3.0 + (jitter or 0.0)), abs=1e-9)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"k": 2}, "dimension mismatch: k=2 but 1 cost rows"),
+        ({"objective": {"kind": "submodular"}}, "unknown objective kind: 'submodular'"),
+        ({"objective": {"values": [1.0] * 5}}, "unknown objective kind: None"),
+    ], ids=["k-disagrees", "unknown-kind", "missing-kind"])
+    def test_bad_form_exit_2(self, tmp_path, capsys, change, message):
+        doc = json.loads(open(FIXTURE).read())
+        doc.update(change)
+        path = write_instance(tmp_path, doc)
+        for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"], ["curvature"]):
+            assert main([cmd[0], "--instance", path] + cmd[1:]) == 2
+            assert message in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_zero_noise_run(self, tmp_path, capsys):
         out = str(tmp_path / "trace.csv")
@@ -202,6 +281,22 @@ class TestOracle:
         assert doc["alpha"] == 107927.3423742026
         assert main(["curvature", "--instance", CUT_FIXTURE]) == 0
         assert json.loads(capsys.readouterr().out) == {"alpha": 107927.3423742026}
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("weights", [float("nan")], "non-finite weight for knapsack 0"),
+        ("weights", [-1.0], "negative weight for knapsack 0"),
+        ("costs", [[1, -1, 2, 2, 1]], "negative cost for element 1 in knapsack 0"),
+    ], ids=["nan-budget", "negative-budget", "negative-cost"])
+    def test_malformed_instance_exit_2(self, tmp_path, capsys, field, value, message):
+        # unchecked, the bad budgets pass with a vacuous OPT of 0 and the
+        # negative cost reports the infeasible [1, 2, 4] as OPT
+        doc = json.loads(open(FIXTURE).read())
+        doc[field] = value
+        path = write_instance(tmp_path, doc)
+        for extra in ([], ["--assert-value", "0"]):
+            assert main(["oracle", "--instance", path, "--lambda", "1.0"] + extra) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, message in captured.err) == ("", True)
 
     def test_too_large_exit_2(self, tmp_path, capsys):
         n = 25

@@ -14,7 +14,7 @@ from knapgreedy import (
     reduce_instance,
     validate,
 )
-from knapgreedy.core import SUBSET_CHUNK, subsets_by_size
+from knapgreedy.core import FEAS_TOL, SUBSET_CHUNK, subsets_by_size
 
 from conftest import random_instance, FAMILIES
 
@@ -72,9 +72,9 @@ class TestValidate:
             validate(inst)
 
     def test_negative_weight(self):
-        inst = Instance(GroundSet(2), KnapsackConstraints([[1, 1]], [-2]), modular([1, 1]))
+        # budgets are checked where they are built, before validate can run
         with pytest.raises(InvalidInstanceError, match="negative weight"):
-            validate(inst)
+            KnapsackConstraints([[1, 1]], [-2])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_cost(self, bad):
@@ -87,10 +87,40 @@ class TestValidate:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_weight(self, bad):
-        cons = KnapsackConstraints([[1, 1], [1, 1]], [2, bad])
-        inst = Instance(GroundSet(2), cons, modular([1, 1]))
         with pytest.raises(InvalidInstanceError, match="non-finite weight for knapsack 1"):
-            validate(inst)
+            KnapsackConstraints([[1, 1], [1, 1]], [2, bad])
+
+
+class TestBudgetGate:
+    """A budget vector is checked where it is taken: at construction and in
+    with_weights, the first offending knapsack named, non-finite before
+    negative."""
+
+    COSTS = [[1, 1], [1, 1], [1, 1]]
+
+    @pytest.mark.parametrize("weights, message", [
+        ([2, float("nan"), 2], "non-finite weight for knapsack 1"),
+        ([2, 2, float("inf")], "non-finite weight for knapsack 2"),
+        ([2, -1e-12, 2], "negative weight for knapsack 1"),
+        ([-1, float("nan"), 2], "negative weight for knapsack 0"),
+        ([2, float("-inf"), 2], "non-finite weight for knapsack 1"),
+    ])
+    def test_bad_budget_raises_at_construction_and_in_with_weights(self, weights, message):
+        with pytest.raises(InvalidInstanceError, match=message):
+            KnapsackConstraints(self.COSTS, weights)
+        cons = KnapsackConstraints(self.COSTS, [2, 2, 2])
+        with pytest.raises(InvalidInstanceError, match=message):
+            cons.with_weights(weights)
+        assert cons.weights.tolist() == [2.0, 2.0, 2.0]
+
+    def test_length_checked_first(self):
+        with pytest.raises(InvalidInstanceError, match="weights length 2, costs rows 3"):
+            KnapsackConstraints(self.COSTS, [float("nan"), 2])
+
+    def test_limit_follows_the_weights(self):
+        cons = KnapsackConstraints(self.COSTS, [2, 0, 1])
+        assert cons.limit.tolist() == [2 + FEAS_TOL, FEAS_TOL, 1 + FEAS_TOL]
+        assert cons.with_weights([1, 1, 1]).limit.tolist() == [1 + FEAS_TOL] * 3
 
 
 class TestReduce:

@@ -73,7 +73,7 @@ class TestInit:
         # engine after an update alike
         obj = ModularObjective([1.0, float("nan"), 3.0, 3.0, 2.0])
         inst = Instance(GroundSet(5), KnapsackConstraints([[1, 1, 2, 1, 1]], [2.0]), obj)
-        assert best_singleton(obj, range(5))[:2] == (2, 3.0)
+        assert best_singleton(obj, range(5), {}) == (2, 3.0)
         eng = DynamicGreedy(inst, 1.0)
         assert (eng.vstar, eng.vstar_value) == (2, 3.0)
         eng.apply_weights([1.0])  # element 2 no longer fits

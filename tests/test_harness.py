@@ -8,6 +8,7 @@ from knapgreedy import (
     DynamicGreedy,
     EmptyAfterReductionError,
     Instance,
+    InvalidInstanceError,
     Objective,
     SimConfig,
     perturb_weights,
@@ -116,6 +117,18 @@ class TestRunDynamic:
         for row in trace.rows:
             assert row.dgreedy_value == pytest.approx(row.restart_value)
             assert row.dgreedy_value == pytest.approx(3.25)
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_lambda_out_of_range_before_any_call(self, lam, monkeypatch):
+        # the engine checks lambda first; k = 1 here
+        def no_call(obj, S):
+            raise AssertionError("oracle call")
+
+        monkeypatch.setattr(Objective, "value", no_call)  # on the clones too
+        inst = worked_example_instance()
+        with pytest.raises(InvalidInstanceError, match="lambda out of"):
+            run_dynamic(inst, SimConfig(tau=10, noise_sigma=0.1, n_updates=3, lam=lam))
+        assert inst.objective.eval_count == 0
 
     def test_budget_honesty(self):
         rng = np.random.default_rng(5)

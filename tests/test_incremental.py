@@ -189,7 +189,8 @@ class TestTies:
             obj, cons = inst.objective, inst.constraints
             part = split_by_threshold(cons, 2.0)
             expected = reference_greedy(obj, cons, part).order
-            seeds = best_singleton(obj, part.cheap)[2] if part.cheap else {}
+            seeds = {}
+            best_singleton(obj, part.cheap, seeds)
             sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
             assert greedy_phase(obj, cons, part, seeds, sigma).order == expected
             eng = DynamicGreedy(Instance(inst.ground, cons, obj.clone()), 2.0)

@@ -7,6 +7,7 @@ from knapgreedy import (
     CurvatureDegenerateError,
     GroundSet,
     Instance,
+    InvalidInstanceError,
     KnapsackConstraints,
     ModularObjective,
     Objective,
@@ -328,6 +329,22 @@ class TestCheckGuarantee:
         monkeypatch.setattr(Objective, "clone", logged_clone)
         check_guarantee(worked_example_instance(), 1.0, 3.0)
         assert [c.eval_count for c in clones] == [31]
+
+    @pytest.mark.parametrize("costs, message", [
+        ([[1, -1, 2, 2, 1]], "negative cost for element 1"),
+        ([[1, 0, 2, 2, 1]], "zero max-cost element 1"),
+    ])
+    def test_malformed_instance_raises_before_any_call(self, monkeypatch, costs, message):
+        # unchecked, a negative cost makes a too-costly set look feasible,
+        # and a zero-cost element one that fits any budget
+        clones = []
+        monkeypatch.setattr(Objective, "clone", lambda obj: clones.append(obj))
+        inst = Instance(GroundSet(5), KnapsackConstraints(costs, [2.0]),
+                        worked_example_instance().objective)
+        for check in (brute_force_opt, lambda i: check_guarantee(i, 1.0, 0.0)):
+            with pytest.raises(InvalidInstanceError, match=message):
+                check(inst)
+        assert clones == []
 
     def test_low_claimed_value_fails(self, worked_example):
         report = check_guarantee(worked_example, 1.0, 0.01)

@@ -131,7 +131,8 @@ def empty_solution(cons):
 def lazy_phase(obj, cons, part):
     """greedy_phase from the empty prefix, seeded by best_singleton's scan
     of the cheap set, whose calls count on obj."""
-    values = best_singleton(obj, part.cheap)[2] if part.cheap else {}
+    values = {}
+    best_singleton(obj, part.cheap, values)
     return greedy_phase(obj, cons, part, values, empty_solution(cons))
 
 
@@ -315,7 +316,8 @@ class TestGreedyPhase:
         cons = KnapsackConstraints([[1, 1, 1, 1]], [4])
         obj = ModularObjective(values)
         part = split_by_threshold(cons, 1.0)
-        vstar, vstar_val, seeds = best_singleton(obj, range(4))
+        seeds = {}
+        vstar, vstar_val = best_singleton(obj, range(4), seeds)
         assert (vstar, vstar_val, seeds) == (2, 4.0, dict(enumerate(values)))
         assert obj.eval_count == 4
         assert greedy_phase(obj, cons, part, seeds, empty_solution(cons)).order == [2, 0, 3, 1]
@@ -353,7 +355,8 @@ class TestGreedyPhase:
                 assert eager.order == ref.order
             assert eager_obj.eval_count <= eager_greedy_calls(len(part.cheap))
             obj = inst.objective.clone()
-            seeds = best_singleton(obj, range(n))[2]
+            seeds = {}
+            best_singleton(obj, range(n), seeds)
             start = obj.eval_count
             sigma = greedy_phase(obj, cons, part, seeds, empty_solution(cons))
             assert (sigma.order, sigma.value) == (eager.order, eager.value)
@@ -388,7 +391,8 @@ class TestGreedyPhase:
             if i < 2:
                 assert values[1] < values[2] and eager.order == [0, 1, 2]
             obj = ModularObjective(values)
-            seeds = best_singleton(obj, range(n))[2]
+            seeds = {}
+            best_singleton(obj, range(n), seeds)
             start = obj.eval_count
             sigma = greedy_phase(obj, cons, part, seeds, empty_solution(cons))
             assert (sigma.order, sigma.value) == (eager.order, eager.value)
@@ -411,6 +415,31 @@ class TestGreedyPhase:
             assert sigma.order == ref.order
             assert not np.isnan(values[sigma.order]).any()
             assert sigma.value == pytest.approx(ref.value)
+
+
+class TestBestSingleton:
+    def test_evaluates_only_what_is_missing(self):
+        obj = ModularObjective([1.0, 4.0, 2.0, 4.0])
+        values = {1: 4.0, 3: 4.0}
+        assert best_singleton(obj, [0, 1, 2, 3], values) == (1, 4.0)
+        assert obj.eval_count == 2
+        assert values == {0: 1.0, 1: 4.0, 2: 2.0, 3: 4.0}
+
+    def test_empty_elements(self):
+        obj = ModularObjective([1.0])
+        assert best_singleton(obj, [], {}) == (None, 0.0)
+        assert obj.eval_count == 0
+
+    def test_full_cache_keeps_the_followed_prefix(self):
+        rng = np.random.default_rng(11)
+        obj = DppLogDetObjective(0.5 * random_spd(rng, 6))
+        values = {e: obj._value(frozenset([e])) for e in range(6)}
+        obj.follow([4, 1])
+        best = max(range(6), key=values.__getitem__)
+        assert best_singleton(obj, range(6), values) == (best, values[best])
+        assert obj.eval_count == 0
+        assert obj._prefix.order == [4, 1]
+
 
 class TestComplementSearch:
     def test_empty_expensive(self, worked_example):
@@ -693,7 +722,8 @@ class TestLambdaGreedy:
                 continue
             fitting, _ = reduce_instance(inst)
             obj = inst.objective.clone()
-            vstar, vstar_val, values = best_singleton(obj, fitting)
+            values = {}
+            vstar, vstar_val = best_singleton(obj, fitting, values)
             part = split_by_threshold(cons, lam)
             sigma = greedy_phase(obj, cons, part, values, empty_solution(cons))
             comp_set, comp_val = complement_search(obj, cons, part)

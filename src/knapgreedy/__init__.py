@@ -1,6 +1,8 @@
 """Greedy maximization of non-monotone submodular functions under multiple
 knapsack constraints, in static and dynamically-changing-budget settings."""
 
+import types as _types
+
 from .core import (
     EmptyAfterReductionError,
     GroundSet,
@@ -54,47 +56,8 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EmptyAfterReductionError",
-    "GroundSet",
-    "Instance",
-    "InvalidInstanceError",
-    "KnapsackConstraints",
-    "Objective",
-    "Solution",
-    "reduce_instance",
-    "validate",
-    "DynamicGreedy",
-    "WeightUpdate",
-    "RunTrace",
-    "SimConfig",
-    "perturb_weights",
-    "run_dynamic",
-    "run_with_updates",
-    "load_updates",
-    "summarize",
-    "instance_from_dict",
-    "load_instance",
-    "DirectedCutObjective",
-    "DppLogDetObjective",
-    "EntropyObjective",
-    "ModularObjective",
-    "NotPositiveDefiniteError",
-    "PartitionBudget",
-    "QdKernelSpec",
-    "build_qd_kernel",
-    "CurvatureDegenerateError",
-    "OracleCapError",
-    "OracleReport",
-    "brute_force_curvature",
-    "brute_force_opt",
-    "check_guarantee",
-    "guarantee_bound",
-    "Partition",
-    "SolveResult",
-    "chi",
-    "complement_search",
-    "greedy_phase",
-    "lambda_greedy",
-    "split_by_threshold",
-]
+# Every public name imported above, and no submodule.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _types.ModuleType))
+)

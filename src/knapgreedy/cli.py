@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 
-from .core import EmptyAfterReductionError, InvalidInstanceError
+from .core import EmptyAfterReductionError, InvalidInstanceError, validate
 from .harness import (
     SimConfig,
     load_updates,
@@ -85,6 +85,7 @@ def cmd_oracle(args):
 
 def cmd_curvature(args):
     inst = load_instance(args.instance)
+    validate(inst)
     alpha = brute_force_curvature(inst.objective.clone(), inst.ground.n)
     payload = {"alpha": alpha}
     obj = inst.objective

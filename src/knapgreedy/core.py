@@ -11,7 +11,7 @@ import copy
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,8 @@ class PrefixState:
 
     A family keeps, for every depth j <= len(P), what it needs to answer
     f(P[:j] + [e]) without a from-scratch evaluation, indexed by j. Popping
-    back to depth j is then a truncation, and nothing is downdated.
+    back to depth j is then a truncation, and nothing is downdated. P
+    holds distinct elements, so no stack is ever deeper than n + 1.
     Subclasses implement _push(d, e), which extends depth d by e and
     returns False when it cannot (tracking stops there), and _extend(d, e),
     which returns f(P[:d] + [e]) or None to fall back to Objective._value.
@@ -252,25 +253,43 @@ class Instance:
     objective: Objective
 
 
-@dataclass
 class Solution:
-    """Ordered selection with cached per-knapsack costs and cached f-value.
+    """Ordered selection with its value and per-knapsack cost vector, and
+    the only code that changes one.
 
     Insertion order matters: the dynamic engine pops elements strictly in
-    reverse insertion order. history[i], pushed by every append, is the
-    (value, cost_acc) of order[:i], which truncate() restores exactly.
+    reverse insertion order. history[i] is the (value, cost vector) of
+    order[:i] for every i up to len(order), so value and cost_acc are read
+    from its last entry, and truncate() restores an earlier one exactly.
     """
 
-    order: list = field(default_factory=list)
-    cost_acc: np.ndarray = None
-    value: float = 0.0
-    history: list = field(default_factory=list)
+    def __init__(self, k):
+        self.order = []
+        self.history = [(0.0, np.zeros(k))]
+
+    @property
+    def value(self):
+        return self.history[-1][0]
+
+    @property
+    def cost_acc(self):
+        return self.history[-1][1]
+
+    def take(self, cons, e, fe):
+        """Append e, with f(order + [e]) = fe, when its gain is nonnegative
+        and the grown set is feasible under cons; a NaN gain is never
+        appended. Returns whether the selection grew."""
+        value, cost = self.history[-1]
+        new_cost = cost + cons.costs[:, e]
+        if not (fe - value >= 0 and cons.is_feasible_cost(new_cost)):
+            return False
+        self.order.append(e)
+        self.history.append((fe, new_cost))
+        return True
 
     def truncate(self, depth):
         """Roll back to order[:depth] with its value and cost vector."""
-        if depth < len(self.order):
-            self.value, self.cost_acc = self.history[depth]
-            del self.order[depth:], self.history[depth:]
+        del self.order[depth:], self.history[depth + 1:]
 
 
 def check_weights(weights):

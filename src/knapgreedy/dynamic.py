@@ -55,14 +55,14 @@ class DynamicGreedy:
         self._calls_baseline = inst.objective.eval_count
         self.lam = float(lam)
         self.obj = inst.objective
-        self.sigma = Solution(order=[], cost_acc=np.zeros(inst.constraints.k), value=0.0)
+        self.sigma = Solution(k)
         # An element that does not fit the current budgets is in no cheap
         # set and no complement. Its singleton value is evaluated the first
         # time it fits (n calls at most over a run) and kept, so later
         # updates re-derive the best feasible singleton for free.
         self.singleton_values = {}
         self._adopt(inst.constraints, split_by_threshold(inst.constraints, lam))
-        if self.vstar is None:
+        if not (self.part.cheap or self.part.expensive):
             raise EmptyAfterReductionError("empty after reduction")
 
     def _adopt(self, cons, part):

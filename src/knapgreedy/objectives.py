@@ -49,33 +49,22 @@ def _logdet_principals(M, rows, jitter=0.0):
     return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=-1)
 
 
-def _with_room(buf, index):
-    """buf, or a copy with twice as many rows, so that buf[index] exists.
-    Per-depth state grows this way and is written in place, so a push never
-    copies it."""
-    if index < buf.shape[0]:
-        return buf
-    grown = np.empty((2 * buf.shape[0],) + buf.shape[1:])
-    grown[: buf.shape[0]] = buf
-    return grown
-
-
 class _SumPrefix(PrefixState):
     """f(P) and the gain f(P + [e]) - f(P) of every element, per depth.
-    A push of x subtracts the row drop[x] from the gains."""
+    A push of x subtracts the row drop[x] from the gains; without drop
+    (modular) the gains never change and one row is kept."""
 
     def __init__(self, gains, drop=None):
         super().__init__()
-        self.f = np.zeros(8)
-        self.gains = np.empty((8, gains.shape[0]))
+        n = gains.shape[0]
+        self.f = np.zeros(n + 1)
+        self.gains = np.empty((1 if drop is None else n + 1, n))
         self.gains[0] = gains
         self.drop = drop
 
     def _push(self, d, e):
-        self.f = _with_room(self.f, d + 1)
         self.f[d + 1] = self._extend(d, e)
         if self.drop is not None:
-            self.gains = _with_room(self.gains, d + 1)
             np.subtract(self.gains[d], self.drop[e], out=self.gains[d + 1])
         return True
 
@@ -95,18 +84,15 @@ class _CholeskyPrefix(PrefixState):
         super().__init__()
         n = K.shape[0]
         self.K = K
-        self.rows = np.empty((8, n))
-        self.d2 = np.empty((8, n))
+        self.rows = np.empty((n, n))
+        self.d2 = np.empty((n + 1, n))
         self.d2[0] = np.diag(K) + jitter  # jitter enters on the diagonal only
-        self.logdet = np.zeros(8)
+        self.logdet = np.zeros(n + 1)
 
     def _push(self, d, e):
         de = self.d2[d, e]
         if not de > 0:
             return False
-        self.rows = _with_room(self.rows, d)
-        self.d2 = _with_room(self.d2, d + 1)
-        self.logdet = _with_room(self.logdet, d + 1)
         # Elementwise products summed over axis 0 put every column through
         # the same roundings, so elements with equal columns tie exactly, as
         # they do in _value; a BLAS product may round columns differently.

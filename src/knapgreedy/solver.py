@@ -72,20 +72,6 @@ def split_by_threshold(cons, lam):
     return Partition(tuple(np.flatnonzero(cheap).tolist()), tuple(np.flatnonzero(expensive).tolist()))
 
 
-def _take(cons, sigma, e, fe):
-    """Append the winner e, with f(sigma + e) = fe, pushing the prefix it
-    extends on sigma.history, when its gain is nonnegative and sigma + e is
-    feasible; a NaN gain is never appended. Returns whether sigma grew."""
-    new_cost = sigma.cost_acc + cons.costs[:, e]
-    if not (fe - sigma.value >= 0 and cons.is_feasible_cost(new_cost)):
-        return False
-    sigma.history.append((sigma.value, sigma.cost_acc))
-    sigma.order.append(e)
-    sigma.cost_acc = new_cost
-    sigma.value = fe
-    return True
-
-
 def greedy_step(obj, cons, sigma, pool):
     """One eager density-greedy selection, the dynamic engine's step.
 
@@ -100,19 +86,19 @@ def greedy_step(obj, cons, sigma, pool):
     grew.
     """
     obj.follow(sigma.order)
-    current = frozenset(sigma.order)
+    current, base = frozenset(sigma.order), sigma.value
     max_costs = cons.max_costs
     best_e, best_density, best_fval = None, None, None
     for e in pool:
         fe = obj.value(current | {e})
-        density = (fe - sigma.value) / max_costs[e]
+        density = (fe - base) / max_costs[e]
         if best_density is None or density > best_density:
             best_e, best_density, best_fval = e, density, fe
     if best_density < 0:
         pool.clear()
         return False
     pool.remove(best_e)
-    return _take(cons, sigma, best_e, best_fval)
+    return sigma.take(cons, best_e, best_fval)
 
 
 def _heap_key(density):
@@ -163,7 +149,7 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
     # A gain's rounding error scales with the f-values it is the difference
     # of, which are at most sigma.value plus the gain itself.
     min_cost = min((max_costs[e] for e in part.cheap), default=1.0)
-    depth, followed = len(sigma.order), -1
+    depth, followed, base = len(sigma.order), -1, sigma.value
     while heap:
         key, e = heap[0]
         if stamps[e] != depth:
@@ -171,9 +157,9 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
                 obj.follow(sigma.order)
                 current, followed = frozenset(sigma.order), depth
             fvals[e], stamps[e] = obj.value(current | {e}), depth
-            heapq.heapreplace(heap, (_heap_key((fvals[e] - sigma.value) / max_costs[e]), e))
+            heapq.heapreplace(heap, (_heap_key((fvals[e] - base) / max_costs[e]), e))
             continue
-        slack = BOUND_SLACK * (max(1.0, abs(key)) + sigma.value / min_cost)
+        slack = BOUND_SLACK * (max(1.0, abs(key)) + base / min_cost)
         if key > slack:  # every density left is negative, or NaN
             break
         if len(heap) > 1 and min(heap[1:3])[0] <= key + slack:
@@ -186,8 +172,8 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
         if key > 0:
             break
         heapq.heappop(heap)
-        if _take(cons, sigma, e, fvals[e]):
-            depth += 1
+        if sigma.take(cons, e, fvals[e]):
+            depth, base = depth + 1, sigma.value
     return sigma
 
 
@@ -254,15 +240,17 @@ def complement_search(obj, cons, part, floor=0.0):
 
 def best_singleton(obj, elements, values):
     """The best single element v*: argmax of f({e}) over the ascending
-    sequence elements, ties to the lowest index, and its value; (None, 0.0)
-    when elements is empty. values caches f({e}) keyed by element: only the
-    elements missing from it are evaluated, one call each, and stored there.
-    The objective's followed prefix is dropped only when one is missing."""
+    sequence elements, ties to the lowest index, and its value; a NaN value
+    never wins, and (None, 0.0) is returned when no value is a number.
+    values caches f({e}) keyed by element: only the elements missing from
+    it are evaluated, one call each, and stored there. The objective's
+    followed prefix is dropped only when one is missing."""
     missing = [e for e in elements if e not in values]
     if missing:
         obj.follow(())
         values.update((e, obj.value({e})) for e in missing)
-    best_e = max(elements, key=values.__getitem__, default=None)
+    numbers = [e for e in elements if values[e] == values[e]]
+    best_e = max(numbers, key=values.__getitem__, default=None)
     return best_e, 0.0 if best_e is None else values[best_e]
 
 

@@ -12,6 +12,7 @@ pairwise curvature scan.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from knapgreedy import (
     Instance,
     KnapsackConstraints,
     ModularObjective,
-    Solution,
 )
 from knapgreedy.core import FEAS_TOL
 from knapgreedy.oracle import (
@@ -81,27 +81,25 @@ def reference_greedy(obj, cons, part):
     largest gain per maximum cost (ties to the lowest index), and append it
     when feasible with nonnegative gain. It evaluates on a clone, which
     tracks no prefix, so every call is a from-scratch evaluation that leaves
-    the caller's objective and its counter alone."""
+    the caller's objective and its counter alone. Returns the order and its
+    value."""
     obj = obj.clone()
-    sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
+    order, value, cost = [], 0.0, np.zeros(cons.k)
     pool = list(part.cheap)
-    current = frozenset()
     while pool:
         best_e, best_density, best_fval = None, None, None
         for e in pool:
-            fe = obj.value(current | {e})
-            density = (fe - sigma.value) / float(cons.costs[:, e].max())
+            fe = obj.value(order + [e])
+            density = (fe - value) / float(cons.costs[:, e].max())
             if best_density is None or density > best_density:
                 best_e, best_density, best_fval = e, density, fe
         pool.remove(best_e)
-        gain = best_fval - sigma.value
-        new_cost = sigma.cost_acc + cons.costs[:, best_e]
+        gain = best_fval - value
+        new_cost = cost + cons.costs[:, best_e]
         if gain >= 0 and cons.is_feasible_cost(new_cost):
-            sigma.order.append(best_e)
-            sigma.cost_acc = new_cost
-            sigma.value = best_fval
-            current = current | {best_e}
-    return sigma
+            order.append(best_e)
+            value, cost = best_fval, new_cost
+    return SimpleNamespace(order=order, value=value)
 
 
 def reference_chi(cons):
@@ -223,26 +221,19 @@ def reference_curvature(obj, n):
 def eager_greedy_step(obj, cons, sigma, pool):
     """solver.greedy_step without the negative-density early end: the
     winner is removed and discarded one scan at a time, so a pool whose
-    gains are all negative takes one scan per candidate to empty. An append
-    pushes the prefix it extends on sigma.history, as solver._take does."""
+    gains are all negative takes one scan per candidate to empty. The
+    winner is appended or discarded by Solution.take."""
     obj.follow(sigma.order)
-    current = frozenset(sigma.order)
+    current, base = frozenset(sigma.order), sigma.value
     max_costs = cons.max_costs
     best_e, best_density, best_fval = None, None, None
     for e in pool:
         fe = obj.value(current | {e})
-        density = (fe - sigma.value) / max_costs[e]
+        density = (fe - base) / max_costs[e]
         if best_density is None or density > best_density:
             best_e, best_density, best_fval = e, density, fe
     pool.remove(best_e)
-    new_cost = sigma.cost_acc + cons.costs[:, best_e]
-    if not (best_fval - sigma.value >= 0 and cons.is_feasible_cost(new_cost)):
-        return False
-    sigma.history.append((sigma.value, sigma.cost_acc))
-    sigma.order.append(best_e)
-    sigma.cost_acc = new_cost
-    sigma.value = best_fval
-    return True
+    return sigma.take(cons, best_e, best_fval)
 
 
 def eager_greedy_calls(cheap_size):
@@ -318,6 +309,24 @@ def twin_instance(rng, family, pairs):
         else:
             obj = EntropyObjective(M @ M.T + np.eye(n))
     return Instance(GroundSet(n), KnapsackConstraints(costs, weights), obj)
+
+
+def integer_instance(rng, n, k, family):
+    """Integer costs, budgets and objective data, so that many subsets tie
+    exactly in value; every element fits its budgets alone."""
+    costs = rng.integers(1, 4, size=(k, n)).astype(float)
+    weights = rng.integers(costs.max(axis=1), np.maximum(costs.max(axis=1), costs.sum(axis=1) // 2) + 1)
+    if family == "modular":
+        obj = ModularObjective(rng.integers(0, 4, n).astype(float))
+    elif family == "cut":
+        arcs = [(u, v, float(rng.integers(1, 3)))
+                for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+        obj = DirectedCutObjective(n, arcs)
+    else:
+        A = rng.integers(-1, 2, size=(n, 3)).astype(float)
+        K = A @ A.T + np.eye(n)
+        obj = DppLogDetObjective(K) if family == "dpp" else EntropyObjective(K)
+    return Instance(GroundSet(n), KnapsackConstraints(costs, weights.astype(float)), obj)
 
 
 # ---------------------------------------------------------------------------

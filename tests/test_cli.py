@@ -132,11 +132,9 @@ class TestInstanceFiles:
         doc = json.loads(json.dumps(self.PARTITION))
         doc["partition"]["labels"] = [0, 0, 1]
         path = write_instance(tmp_path, doc)
-        for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"]):
+        for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"], ["curvature"]):
             assert main([cmd[0], "--instance", path] + cmd[1:]) == 2
             assert "cost matrix has 3 columns, ground set has 4" in capsys.readouterr().err
-        # curvature reads the objective alone, never the costs
-        assert main(["curvature", "--instance", path]) == 0
 
     def test_sigma_csv_resolves_next_to_the_instance_file(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(4)

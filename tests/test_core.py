@@ -163,3 +163,15 @@ class TestOracleAccounting:
         before = inst.objective.eval_count
         result = lambda_greedy(inst, 1.5)
         assert inst.objective.eval_count - before == result.oracle_calls
+
+
+class TestExports:
+    def test_star_import_gives_the_public_names_and_no_module(self):
+        import knapgreedy
+
+        names = {}
+        exec("from knapgreedy import *", names)
+        names.pop("__builtins__")
+        assert sorted(names) == knapgreedy.__all__
+        assert len(names) == 42
+        assert all(value.__module__.startswith("knapgreedy.") for value in names.values())

@@ -2,8 +2,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from knapgreedy import (
     DirectedCutObjective,
@@ -17,6 +18,7 @@ from knapgreedy import (
     ModularObjective,
     brute_force_curvature,
     brute_force_opt,
+    check_guarantee,
     chi,
     complement_search,
     guarantee_bound,
@@ -28,7 +30,14 @@ from knapgreedy.core import FEAS_TOL
 from knapgreedy.dynamic import WeightUpdate
 from knapgreedy.solver import best_singleton
 
-from conftest import FAMILIES, eager_greedy_step, random_instance, reference_greedy
+from conftest import (
+    FAMILIES,
+    eager_greedy_step,
+    integer_instance,
+    random_instance,
+    reference_greedy,
+    twin_instance,
+)
 
 
 def tightened_weights(rng, weights):
@@ -68,9 +77,8 @@ class TestInit:
         assert (eng.pool, eng.vstar, eng.vstar_value) == ([1], 1, 1.0)
 
     def test_vstar_ties_to_lowest_fitting_index(self):
-        # NaN compares false, so a NaN after the first element never wins; of
-        # equal maxima the lowest index does, in the solver's scan and in the
-        # engine after an update alike
+        # a NaN never wins; of equal maxima the lowest index does, in the
+        # solver's scan and in the engine after an update alike
         obj = ModularObjective([1.0, float("nan"), 3.0, 3.0, 2.0])
         inst = Instance(GroundSet(5), KnapsackConstraints([[1, 1, 2, 1, 1]], [2.0]), obj)
         assert best_singleton(obj, range(5), {}) == (2, 3.0)
@@ -78,6 +86,22 @@ class TestInit:
         assert (eng.vstar, eng.vstar_value) == (2, 3.0)
         eng.apply_weights([1.0])  # element 2 no longer fits
         assert (eng.vstar, eng.vstar_value) == (3, 3.0)
+
+    def test_vstar_is_never_a_nan_element(self):
+        # the first maximum over the values that are numbers, wherever the
+        # NaN sits; the greedy reaches 2.0 and v* beats it
+        nan = float("nan")
+        for values, costs, vstar in (([nan, 1.0, 1.0, 2.5], [0.1, 0.1, 0.1, 1.0], 3),
+                                     ([2.5, 1.0, 1.0, nan], [1.0, 0.1, 0.1, 0.1], 0)):
+            cons = KnapsackConstraints([costs], [1.0])
+            inst = Instance(GroundSet(4), cons, ModularObjective(values))
+            result = lambda_greedy(inst, 1.0)
+            assert (result.chosen, result.value, result.which) == ((vstar,), 2.5, "singleton-vstar")
+        # elements that fit but have no number for a value leave no v*, and
+        # the engine still starts
+        inst = Instance(GroundSet(1), KnapsackConstraints([[1.0]], [1.0]), ModularObjective([nan]))
+        eng = DynamicGreedy(inst, 1.0)
+        assert (eng.vstar, eng.vstar_value) == (None, 0.0)
 
 
 class TestStep:
@@ -261,66 +285,6 @@ class TestFinalize:
         assert result.value == max(eng.sigma.value, eng.vstar_value)
 
 
-class TestLazyFinish:
-    def test_unlimited_run_reaches_the_eager_prefix(self):
-        # random walks of eager steps and mixed updates: after each
-        # unlimited run_to_completion(), the prefix, its value bits and its
-        # cost bytes are those of stepping eagerly until the pool is empty,
-        # with no more calls; a rollback, also after finalize(), restores
-        # the value and the cost vector the prefix had when it was built
-        rng = np.random.default_rng(41)
-
-        def state(eng):
-            return tuple(eng.sigma.order), eng.sigma.value.hex(), eng.sigma.cost_acc.tobytes()
-
-        def update(eng, factors):
-            built = [(v.hex(), c.tobytes()) for v, c in eng.sigma.history]
-            built.append(state(eng)[1:])
-            eng.apply_weights(eng.cons.weights * factors)
-            assert state(eng)[1:] == built[len(eng.sigma.order)]
-
-        def walk(inst, lam, script, finish):
-            eng = DynamicGreedy(Instance(inst.ground, inst.constraints, inst.objective.clone()), lam)
-            seen = []
-            for steps, factors in script:
-                for _ in range(steps):
-                    eng.step()
-                finish(eng)
-                seen.append(state(eng))
-                update(eng, factors)
-                seen.append(state(eng))
-            result = eng.finalize()
-            seen.append(state(eng))
-            update(eng, script[0][1])
-            seen.append((result.chosen, result.value.hex(), result.which, result.greedy_order))
-            seen.append(state(eng))
-            return seen, eng.obj.eval_count
-
-        def eager(eng):
-            while eng.pool:
-                eng.step()
-
-        walks, lazy_calls, eager_calls = 0, 0, 0
-        while walks < 300:
-            n, k = int(rng.integers(3, 13)), int(rng.integers(1, 4))
-            family = FAMILIES[walks % len(FAMILIES)]
-            lam = float(rng.choice([1.0, k]))
-            inst = random_instance(rng, n, k, family)
-            script = [(int(rng.integers(0, n)), rng.uniform(0.3, 1.7, size=k))
-                      for _ in range(int(rng.integers(1, 5)))]
-            try:
-                got, calls = walk(inst, lam, script, DynamicGreedy.run_to_completion)
-            except EmptyAfterReductionError:
-                continue
-            expected, eager_walk_calls = walk(inst, lam, script, eager)
-            assert got == expected
-            assert calls <= eager_walk_calls
-            lazy_calls += calls
-            eager_calls += eager_walk_calls
-            walks += 1
-        assert lazy_calls < eager_calls
-
-
 class TestRestartEquivalence:
     def test_sequences_identical_under_tightening_updates(self):
         rng = np.random.default_rng(35)
@@ -480,124 +444,183 @@ class TestBacktrackFoil:
 
 
 # ---------------------------------------------------------------------------
-# property-based checks over random instances and update sequences (n <= 8)
+# the engine's contract, checked after every operation of random histories
 
-PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+class EagerTwin(DynamicGreedy):
+    """The engine stepped by conftest.eager_greedy_step, which discards a
+    negative-gain winner one scan at a time, and stepped eagerly by an
+    unlimited run too."""
+
+    def step(self):
+        if self.pool:
+            eager_greedy_step(self.obj, self.cons, self.sigma, self.pool)
+
+    def run_to_completion(self, call_limit=None):
+        while self.pool and (call_limit is None or self.obj.eval_count < call_limit):
+            self.step()
 
 
 @st.composite
-def engine_runs(draw, low, high):
-    """A random instance and a sequence of (steps, per-knapsack weight
-    factor) updates with factors drawn from [low, high].
+def machine_cases(draw):
+    """(instance, lam, whether from-scratch values tie as the prefix state
+    does) over all four families. Instances are random, narrow-cost,
+    integer or twin ones, and half are built at 0.3 of their budgets, so
+    that loosening lets elements in that did not fit at start-up.
 
-    Half the instances have narrow costs in [1.5, 2] and budgets of k to
-    1.5k times the largest cost, so every element starts cheap. With
-    lam < k, a budget cut can then push a prefix element out of the cheap
-    set (cost > lam * W / k) while the prefix still fits within chi (every
-    cost <= W), so that only the cheap-set rule forces the pop."""
-    n = draw(st.integers(2, 8))
-    k = draw(st.integers(1, 3))
+    Narrow costs lie in [1.5, 2] with budgets of k to 1.5k times the largest
+    cost, so every element starts cheap. With lam < k, a budget cut can then
+    push a prefix element out of the cheap set while the prefix still fits
+    within chi, so that only the cheap-set rule forces the pop."""
     family = draw(st.sampled_from(FAMILIES))
-    lam = draw(st.sampled_from([1.0, float(k)]))
-    narrow = draw(st.booleans())
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    factors = st.lists(st.floats(low, high), min_size=k, max_size=k)
-    updates = draw(st.lists(st.tuples(st.integers(0, n), factors), max_size=5))
-    rng = np.random.default_rng(seed)
-    inst = random_instance(rng, n, k, family)
-    if narrow:
+    kind = draw(st.sampled_from(("random", "narrow", "integer", "twin")))
+    n, k = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "twin":
+        inst = twin_instance(rng, family, n // 2)
+    elif kind == "integer":
+        inst = integer_instance(rng, n, k, family)
+    else:
+        inst = random_instance(rng, n, k, family)
+    if kind == "narrow":
         costs = rng.uniform(1.5, 2.0, size=(k, n))
         weights = k * costs.max(axis=1) * rng.uniform(1.0, 1.5, size=k)
         inst.constraints = KnapsackConstraints(costs, weights)
-    return inst, lam, updates
+    if draw(st.booleans()):
+        inst.constraints = inst.constraints.with_weights(0.3 * inst.constraints.weights)
+    assume(inst.constraints.fits().any())
+    lam = draw(st.sampled_from([1.0, float(inst.constraints.k)]))
+    # integer kernels tie elements that are not twins, and the prefix state
+    # and a from-scratch determinant may round such ties apart
+    return inst, lam, kind != "integer" or family in ("modular", "cut")
 
 
-def _engine_after(inst, lam, updates):
-    """Engine stepped and updated as scripted, or None when nothing fits."""
-    try:
-        eng = DynamicGreedy(inst, lam)
-    except EmptyAfterReductionError:
-        return None
-    for steps, factors in updates:
-        for _ in range(steps):
+def _bits(sigma):
+    return [(value.hex(), cost.tobytes()) for value, cost in sigma.history]
+
+
+def factors(low, high):
+    """Per-knapsack budget factors; an update reads the first k."""
+    return st.lists(st.floats(low, high), min_size=3, max_size=3)
+
+
+class EngineMachine(RuleBasedStateMachine):
+    """An engine and its eager twin, driven through the same steps, limited
+    and unlimited runs, budget updates and finalize() calls.
+
+    After every rule, the engine's prefix, the value bits and cost bytes of
+    every depth, equal the twin's, with no more oracle calls; the cost
+    bytes are the prefix's cost columns added one by one, and feasible; the
+    partition, the pool and v* are those of the current budgets; and, while
+    every update so far has tightened, a complete prefix is the one a
+    from-scratch greedy under the current budgets builds."""
+
+    @initialize(case=machine_cases())
+    def build(self, case):
+        self.inst, self.lam, self.ties_exact = case
+        self.tightened_only = True
+        inst = self.inst
+        self.eng, self.twin = self.engines = [
+            cls(Instance(inst.ground, inst.constraints, inst.objective.clone()), self.lam)
+            for cls in (DynamicGreedy, EagerTwin)
+        ]
+        self._check_pool_refilled()
+
+    def _check_pool_refilled(self):
+        taken = set(self.eng.sigma.order)
+        assert self.eng.pool == [e for e in self.eng.part.cheap if e not in taken]
+
+    @rule()
+    def step(self):
+        for eng in self.engines:
             eng.step()
-        eng.apply_weights(eng.cons.weights * np.array(factors))
-        assert np.allclose(
-            eng.sigma.cost_acc, eng.cons.set_cost(eng.sigma.order), rtol=0, atol=FEAS_TOL
-        )
-    return eng
+
+    @rule(calls=st.integers(0, 30))
+    def limited_run(self, calls):
+        for eng in self.engines:
+            limit = eng.obj.eval_count + calls
+            eng.run_to_completion(limit)
+            assert eng.obj.eval_count >= limit or not eng.pool
+
+    @rule()
+    def unlimited_run(self):
+        for eng in self.engines:
+            eng.run_to_completion()
+        assert self.eng.pool == self.twin.pool == []
+
+    def _update(self, factors):
+        factors = np.array(factors[: self.eng.cons.k])
+        self.tightened_only &= bool((factors <= 1.0).all())
+        order, built = list(self.eng.sigma.order), _bits(self.eng.sigma)
+        weights = self.eng.cons.weights * factors
+        for eng in self.engines:
+            eng.apply_weights(weights)
+        depth = len(self.eng.sigma.order)
+        assert self.eng.sigma.order == order[:depth]
+        assert _bits(self.eng.sigma) == built[: depth + 1]
+        self._check_pool_refilled()
+
+    @rule(factors=factors(0.4, 1.0))
+    def tighten(self, factors):
+        self._update(factors)
+
+    @rule(factors=factors(1.0, 2.5))
+    def loosen(self, factors):
+        self._update(factors)
+
+    @rule(factors=factors(0.3, 1.7))
+    def mixed(self, factors):
+        self._update(factors)
+
+    @rule()
+    def finalize(self):
+        got, want = (eng.finalize() for eng in self.engines)
+        assert (got.chosen, got.value.hex(), got.which, got.greedy_order) == (
+            want.chosen, want.value.hex(), want.which, want.greedy_order)
+        assert got.oracle_calls == self.eng.obj.eval_count <= want.oracle_calls
+        assert self.eng.cons.is_feasible(got.chosen)
+        now = Instance(self.inst.ground, self.eng.cons, self.eng.obj)
+        assert check_guarantee(now, self.lam, got.value).passed
+
+    @invariant()
+    def prefix_matches_twin(self):
+        assert self.eng.sigma.order == self.twin.sigma.order
+        assert _bits(self.eng.sigma) == _bits(self.twin.sigma)
+        assert self.eng.obj.eval_count <= self.twin.obj.eval_count
+
+    @invariant()
+    def costs_added_one_by_one_and_feasible(self):
+        sigma, cons = self.eng.sigma, self.eng.cons
+        cost = np.zeros(cons.k)
+        assert len(sigma.history) == len(sigma.order) + 1
+        for i, (_, built) in enumerate(sigma.history):
+            assert built.tobytes() == cost.tobytes()
+            if i < len(sigma.order):
+                cost = cost + cons.costs[:, sigma.order[i]]
+        assert cons.is_feasible_cost(sigma.cost_acc)
+
+    @invariant()
+    def state_of_the_current_budgets(self):
+        eng = self.eng
+        part = split_by_threshold(eng.cons, self.lam)
+        assert eng.part == part
+        assert set(eng.sigma.order) <= set(part.cheap)
+        assert eng.pool == sorted(eng.pool)
+        assert set(eng.pool) <= set(part.cheap) - set(eng.sigma.order)
+        values, fitting = eng.singleton_values, sorted(part.cheap + part.expensive)
+        assert set(fitting) <= set(values)
+        numbers = [e for e in fitting if values[e] == values[e]]
+        vstar = max(numbers, key=values.__getitem__, default=None)
+        assert (eng.vstar, eng.vstar_value) == (vstar, 0.0 if vstar is None else values[vstar])
+
+    @invariant()
+    def restart_exact_after_tightening(self):
+        eng = self.eng
+        if self.tightened_only and self.ties_exact and not eng.pool:
+            assert eng.sigma.order == reference_greedy(eng.obj, eng.cons, eng.part).order
 
 
-class TestEngineProperties:
-    @PROPERTY_SETTINGS
-    @given(engine_runs(0.3, 1.7))
-    def test_mixed_updates_keep_costs_and_feasibility(self, run):
-        inst, lam, updates = run
-        eng = _engine_after(inst, lam, updates)
-        if eng is None:
-            return
-        result = eng.finalize()
-        assert np.allclose(
-            eng.sigma.cost_acc, eng.cons.set_cost(eng.sigma.order), rtol=0, atol=FEAS_TOL
-        )
-        assert inst.constraints.with_weights(eng.cons.weights).is_feasible(result.chosen)
-
-    @PROPERTY_SETTINGS
-    @given(engine_runs(0.3, 1.7))
-    def test_mixed_updates_trail_matches_eager_engine(self, run):
-        # the same prefix after every step and update, and the same result,
-        # as an engine that discards a negative-gain winner one scan at a
-        # time, with no more oracle calls
-        inst, lam, updates = run
-
-        def trail():
-            try:
-                eng = DynamicGreedy(
-                    Instance(inst.ground, inst.constraints, inst.objective.clone()), lam
-                )
-            except EmptyAfterReductionError:
-                return None, 0
-            seen = []
-            for steps, factors in updates:
-                for _ in range(steps):
-                    eng.step()
-                    seen.append((tuple(eng.sigma.order), eng.sigma.value))
-                eng.apply_weights(eng.cons.weights * np.array(factors))
-                seen.append((tuple(eng.sigma.order), eng.sigma.value))
-            result = eng.finalize()
-            seen.append((result.chosen, result.value, result.which, result.greedy_order))
-            return seen, eng.obj.eval_count
-
-        got, calls = trail()
-        with mock.patch("knapgreedy.dynamic.greedy_step", eager_greedy_step):
-            expected, eager_calls = trail()
-        assert got == expected
-        assert calls <= eager_calls
-
-    @PROPERTY_SETTINGS
-    @given(engine_runs(0.3, 1.7))
-    def test_mixed_updates_meet_guarantee(self, run):
-        # an element that did not fit at start-up competes again once a
-        # budget grows, so the bound holds against the final budgets' optimum
-        inst, lam, updates = run
-        eng = _engine_after(
-            Instance(inst.ground, inst.constraints, inst.objective.clone()), lam, updates
-        )
-        if eng is None:
-            return
-        value = eng.finalize().value
-        final = Instance(inst.ground, eng.cons, inst.objective.clone())
-        opt_val, _ = brute_force_opt(final)
-        alpha = brute_force_curvature(inst.objective.clone(), inst.ground.n)
-        assert value >= guarantee_bound(lam, alpha) * opt_val - 1e-9
-
-    @PROPERTY_SETTINGS
-    @given(engine_runs(0.4, 1.0))
-    def test_tightening_updates_match_reference(self, run):
-        inst, lam, updates = run
-        eng = _engine_after(inst, lam, updates)
-        if eng is None:
-            return
-        eng.run_to_completion()
-        scratch = reference_greedy(eng.obj, eng.cons, split_by_threshold(eng.cons, lam))
-        assert scratch.order == eng.sigma.order
+TestEngineMachine = EngineMachine.TestCase
+TestEngineMachine.settings = settings(
+    derandomize=True, database=None, deadline=None, max_examples=200, stateful_step_count=10
+)

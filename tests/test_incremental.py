@@ -191,7 +191,7 @@ class TestTies:
             expected = reference_greedy(obj, cons, part).order
             seeds = {}
             best_singleton(obj, part.cheap, seeds)
-            sigma = Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
+            sigma = Solution(cons.k)
             assert greedy_phase(obj, cons, part, seeds, sigma).order == expected
             eng = DynamicGreedy(Instance(inst.ground, cons, obj.clone()), 2.0)
             eng.run_to_completion()

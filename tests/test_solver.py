@@ -32,6 +32,7 @@ from knapgreedy.solver import Partition, best_of, best_singleton, greedy_step
 from conftest import (
     FAMILIES,
     eager_greedy_calls,
+    integer_instance,
     random_instance,
     random_spd,
     reference_chi,
@@ -39,24 +40,6 @@ from conftest import (
     reference_greedy,
     twin_instance,
 )
-
-
-def integer_instance(rng, n, k, family):
-    """Integer costs, budgets and objective data, so that many subsets tie
-    exactly in value; every element is expensive."""
-    costs = rng.integers(1, 4, size=(k, n)).astype(float)
-    weights = rng.integers(costs.max(axis=1), np.maximum(costs.max(axis=1), costs.sum(axis=1) // 2) + 1)
-    if family == "modular":
-        obj = ModularObjective(rng.integers(0, 4, n).astype(float))
-    elif family == "cut":
-        arcs = [(u, v, float(rng.integers(1, 3)))
-                for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
-        obj = DirectedCutObjective(n, arcs)
-    else:
-        A = rng.integers(-1, 2, size=(n, 3)).astype(float)
-        K = A @ A.T + np.eye(n)
-        obj = DppLogDetObjective(K) if family == "dpp" else EntropyObjective(K)
-    return Instance(GroundSet(n), KnapsackConstraints(costs, weights.astype(float)), obj)
 
 
 def lazy_case(rng, family, trial):
@@ -124,21 +107,17 @@ def with_unfit_elements(rng, inst, m):
     return Instance(GroundSet(N), KnapsackConstraints(costs, cons.weights), new), pos
 
 
-def empty_solution(cons):
-    return Solution(order=[], cost_acc=np.zeros(cons.k), value=0.0)
-
-
 def lazy_phase(obj, cons, part):
     """greedy_phase from the empty prefix, seeded by best_singleton's scan
     of the cheap set, whose calls count on obj."""
     values = {}
     best_singleton(obj, part.cheap, values)
-    return greedy_phase(obj, cons, part, values, empty_solution(cons))
+    return greedy_phase(obj, cons, part, values, Solution(cons.k))
 
 
 def eager_phase(obj, cons, part):
     """The greedy phase as a loop over the eager greedy_step."""
-    sigma = empty_solution(cons)
+    sigma = Solution(cons.k)
     pool = list(part.cheap)
     while pool:
         greedy_step(obj, cons, sigma, pool)
@@ -320,7 +299,7 @@ class TestGreedyPhase:
         vstar, vstar_val = best_singleton(obj, range(4), seeds)
         assert (vstar, vstar_val, seeds) == (2, 4.0, dict(enumerate(values)))
         assert obj.eval_count == 4
-        assert greedy_phase(obj, cons, part, seeds, empty_solution(cons)).order == [2, 0, 3, 1]
+        assert greedy_phase(obj, cons, part, seeds, Solution(cons.k)).order == [2, 0, 3, 1]
         assert obj.eval_count == 4 + 3
 
     def test_discarded_winner_costs_no_call(self):
@@ -358,7 +337,7 @@ class TestGreedyPhase:
             seeds = {}
             best_singleton(obj, range(n), seeds)
             start = obj.eval_count
-            sigma = greedy_phase(obj, cons, part, seeds, empty_solution(cons))
+            sigma = greedy_phase(obj, cons, part, seeds, Solution(cons.k))
             assert (sigma.order, sigma.value) == (eager.order, eager.value)
             assert np.array_equal(sigma.cost_acc, eager.cost_acc)
             assert obj.eval_count - start <= eager_obj.eval_count
@@ -394,7 +373,7 @@ class TestGreedyPhase:
             seeds = {}
             best_singleton(obj, range(n), seeds)
             start = obj.eval_count
-            sigma = greedy_phase(obj, cons, part, seeds, empty_solution(cons))
+            sigma = greedy_phase(obj, cons, part, seeds, Solution(cons.k))
             assert (sigma.order, sigma.value) == (eager.order, eager.value)
             assert obj.eval_count - start <= eager_obj.eval_count
 
@@ -725,7 +704,7 @@ class TestLambdaGreedy:
             values = {}
             vstar, vstar_val = best_singleton(obj, fitting, values)
             part = split_by_threshold(cons, lam)
-            sigma = greedy_phase(obj, cons, part, values, empty_solution(cons))
+            sigma = greedy_phase(obj, cons, part, values, Solution(cons.k))
             comp_set, comp_val = complement_search(obj, cons, part)
             expected = best_of(sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count)
             assert picks(result) == picks(expected)

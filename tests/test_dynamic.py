@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -285,6 +285,66 @@ class TestFinalize:
         assert result.value == max(eng.sigma.value, eng.vstar_value)
 
 
+class TestLazyFinish:
+    def test_unlimited_run_reaches_the_eager_prefix(self):
+        # random walks of eager steps and mixed updates: after each
+        # unlimited run_to_completion(), the prefix, its value bits and its
+        # cost bytes are those of stepping eagerly until the pool is empty,
+        # with no more calls; a rollback, also after finalize(), restores
+        # the value and the cost vector the prefix had when it was built
+        rng = np.random.default_rng(41)
+
+        def state(eng):
+            return tuple(eng.sigma.order), eng.sigma.value.hex(), eng.sigma.cost_acc.tobytes()
+
+        def update(eng, factors):
+            built = [(v.hex(), c.tobytes()) for v, c in eng.sigma.history]
+            eng.apply_weights(eng.cons.weights * factors)
+            assert state(eng)[1:] == built[len(eng.sigma.order)]
+
+        def walk(inst, lam, script, finish):
+            eng = DynamicGreedy(Instance(inst.ground, inst.constraints, inst.objective.clone()), lam)
+            seen = []
+            for steps, factors in script:
+                for _ in range(steps):
+                    eng.step()
+                finish(eng)
+                seen.append(state(eng))
+                update(eng, factors)
+                seen.append(state(eng))
+            result = eng.finalize()
+            seen.append(state(eng))
+            update(eng, script[0][1])
+            seen.append((result.chosen, result.value.hex(), result.which, result.greedy_order))
+            seen.append(state(eng))
+            return seen, eng.obj.eval_count
+
+        def eager(eng):
+            while eng.pool:
+                eng.step()
+
+        walks, lazy_calls, eager_calls = 0, 0, 0
+        while walks < 300:
+            n, k = int(rng.integers(3, 13)), int(rng.integers(1, 4))
+            family = FAMILIES[walks % len(FAMILIES)]
+            lam = float(rng.choice([1.0, k]))
+            inst = random_instance(rng, n, k, family)
+            script = [(int(rng.integers(0, n)), rng.uniform(0.3, 1.7, size=k))
+                      for _ in range(int(rng.integers(1, 5)))]
+            try:
+                got, calls = walk(inst, lam, script, DynamicGreedy.run_to_completion)
+            except EmptyAfterReductionError:
+                continue
+            expected, eager_walk_calls = walk(inst, lam, script, eager)
+            assert got == expected
+            assert calls <= eager_walk_calls
+            lazy_calls += calls
+            eager_calls += eager_walk_calls
+            walks += 1
+        assert lazy_calls < eager_calls
+
+
+
 class TestRestartEquivalence:
     def test_sequences_identical_under_tightening_updates(self):
         rng = np.random.default_rng(35)
@@ -441,6 +501,130 @@ class TestBacktrackFoil:
 
         eng.apply_weights([3.0])
         assert eng.finalize().value == 4.0
+
+
+# ---------------------------------------------------------------------------
+# property-based checks over random instances and update sequences (n <= 8)
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+@st.composite
+def engine_runs(draw, low, high):
+    """A random instance and a sequence of (steps, per-knapsack weight
+    factor) updates with factors drawn from [low, high].
+
+    Half the instances have narrow costs in [1.5, 2] and budgets of k to
+    1.5k times the largest cost, so every element starts cheap. With
+    lam < k, a budget cut can then push a prefix element out of the cheap
+    set (cost > lam * W / k) while the prefix still fits within chi (every
+    cost <= W), so that only the cheap-set rule forces the pop."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(FAMILIES))
+    lam = draw(st.sampled_from([1.0, float(k)]))
+    narrow = draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    factors = st.lists(st.floats(low, high), min_size=k, max_size=k)
+    updates = draw(st.lists(st.tuples(st.integers(0, n), factors), max_size=5))
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n, k, family)
+    if narrow:
+        costs = rng.uniform(1.5, 2.0, size=(k, n))
+        weights = k * costs.max(axis=1) * rng.uniform(1.0, 1.5, size=k)
+        inst.constraints = KnapsackConstraints(costs, weights)
+    return inst, lam, updates
+
+
+def _engine_after(inst, lam, updates):
+    """Engine stepped and updated as scripted, or None when nothing fits."""
+    try:
+        eng = DynamicGreedy(inst, lam)
+    except EmptyAfterReductionError:
+        return None
+    for steps, factors in updates:
+        for _ in range(steps):
+            eng.step()
+        eng.apply_weights(eng.cons.weights * np.array(factors))
+        assert np.allclose(
+            eng.sigma.cost_acc, eng.cons.set_cost(eng.sigma.order), rtol=0, atol=FEAS_TOL
+        )
+    return eng
+
+
+class TestEngineProperties:
+    @PROPERTY_SETTINGS
+    @given(engine_runs(0.3, 1.7))
+    def test_mixed_updates_keep_costs_and_feasibility(self, run):
+        inst, lam, updates = run
+        eng = _engine_after(inst, lam, updates)
+        if eng is None:
+            return
+        result = eng.finalize()
+        assert np.allclose(
+            eng.sigma.cost_acc, eng.cons.set_cost(eng.sigma.order), rtol=0, atol=FEAS_TOL
+        )
+        assert inst.constraints.with_weights(eng.cons.weights).is_feasible(result.chosen)
+
+    @PROPERTY_SETTINGS
+    @given(engine_runs(0.3, 1.7))
+    def test_mixed_updates_trail_matches_eager_engine(self, run):
+        # the same prefix after every step and update, and the same result,
+        # as an engine that discards a negative-gain winner one scan at a
+        # time, with no more oracle calls
+        inst, lam, updates = run
+
+        def trail():
+            try:
+                eng = DynamicGreedy(
+                    Instance(inst.ground, inst.constraints, inst.objective.clone()), lam
+                )
+            except EmptyAfterReductionError:
+                return None, 0
+            seen = []
+            for steps, factors in updates:
+                for _ in range(steps):
+                    eng.step()
+                    seen.append((tuple(eng.sigma.order), eng.sigma.value))
+                eng.apply_weights(eng.cons.weights * np.array(factors))
+                seen.append((tuple(eng.sigma.order), eng.sigma.value))
+            result = eng.finalize()
+            seen.append((result.chosen, result.value, result.which, result.greedy_order))
+            return seen, eng.obj.eval_count
+
+        got, calls = trail()
+        with mock.patch("knapgreedy.dynamic.greedy_step", eager_greedy_step):
+            expected, eager_calls = trail()
+        assert got == expected
+        assert calls <= eager_calls
+
+    @PROPERTY_SETTINGS
+    @given(engine_runs(0.3, 1.7))
+    def test_mixed_updates_meet_guarantee(self, run):
+        # an element that did not fit at start-up competes again once a
+        # budget grows, so the bound holds against the final budgets' optimum
+        inst, lam, updates = run
+        eng = _engine_after(
+            Instance(inst.ground, inst.constraints, inst.objective.clone()), lam, updates
+        )
+        if eng is None:
+            return
+        value = eng.finalize().value
+        final = Instance(inst.ground, eng.cons, inst.objective.clone())
+        opt_val, _ = brute_force_opt(final)
+        alpha = brute_force_curvature(inst.objective.clone(), inst.ground.n)
+        assert value >= guarantee_bound(lam, alpha) * opt_val - 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(engine_runs(0.4, 1.0))
+    def test_tightening_updates_match_reference(self, run):
+        inst, lam, updates = run
+        eng = _engine_after(inst, lam, updates)
+        if eng is None:
+            return
+        eng.run_to_completion()
+        scratch = reference_greedy(eng.obj, eng.cons, split_by_threshold(eng.cons, lam))
+        assert scratch.order == eng.sigma.order
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,8 @@ def _emit(payload, pretty, out_path=None):
 
 def cmd_solve(args):
     inst = load_instance(args.instance)
-    if args.updates:
-        result = run_with_updates(inst, args.lam, load_updates(args.updates))
-    else:
-        result = lambda_greedy(inst, args.lam)
-    _emit(result.to_dict(), args.pretty, args.json_out)
+    updates = load_updates(args.updates) if args.updates else []
+    _emit(run_with_updates(inst, args.lam, updates).to_dict(), args.pretty, args.json_out)
     return EXIT_OK
 
 

@@ -185,10 +185,12 @@ class Objective:
     named by follow() from that state instead of calling _value. A set
     evaluated in a batch by value_table() is one call too. The built-in
     families implement _values(rows) instead, one arithmetic for a single
-    set and for a batch (objectives._BatchedObjective).
+    set and for a batch (objectives._BatchedObjective), and set n, the
+    size of the ground set they are defined on; None leaves it unchecked.
     """
 
     _prefix = None  # PrefixState while following a prefix
+    n = None  # ground-set size the built-in families are defined on
 
     def __init__(self):
         self.eval_count = 0
@@ -306,12 +308,15 @@ def validate(inst):
     """Check structural invariants; raises InvalidInstanceError on the first
     violation, naming the offending element. The budgets were checked when
     the constraints were built."""
-    cons = inst.constraints
-    if cons.n != inst.ground.n:
+    cons, n = inst.constraints, inst.ground.n
+    if cons.n != n:
         raise InvalidInstanceError(
             "dimension mismatch: cost matrix has %d columns, ground set has %d elements"
-            % (cons.n, inst.ground.n)
+            % (cons.n, n)
         )
+    size = inst.objective.n
+    if size is not None and size != n:
+        raise InvalidInstanceError("objective has size %d but n=%d" % (size, n))
     for what, bad in (("non-finite", ~np.isfinite(cons.costs)), ("negative", cons.costs < 0)):
         if bad.any():
             i, e = np.argwhere(bad)[0]

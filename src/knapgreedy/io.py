@@ -35,18 +35,10 @@ from .objectives import (
 )
 
 
-def _sized(size, n, what):
-    """Reject an objective of another size than the ground set."""
-    if size != n:
-        raise InvalidInstanceError("%s has size %d but n=%d" % (what, size, n))
-
-
 def _load_objective(spec, n, base_dir):
     kind = spec.get("kind")
     if kind == "modular":
-        obj = ModularObjective(spec["values"])
-        _sized(obj.singleton_values.size, n, "modular values")
-        return obj
+        return ModularObjective(spec["values"])
     if kind == "cut":
         return DirectedCutObjective(n, spec["arcs"])
     if kind == "dpp":
@@ -55,9 +47,7 @@ def _load_objective(spec, n, base_dir):
         else:
             qd = spec["qd"]
             L = build_qd_kernel(QdKernelSpec(qd["q"], qd["features"], qd["sigmas"]))
-        obj = DppLogDetObjective(L, jitter=spec.get("jitter", 1e-10))
-        _sized(obj.L.shape[0], n, "dpp kernel L")
-        return obj
+        return DppLogDetObjective(L, jitter=spec.get("jitter", 1e-10))
     if kind == "entropy":
         if "Sigma" in spec:
             Sigma = np.asarray(spec["Sigma"], dtype=float)
@@ -66,9 +56,7 @@ def _load_objective(spec, n, base_dir):
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             Sigma = np.loadtxt(path, delimiter=",", ndmin=2)
-        obj = EntropyObjective(Sigma)
-        _sized(obj.Sigma.shape[0], n, "entropy covariance Sigma")
-        return obj
+        return EntropyObjective(Sigma)
     raise InvalidInstanceError("unknown objective kind: %r" % kind)
 
 

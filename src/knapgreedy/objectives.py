@@ -165,6 +165,7 @@ class ModularObjective(_BatchedObjective):
     def __init__(self, singleton_values):
         super().__init__()
         self.singleton_values = np.asarray(singleton_values, dtype=float)
+        self.n = self.singleton_values.size
 
     def _values(self, rows):
         return _sum_in_order(self.singleton_values[rows.T])
@@ -222,6 +223,7 @@ class DppLogDetObjective(_BatchedObjective):
     def __init__(self, L, jitter=1e-10):
         super().__init__()
         self.L = _check_symmetric(L, "L")
+        self.n = self.L.shape[0]
         self.jitter = float(jitter)
 
     def _values(self, rows):
@@ -238,6 +240,7 @@ class EntropyObjective(_BatchedObjective):
     def __init__(self, Sigma):
         super().__init__()
         self.Sigma = _check_symmetric(Sigma, "Sigma")
+        self.n = self.Sigma.shape[0]
 
     def _values(self, rows):
         return ENTROPY_PER_ELEMENT * rows.shape[1] + 0.5 * _logdet_principals(self.Sigma, rows)

@@ -106,18 +106,6 @@ def _heap_key(density):
     return -density if density == density else math.inf
 
 
-def _below_root(heap, limit):
-    """Positions other than the root whose key is at most limit; by the heap
-    property they hang together under the root."""
-    found, todo = [], [1, 2]
-    while todo:
-        i = todo.pop()
-        if i < len(heap) and heap[i][0] <= limit:
-            found.append(i)
-            todo += (2 * i + 1, 2 * i + 2)
-    return found
-
-
 def greedy_phase(obj, cons, part, singleton_values, sigma):
     """Lazy density greedy over the cheap set (Minoux 1978): extends the
     prefix sigma in place with the eager greedy_step's sequence until no
@@ -128,13 +116,14 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
     earlier depth bounds the current one from above. singleton_values
     (f({e}) keyed by element, for every cheap e, from best_singleton) are
     the gains over the empty prefix, so they bound the gains over any
-    prefix. A heap holds one (-density, e) entry per candidate, each
-    stamped with the prefix depth it was computed at, 0 for the singleton
-    values; the top is re-evaluated until its stamp is the current depth.
-    In exact arithmetic an exact top is then the eager winner. In floating
-    point a gain may round a little above an earlier bound, so every stale
-    entry whose bound is within the rounding slack of the exact top is
-    re-evaluated too before the top is taken. Among exact entries the heap
+    prefix. A heap holds one entry (key, e, depth, f) per candidate: key
+    is -density and f is f(prefix[:depth] + [e]), depth 0 for the
+    singleton values. The top is re-evaluated until its depth is the
+    current one; in exact arithmetic an exact top is then the eager winner.
+    In floating point a gain may round a little above an earlier bound, so
+    before an exact top is taken the entries within the rounding slack of
+    it are popped: the stale ones go back keyed -inf, to be re-evaluated
+    lowest index first, the rest unchanged. Among exact entries the heap
     order is the eager scan's: the largest density, ties to the lowest
     index, the earliest position in the ascending cheap set. An exact top
     that stays negative with the slack added ends the phase; a NaN density
@@ -142,37 +131,39 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
     singleton values are exact, so the first pick makes no call.
     """
     max_costs = cons.max_costs
-    fvals = {e: singleton_values[e] for e in part.cheap}
-    stamps = [0] * cons.n
-    heap = [(_heap_key(fvals[e] / max_costs[e]), e) for e in part.cheap]  # gain over f(empty) = 0
+    heap = [(_heap_key(singleton_values[e] / max_costs[e]), e, 0, singleton_values[e])
+            for e in part.cheap]  # gain over f(empty) = 0
     heapq.heapify(heap)
     # A gain's rounding error scales with the f-values it is the difference
     # of, which are at most sigma.value plus the gain itself.
     min_cost = min((max_costs[e] for e in part.cheap), default=1.0)
     depth, followed, base = len(sigma.order), -1, sigma.value
     while heap:
-        key, e = heap[0]
-        if stamps[e] != depth:
+        key, e, at, fe = heap[0]
+        if at != depth:
             if followed != depth:
                 obj.follow(sigma.order)
                 current, followed = frozenset(sigma.order), depth
-            fvals[e], stamps[e] = obj.value(current | {e}), depth
-            heapq.heapreplace(heap, (_heap_key((fvals[e] - base) / max_costs[e]), e))
+            fe = obj.value(current | {e})
+            heapq.heapreplace(heap, (_heap_key((fe - base) / max_costs[e]), e, depth, fe))
             continue
         slack = BOUND_SLACK * (max(1.0, abs(key)) + base / min_cost)
         if key > slack:  # every density left is negative, or NaN
             break
-        if len(heap) > 1 and min(heap[1:3])[0] <= key + slack:
-            near = [i for i in _below_root(heap, key + slack) if stamps[heap[i][1]] != depth]
-            if near:  # move them to the top, where they are re-evaluated
-                for i in near:
-                    heap[i] = (-math.inf, heap[i][1])
-                heapq.heapify(heap)
-                continue
+        heapq.heappop(heap)  # the top, (key, e, at, fe)
+        near, stale = [], False
+        while heap and heap[0][0] <= key + slack:
+            near.append(heapq.heappop(heap))
+        for entry in near:
+            if entry[2] != depth:  # to the top, where it is re-evaluated
+                entry, stale = (-math.inf,) + entry[1:], True
+            heapq.heappush(heap, entry)
+        if stale:
+            heapq.heappush(heap, (key, e, at, fe))
+            continue
         if key > 0:
             break
-        heapq.heappop(heap)
-        if sigma.take(cons, e, fvals[e]):
+        if sigma.take(cons, e, fe):
             depth, base = depth + 1, sigma.value
     return sigma
 
@@ -180,17 +171,18 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
 def complement_search(obj, cons, part, floor=0.0):
     """Exact maximizer of f over feasible subsets of the expensive set.
 
-    Depth-first branch and bound over subsets in index order. At each node,
-    with path S, every remaining element that still fits is evaluated once
-    as f(S + e) (the objective follows S). For submodular f, monotone or
-    not, f(S + T) <= f(S) + sum over e in T of max(0, f(S + e) - f(S)), so
-    the subtree below S + e_j, whose sets add only later fitting siblings,
-    is entered only when f(S + e_j) plus their positive gains is not below
-    the best value so far (up to BOUND_SLACK). A sibling that does not fit
-    S cannot fit any superset, because costs are nonnegative. Ties go to
-    the lexicographically smallest index tuple, the set an exhaustive
-    preorder enumeration finds first; every feasible subset is evaluated
-    at most once.
+    Depth-first branch and bound over subsets in index order, on element
+    ids. At each node, with path S, every later expensive element that
+    still fits is evaluated once as f(S + e) (the objective follows S). For
+    submodular f, monotone or not, f(S + T) <= f(S) + sum over e in T of
+    max(0, f(S + e) - f(S)), so the subtree below S + e_j, whose sets add
+    only later fitting siblings, is entered only when f(S + e_j) plus their
+    positive gains is not below the best value so far (up to BOUND_SLACK).
+    A sibling that does not fit S cannot fit any superset, because costs
+    are nonnegative. Ties go to the lexicographically smallest element
+    tuple, the set an exhaustive preorder enumeration finds first: paths
+    are ascending, because part.expensive is (split_by_threshold builds it
+    so). Every feasible subset is evaluated at most once.
     floor is a value the caller already holds and keeps unless a subset
     beats it strictly; the default, 0.0, is the empty set's value, where
     the search starts anyway. A subtree is also skipped when its bound is
@@ -198,44 +190,41 @@ def complement_search(obj, cons, part, floor=0.0):
     floor; otherwise it is some feasible subset of value at most floor.
     Returns (set, value); the empty set has value 0 by the oracle contract.
     """
-    elems = list(part.expensive)
-    if len(elems) > COMPLEMENT_SIZE_WARNING:
+    if len(part.expensive) > COMPLEMENT_SIZE_WARNING:
         warnings.warn(
-            "complement too large: branch-and-bound search over %d elements" % len(elems),
+            "complement too large: branch-and-bound search over %d elements" % len(part.expensive),
             RuntimeWarning,
         )
-    costs = cons.costs[:, elems]
     limit = cons.limit[:, None]
     best_val, best_path = 0.0, ()
-    path = []  # positions in elems
+    path = []
 
     def visit(cand, cost, f_path):
         nonlocal best_val, best_path
-        child_costs = cost[:, None] + costs[:, cand]
+        child_costs = cost[:, None] + cons.costs[:, cand]
         fit = (child_costs <= limit).all(axis=0)
         cand, child_costs = cand[fit], child_costs[:, fit]
         if not cand.size:
             return
-        chosen = [elems[p] for p in path]
-        obj.follow(chosen)
-        base = frozenset(chosen)
+        obj.follow(path)
+        base = frozenset(path)
         idx = cand.tolist()
-        vals = np.array([obj.value(base | {elems[p]}) for p in idx])
-        for p, v in zip(idx, vals.tolist()):
-            if v > best_val or (v == best_val and tuple(path) + (p,) < best_path):
-                best_val, best_path = v, tuple(path) + (p,)
+        vals = np.array([obj.value(base | {e}) for e in idx])
+        for e, v in zip(idx, vals.tolist()):
+            if v > best_val or (v == best_val and tuple(path) + (e,) < best_path):
+                best_val, best_path = v, tuple(path) + (e,)
         gains = np.maximum(vals - f_path, 0.0)
         later = np.append(np.cumsum(gains[:0:-1])[::-1], 0.0)  # sum of gains[j + 1:]
-        for j, p in enumerate(idx):
+        for j, e in enumerate(idx):
             bar = max(best_val, floor)
             if vals[j] + later[j] + BOUND_SLACK * max(1.0, abs(bar)) < bar:
                 continue
-            path.append(p)
+            path.append(e)
             visit(cand[j + 1:], child_costs[:, j], vals[j])
             path.pop()
 
-    visit(np.arange(len(elems)), np.zeros(cons.k), 0.0)
-    return frozenset(elems[p] for p in best_path), best_val
+    visit(np.array(part.expensive, dtype=np.intp), np.zeros(cons.k), 0.0)
+    return frozenset(best_path), best_val
 
 
 def best_singleton(obj, elements, values):

@@ -104,9 +104,12 @@ def test_objective_of_another_size_exit_2(tmp_path, capsys, objective, size):
     doc = json.loads(open(FIXTURE).read())  # n = 5
     doc["objective"] = objective
     path = write_instance(tmp_path, doc)
-    for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"], ["curvature"]):
+    trace = tmp_path / "trace.csv"
+    for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"], ["curvature"],
+                ["simulate", "--tau", "5", "--sigma", "0.1", "--out", str(trace)]):
         assert main([cmd[0], "--instance", path] + cmd[1:]) == 2
         assert "size %d but n=5" % size in capsys.readouterr().err
+    assert not trace.exists()
 
 
 class TestInstanceFiles:

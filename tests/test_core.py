@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from knapgreedy import (
+    DynamicGreedy,
     EmptyAfterReductionError,
     GroundSet,
     Instance,
     InvalidInstanceError,
     KnapsackConstraints,
     ModularObjective,
+    brute_force_opt,
+    check_guarantee,
     lambda_greedy,
     reduce_instance,
     validate,
 )
 from knapgreedy.core import FEAS_TOL, SUBSET_CHUNK, subsets_by_size
 
-from conftest import random_instance, FAMILIES
+from conftest import random_instance, random_objective, FAMILIES
 
 
 def modular(values):
@@ -75,6 +78,24 @@ class TestValidate:
         # budgets are checked where they are built, before validate can run
         with pytest.raises(InvalidInstanceError, match="negative weight"):
             KnapsackConstraints([[1, 1]], [-2])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("entry", ["engine", "lambda_greedy", "check_guarantee", "brute_force_opt"])
+    def test_objective_of_another_size(self, family, size, entry):
+        # too small used to raise IndexError mid-solve; too large was solved
+        # silently on the first 3 elements
+        obj = random_objective(np.random.default_rng(size), size, family)
+        inst = Instance(GroundSet(3), KnapsackConstraints([[1, 1, 1]], [2.0]), obj)
+        run = {
+            "engine": lambda: DynamicGreedy(inst, 1.0),
+            "lambda_greedy": lambda: lambda_greedy(inst, 1.0),
+            "check_guarantee": lambda: check_guarantee(inst, 1.0, 0.0),
+            "brute_force_opt": lambda: brute_force_opt(inst),
+        }[entry]
+        with pytest.raises(InvalidInstanceError, match="objective has size %d but n=3" % size):
+            run()
+        assert obj.eval_count == 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_cost(self, bad):

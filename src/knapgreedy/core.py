@@ -190,7 +190,7 @@ class Objective:
     """
 
     _prefix = None  # PrefixState while following a prefix
-    n = None  # ground-set size the built-in families are defined on
+    n = None
 
     def __init__(self):
         self.eval_count = 0

@@ -129,6 +129,8 @@ class DynamicGreedy:
         takes the complement set only when it beats the greedy prefix and
         the best singleton strictly."""
         self.run_to_completion()
-        comp_set, comp_val = complement_search(self.obj, self.cons, self.part, self.current_best())
+        comp_set, comp_val = complement_search(
+            self.obj, self.cons, self.part, self.singleton_values, self.current_best()
+        )
         calls = self.obj.eval_count - self._calls_baseline
         return best_of(self.sigma, self.vstar, self.vstar_value, comp_set, comp_val, calls)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import subsets_by_size, validate
+from .core import InvalidInstanceError, subsets_by_size, validate
 
 OPT_CAP = 20
 CURVATURE_CAP = 10
@@ -118,8 +118,12 @@ def brute_force_curvature(obj, n):
     negative when g[B] < 0. Those extremes come from a subset-max transform
     (O(n * 2^n) per omega instead of O(3^n)), and the result equals the
     pairwise scan's bit for bit, NaN ratios ignored. The 2^n values of f
-    come from obj.value_table(n), one oracle call per nonempty subset.
+    come from obj.value_table(n), one oracle call per nonempty subset. An
+    objective whose size is set and is not n raises InvalidInstanceError
+    before any call.
     """
+    if obj.n is not None and obj.n != n:
+        raise InvalidInstanceError("objective has size %d but n=%d" % (obj.n, n))
     _check_cap(n, CURVATURE_CAP)
     return _curvature(obj.value_table(n), n)
 

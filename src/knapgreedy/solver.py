@@ -125,10 +125,23 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
     it are popped: the stale ones go back keyed -inf, to be re-evaluated
     lowest index first, the rest unchanged. Among exact entries the heap
     order is the eager scan's: the largest density, ties to the lowest
-    index, the earliest position in the ascending cheap set. An exact top
-    that stays negative with the slack added ends the phase; a NaN density
-    sorts as -inf and is never appended. From the empty prefix the
-    singleton values are exact, so the first pick makes no call.
+    index, the earliest position in the ascending cheap set. From the empty
+    prefix the singleton values are exact, so the first pick makes no call.
+
+    Only a candidate that can still be appended is evaluated:
+    - Residual fit. The prefix only grows and costs are nonnegative, so an
+      element that does not fit on top of the prefix fits on top of no
+      later one. The eager greedy would evaluate it and, were it the
+      winner, discard it; a discard appends nothing, and the winner among
+      the rest is the same, so the eager sequence is the argmax over the
+      elements that fit. A fits mask, rebuilt after each append with
+      Solution.take's own sums and comparison, drops such a stale top
+      without a call.
+    - Negative bound. Every key bounds its element's current -density
+      from below, up to the rounding slack, and the top holds the least
+      key. A top, stale or exact, whose key exceeds the slack leaves no
+      candidate with a nonnegative gain, so the phase ends there with no
+      re-evaluation. A NaN density sorts as -inf and is never appended.
     """
     max_costs = cons.max_costs
     heap = [(_heap_key(singleton_values[e] / max_costs[e]), e, 0, singleton_values[e])
@@ -138,18 +151,22 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
     # of, which are at most sigma.value plus the gain itself.
     min_cost = min((max_costs[e] for e in part.cheap), default=1.0)
     depth, followed, base = len(sigma.order), -1, sigma.value
+    fits = _fits_residual(cons, sigma)
     while heap:
         key, e, at, fe = heap[0]
+        slack = BOUND_SLACK * (max(1.0, abs(key)) + base / min_cost)
+        if key > slack:  # every density bound left is negative, or NaN
+            break
         if at != depth:
+            if not fits[e]:  # never fits again: dropped without a call
+                heapq.heappop(heap)
+                continue
             if followed != depth:
                 obj.follow(sigma.order)
                 current, followed = frozenset(sigma.order), depth
             fe = obj.value(current | {e})
             heapq.heapreplace(heap, (_heap_key((fe - base) / max_costs[e]), e, depth, fe))
             continue
-        slack = BOUND_SLACK * (max(1.0, abs(key)) + base / min_cost)
-        if key > slack:  # every density left is negative, or NaN
-            break
         heapq.heappop(heap)  # the top, (key, e, at, fe)
         near, stale = [], False
         while heap and heap[0][0] <= key + slack:
@@ -165,10 +182,18 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
             break
         if sigma.take(cons, e, fe):
             depth, base = depth + 1, sigma.value
+            fits = _fits_residual(cons, sigma)
     return sigma
 
 
-def complement_search(obj, cons, part, floor=0.0):
+def _fits_residual(cons, sigma):
+    """Boolean mask over elements: e fits on top of sigma. The sums and the
+    comparison are Solution.take's, element by element, so an element is
+    masked out exactly when take would discard it."""
+    return ((sigma.cost_acc[:, None] + cons.costs) <= cons.limit[:, None]).all(axis=0)
+
+
+def complement_search(obj, cons, part, singleton_values, floor=0.0):
     """Exact maximizer of f over feasible subsets of the expensive set.
 
     Depth-first branch and bound over subsets in index order, on element
@@ -182,7 +207,12 @@ def complement_search(obj, cons, part, floor=0.0):
     are nonnegative. Ties go to the lexicographically smallest element
     tuple, the set an exhaustive preorder enumeration finds first: paths
     are ascending, because part.expensive is (split_by_threshold builds it
-    so). Every feasible subset is evaluated at most once.
+    so). Every feasible subset is evaluated at most once, and the root's
+    children, the singletons, are read from singleton_values (f({e})
+    keyed by element, as best_singleton keeps it): only those missing
+    from it are evaluated, one call each, and stored there. A cached value
+    is what that call from the empty prefix returns, so it prunes and ties
+    exactly as a fresh evaluation would.
     floor is a value the caller already holds and keeps unless a subset
     beats it strictly; the default, 0.0, is the empty set's value, where
     the search starts anyway. A subtree is also skipped when its bound is
@@ -206,10 +236,13 @@ def complement_search(obj, cons, part, floor=0.0):
         cand, child_costs = cand[fit], child_costs[:, fit]
         if not cand.size:
             return
-        obj.follow(path)
-        base = frozenset(path)
         idx = cand.tolist()
-        vals = np.array([obj.value(base | {e}) for e in idx])
+        if path:
+            obj.follow(path)
+            base = frozenset(path)
+            vals = np.array([obj.value(base | {e}) for e in idx])
+        else:
+            vals = np.array(_singletons(obj, idx, singleton_values))
         for e, v in zip(idx, vals.tolist()):
             if v > best_val or (v == best_val and tuple(path) + (e,) < best_path):
                 best_val, best_path = v, tuple(path) + (e,)
@@ -234,13 +267,21 @@ def best_singleton(obj, elements, values):
     values caches f({e}) keyed by element: only the elements missing from
     it are evaluated, one call each, and stored there. The objective's
     followed prefix is dropped only when one is missing."""
+    numbers = [e for e, v in zip(elements, _singletons(obj, elements, values)) if v == v]
+    best_e = max(numbers, key=values.__getitem__, default=None)
+    return best_e, 0.0 if best_e is None else values[best_e]
+
+
+def _singletons(obj, elements, values):
+    """f({e}) for each e of elements, read from the cache values (keyed by
+    element); only the missing ones are evaluated, one call each, and
+    stored. The objective's followed prefix is dropped only when one is
+    missing."""
     missing = [e for e in elements if e not in values]
     if missing:
         obj.follow(())
         values.update((e, obj.value({e})) for e in missing)
-    numbers = [e for e in elements if values[e] == values[e]]
-    best_e = max(numbers, key=values.__getitem__, default=None)
-    return best_e, 0.0 if best_e is None else values[best_e]
+    return [values[e] for e in elements]
 
 
 def best_of(sigma, vstar, vstar_val, comp_set, comp_val, calls):

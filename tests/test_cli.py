@@ -49,8 +49,9 @@ class TestSolve:
 
     def test_update_before_the_first_step_then_lazy_finish(self, tmp_path, capsys):
         # the update lands after the 5-call singleton scan and leaves 0, 1
-        # and 4 cheap; the lazy finish takes 4 for free, and 0 and 1 (one
-        # call each) no longer fit. Stepping eagerly takes 3 + 2 + 1 calls
+        # and 4 cheap; the lazy finish takes 4 for free, and 0 and 1 no
+        # longer fit beside it, so they are never evaluated: 5 calls.
+        # Stepping eagerly takes 3 + 2 + 1 calls
         stream = tmp_path / "updates.json"
         stream.write_text(json.dumps([{"at_call": 2, "weights": [1.0]}]))
         code = main(
@@ -58,7 +59,7 @@ class TestSolve:
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert (doc["chosen"], doc["value"], doc["oracle_calls"]) == ([4], 3.0, 7)
+        assert (doc["chosen"], doc["value"], doc["oracle_calls"]) == ([4], 3.0, 5)
 
     @pytest.mark.parametrize("bad", ["NaN", "-1.0"])
     def test_bad_update_weight_exit_2(self, tmp_path, capsys, bad):

@@ -267,7 +267,8 @@ class TestFinalize:
     def test_complement_search_floored_at_current_best(self):
         # best_of takes the complement set only when it beats the greedy
         # prefix and the best singleton strictly, so the search may skip
-        # whatever cannot beat current_best()
+        # whatever cannot beat current_best(); its root reads the engine's
+        # cached singleton values
         rng = np.random.default_rng(34)
         inst = random_instance(rng, 10, 3, "dpp")
         eng = DynamicGreedy(inst, 1.0)
@@ -275,8 +276,9 @@ class TestFinalize:
         eng.run_to_completion()
         with mock.patch("knapgreedy.dynamic.complement_search", wraps=complement_search) as search:
             eng.finalize()
-        (_, _, part, floor), _ = search.call_args
+        (_, _, part, values, floor), _ = search.call_args
         assert part.expensive and floor == eng.current_best()
+        assert values is eng.singleton_values
 
     def test_empty_expensive_max_of_sigma_vstar(self, worked_example):
         eng = DynamicGreedy(worked_example, 1.0)

@@ -211,6 +211,16 @@ class TestBruteForceCurvature:
             brute_force_curvature(ModularObjective([1.0] * 11), 11)
 
     @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_objective_of_another_size(self, family, size):
+        # too small used to raise IndexError; too large gave the curvature
+        # of the first 3 elements
+        obj = random_objective(np.random.default_rng(size), size, family)
+        with pytest.raises(InvalidInstanceError, match="objective has size %d but n=3" % size):
+            brute_force_curvature(obj, 3)
+        assert obj.eval_count == 0
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_pairwise_scan_on_families(self, family):
         # bit for bit (==), at every size up to the cap
         rng = np.random.default_rng(43)

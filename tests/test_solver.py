@@ -256,15 +256,28 @@ class TestGreedyPhase:
         # independent entropy: an element of variance 0.02 has gain
         # 1.419 + ln(0.02) / 2 < 0. The singleton scan evaluates all 5 and
         # the first pick none; element 2's stale bound is exact again at
-        # depth 1 (1 call), and at depth 2 the top, element 1, is negative
-        # once re-evaluated (1 call) and ends the phase: 7 calls. The eager
-        # greedy discards the last three one scan at a time
+        # depth 1 (1 call), and at depth 2 the top, element 1, has a stale
+        # bound that is already negative, which ends the phase with no
+        # call: 6 calls. The eager greedy discards the last three one scan
+        # at a time
         cons = KnapsackConstraints([[1.0] * 5], [5.0])
         obj = EntropyObjective(np.diag([1.0, 0.02, 1.0, 0.02, 0.02]))
         part = split_by_threshold(cons, 1.0)
         sigma = lazy_phase(obj, cons, part)
         assert sigma.order == [0, 2] == reference_greedy(obj, cons, part).order
-        assert obj.eval_count == 7 < eager_greedy_calls(5)
+        assert obj.eval_count == 6 < eager_greedy_calls(5)
+
+    def test_sum_exactly_on_the_slack_still_fits(self):
+        # the fits mask compares as Solution.take does, <= limit: 0.5 +
+        # (limit - 0.5) lands exactly on weights + FEAS_TOL, so element 1
+        # is evaluated and taken after 0
+        cons = KnapsackConstraints([[0.5, 1.0 + FEAS_TOL - 0.5]], [1.0])
+        assert cons.costs[0, 0] + cons.costs[0, 1] == cons.limit[0]
+        obj = ModularObjective([2.0, 1.0])
+        part = split_by_threshold(cons, 1.0)
+        sigma = lazy_phase(obj, cons, part)
+        assert sigma.order == [0, 1] == reference_greedy(obj, cons, part).order
+        assert obj.eval_count == 3
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_reference_with_no_more_calls(self, family):
@@ -423,21 +436,21 @@ class TestBestSingleton:
 class TestComplementSearch:
     def test_empty_expensive(self, worked_example):
         part = Partition(cheap=(0, 1), expensive=())
-        s, v = complement_search(worked_example.objective, worked_example.constraints, part)
+        s, v = complement_search(worked_example.objective, worked_example.constraints, part, {})
         assert s == frozenset() and v == 0.0
 
     def test_pairwise_infeasible(self):
         cons = KnapsackConstraints([[6, 7]], [10])
         obj = ModularObjective([5.0, 6.0])
         part = Partition(cheap=(), expensive=(0, 1))
-        s, v = complement_search(obj, cons, part)
+        s, v = complement_search(obj, cons, part, {})
         assert s == frozenset({1}) and v == 6.0
 
     def test_matches_full_subset_scan(self):
         rng = np.random.default_rng(25)
         inst = random_instance(rng, 6, 2, "cut")
         part = Partition(cheap=(), expensive=tuple(range(6)))
-        s, v = complement_search(inst.objective.clone(), inst.constraints, part)
+        s, v = complement_search(inst.objective.clone(), inst.constraints, part, {})
         best, best_set = 0.0, frozenset()
         for mask in range(1, 1 << 6):
             S = [e for e in range(6) if mask >> e & 1]
@@ -460,7 +473,7 @@ class TestComplementSearch:
                 inst = integer_instance(rng, int(rng.integers(1, 13)), int(rng.integers(1, 3)), family)
             part = Partition(cheap=(), expensive=tuple(range(inst.ground.n)))
             bb_obj, ref_obj = inst.objective.clone(), inst.objective.clone()
-            got = complement_search(bb_obj, inst.constraints, part)
+            got = complement_search(bb_obj, inst.constraints, part, {})
             expected = reference_complement(ref_obj, inst.constraints, part)
             assert got == expected
             assert bb_obj.eval_count <= ref_obj.eval_count
@@ -472,7 +485,7 @@ class TestComplementSearch:
         cons = KnapsackConstraints([[1.0, 1.0]], [2.0])
         obj = ModularObjective([0.0, 2.0])
         part = Partition(cheap=(), expensive=(0, 1))
-        assert complement_search(obj.clone(), cons, part) == (frozenset({0, 1}), 2.0)
+        assert complement_search(obj.clone(), cons, part, {}) == (frozenset({0, 1}), 2.0)
         assert reference_complement(obj.clone(), cons, part) == (frozenset({0, 1}), 2.0)
 
     def test_heavy_tail_prunes(self):
@@ -486,7 +499,7 @@ class TestComplementSearch:
         obj = DppLogDetObjective(0.3 * q[:, None] * random_spd(rng, n) * q[None, :])
         part = Partition(cheap=(), expensive=tuple(range(n)))
         bb_obj, ref_obj = obj.clone(), obj.clone()
-        assert complement_search(bb_obj, cons, part) == reference_complement(ref_obj, cons, part)
+        assert complement_search(bb_obj, cons, part, {}) == reference_complement(ref_obj, cons, part)
         assert bb_obj.eval_count < ref_obj.eval_count
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -501,10 +514,10 @@ class TestComplementSearch:
                 inst = integer_instance(rng, int(rng.integers(1, 13)), int(rng.integers(1, 3)), family)
             part = Partition(cheap=(), expensive=tuple(range(inst.ground.n)))
             plain_obj = inst.objective.clone()
-            expected = complement_search(plain_obj, inst.constraints, part)
+            expected = complement_search(plain_obj, inst.constraints, part, {})
             for floor in (expected[1] - 1.0, expected[1] - 1e-9, expected[1], expected[1] + 1.0):
                 floored_obj = inst.objective.clone()
-                got_set, got_val = complement_search(floored_obj, inst.constraints, part, floor)
+                got_set, got_val = complement_search(floored_obj, inst.constraints, part, {}, floor)
                 if expected[1] > floor:
                     assert (got_set, got_val) == expected
                 else:
@@ -513,13 +526,90 @@ class TestComplementSearch:
                     assert got_val == pytest.approx(inst.objective._value(got_set))
                 assert floored_obj.eval_count <= plain_obj.eval_count
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_root_reads_cached_singletons(self, family):
+        # the root's children are the singletons: a cached f({e}) costs no
+        # call, a missing one is evaluated once and stored, and the answer
+        # is that of a search with an empty cache
+        rng = np.random.default_rng(53)
+        for trial in range(10):
+            inst = integer_instance(rng, int(rng.integers(2, 11)), 2, family)
+            cons, n = inst.constraints, inst.ground.n
+            part = Partition(cheap=(), expensive=tuple(range(n)))
+            cached = {}
+            best_singleton(inst.objective.clone(), list(range(0, n, 2)), cached)
+            cold_obj, warm_obj = inst.objective.clone(), inst.objective.clone()
+            cold = complement_search(cold_obj, cons, part, {})
+            values = dict(cached)
+            with mock.patch.object(warm_obj, "value", wraps=warm_obj.value) as value:
+                warm = complement_search(warm_obj, cons, part, values)
+            assert warm == cold
+            singletons = [min(S) for (S,), _ in value.call_args_list if len(S) == 1]
+            assert singletons == list(range(1, n, 2))
+            assert warm_obj.eval_count == cold_obj.eval_count - len(cached)
+            assert values.keys() == set(range(n)) and values.items() >= cached.items()
+
     def test_large_complement_warns(self):
         n = 30
         cons = KnapsackConstraints([[1.0] * n], [0.5])
         obj = ModularObjective([1.0] * n)
         part = Partition(cheap=(), expensive=tuple(range(n)))
         with pytest.warns(RuntimeWarning, match="complement too large"):
-            complement_search(obj, cons, part)
+            complement_search(obj, cons, part, {})
+
+
+class TestEvaluatesOnlyFeasibleSets:
+    """The unlimited lazy path asks f only for sets feasible under the
+    weights in force: v* and the complement root for elements that fit,
+    the lazy phase for the prefix plus an element that fits beside it, and
+    the complement search for a path plus a child that fits it."""
+
+    @staticmethod
+    def assert_all_feasible(value, cons):
+        sets = [S for (S,), _ in value.call_args_list]
+        assert all(cons.is_feasible(S) for S in sets), [
+            sorted(S) for S in sets if not cons.is_feasible(S)]
+        return sum(len(S) > 1 for S in sets)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lambda_greedy(self, family):
+        rng = np.random.default_rng(54)
+        pairs = 0
+        for trial in range(40):
+            inst = lazy_case(rng, family, trial)
+            obj = inst.objective
+            with mock.patch.object(obj, "value", wraps=obj.value) as value:
+                try:
+                    lambda_greedy(inst, float(rng.choice([1.0, inst.constraints.k])))
+                except EmptyAfterReductionError:
+                    continue
+            pairs += self.assert_all_feasible(value, inst.constraints)
+        assert pairs > 0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_engine_after_mixed_updates(self, family):
+        # eager steps, which may ask for infeasible sets, run unrecorded
+        # between the updates; the last update, the unlimited run and
+        # finalize are recorded under the weights that update sets
+        rng = np.random.default_rng(55)
+        pairs = 0
+        for trial in range(40):
+            inst = lazy_case(rng, family, trial)
+            cons = inst.constraints
+            try:
+                eng = DynamicGreedy(inst, float(rng.choice([1.0, cons.k])))
+            except EmptyAfterReductionError:
+                continue
+            for _ in range(int(rng.integers(0, 3))):
+                eng.run_to_completion(eng.obj.eval_count + int(rng.integers(0, 8)))
+                eng.apply_weights(cons.weights * rng.uniform(0.4, 1.6, cons.k))
+            eng.run_to_completion(eng.obj.eval_count + int(rng.integers(0, 8)))
+            with mock.patch.object(eng.obj, "value", wraps=eng.obj.value) as value:
+                eng.apply_weights(cons.weights * rng.uniform(0.4, 1.6, cons.k))
+                eng.run_to_completion()
+                eng.finalize()
+            pairs += self.assert_all_feasible(value, eng.cons)
+        assert pairs > 0
 
 
 class TestUnfitElements:
@@ -668,8 +758,10 @@ class TestLambdaGreedy:
         # 0 and 1 are cheap but do not fit together, so sigma is (1,) worth
         # 1.95 and the singleton 0 wins at 2.4; the complement pair {2, 3}
         # is worth 2.0, so its subtree (bound 1 + 1) is skipped only by the
-        # singleton half of the floor: 4 singletons, 1 lazy re-evaluation
-        # and the 2 complement roots, without f({2, 3})
+        # singleton half of the floor. The only calls are the 4 singletons:
+        # 0 no longer fits beside 1, so the lazy phase drops it unevaluated,
+        # the complement roots read f({2}) and f({3}) from the engine's
+        # cache, and f({2, 3}) is never asked for
         inst = Instance(
             GroundSet(4),
             KnapsackConstraints(
@@ -680,7 +772,7 @@ class TestLambdaGreedy:
         )
         result = lambda_greedy(inst, 2.0)
         assert (result.chosen, result.which, result.greedy_order) == ((0,), "singleton-vstar", (1,))
-        assert result.oracle_calls == 7
+        assert result.oracle_calls == 4
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_floored_complement_gives_the_unfloored_result(self, family):
@@ -705,7 +797,7 @@ class TestLambdaGreedy:
             vstar, vstar_val = best_singleton(obj, fitting, values)
             part = split_by_threshold(cons, lam)
             sigma = greedy_phase(obj, cons, part, values, Solution(cons.k))
-            comp_set, comp_val = complement_search(obj, cons, part)
+            comp_set, comp_val = complement_search(obj, cons, part, {})
             expected = best_of(sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count)
             assert picks(result) == picks(expected)
             assert result.oracle_calls <= expected.oracle_calls
@@ -720,7 +812,7 @@ class TestLambdaGreedy:
             eng = engines[1]
             eng.run_to_completion()
             part = split_by_threshold(eng.cons, lam)
-            comp_set, comp_val = complement_search(eng.obj, eng.cons, part)
+            comp_set, comp_val = complement_search(eng.obj, eng.cons, part, {})
             expected = best_of(eng.sigma, eng.vstar, eng.vstar_value, comp_set, comp_val,
                                eng.obj.eval_count)
             assert picks(result) == picks(expected)

@@ -273,10 +273,8 @@ def best_singleton(obj, elements, values):
 
 
 def _singletons(obj, elements, values):
-    """f({e}) for each e of elements, read from the cache values (keyed by
-    element); only the missing ones are evaluated, one call each, and
-    stored. The objective's followed prefix is dropped only when one is
-    missing."""
+    """[f({e}) for e in elements] under best_singleton's rule for the
+    cache values."""
     missing = [e for e in elements if e not in values]
     if missing:
         obj.follow(())

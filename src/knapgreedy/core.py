@@ -137,6 +137,8 @@ class PrefixState:
     Subclasses implement _push(d, e), which extends depth d by e and
     returns False when it cannot (tracking stops there), and _extend(d, e),
     which returns f(P[:d] + [e]) or None to fall back to Objective._value.
+    Objective.value reads order and members to tell that a set is P plus
+    one element, and asks _extend only then.
     """
 
     def __init__(self):
@@ -155,18 +157,6 @@ class PrefixState:
                 break
             self.order.append(e)
             self.members.add(e)
-
-    def lookup(self, S):
-        """f(S) when the frozenset S is the prefix plus one element and the
-        state can answer it, else None."""
-        d = len(self.order)
-        if len(S) != d + 1:
-            return None
-        new = S - self.members
-        if len(new) != 1:
-            return None
-        (e,) = new
-        return self._extend(d, e)
 
     def _push(self, d, e):
         raise NotImplementedError
@@ -196,12 +186,20 @@ class Objective:
         self.eval_count = 0
 
     def value(self, S):
+        """f(S), one oracle call. When S is the followed prefix P plus one
+        element e, the prefix state's f(P + [e]) if it has one, else
+        _value(S)."""
         self.eval_count += 1
         S = frozenset(S)
-        if self._prefix is not None:
-            v = self._prefix.lookup(S)
-            if v is not None:
-                return v
+        state = self._prefix
+        if state is not None:
+            d = len(state.order)
+            new = S - state.members if len(S) == d + 1 else ()
+            if len(new) == 1:
+                (e,) = new
+                v = state._extend(d, e)
+                if v is not None:
+                    return v
         return self._value(S)
 
     def _value(self, S):
@@ -321,10 +319,8 @@ def validate(inst):
         if bad.any():
             i, e = np.argwhere(bad)[0]
             raise InvalidInstanceError("%s cost for element %d in knapsack %d" % (what, e, i))
-    col_max = cons.costs.max(axis=0)
-    zero = np.nonzero(col_max <= 0)[0]
-    if zero.size:
-        raise InvalidInstanceError("zero max-cost element %d" % zero[0])
+    if 0 in cons.max_costs:  # costs are nonnegative, so a max <= 0 is 0
+        raise InvalidInstanceError("zero max-cost element %d" % cons.max_costs.index(0))
 
 
 def reduce_instance(inst):

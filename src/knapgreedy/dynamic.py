@@ -26,7 +26,6 @@ from .solver import (
     chi,
     complement_search,
     greedy_phase,
-    greedy_step,
     split_by_threshold,
 )
 
@@ -81,9 +80,36 @@ class DynamicGreedy:
         return "greedy" if self.pool else "finished"
 
     def step(self):
-        """One greedy_step on the current prefix."""
-        if self.pool:
-            greedy_step(self.obj, self.cons, self.sigma, self.pool)
+        """One eager density-greedy selection; nothing when the pool is
+        empty.
+
+        Follows sigma's order on the objective, then evaluates f(sigma + e)
+        for every candidate in the pool (one oracle call each, answered
+        from the prefix state). Removes the one with the largest density,
+        marginal gain per maximum cost (ties to the earliest in pool
+        order), and appends or discards it. When the winner's density is
+        negative, every other candidate's density is at most that, so no
+        gain in the pool is nonnegative and sigma cannot grow until it
+        changes: the pool is cleared instead of being discarded one scan at
+        a time.
+        """
+        obj, sigma, pool = self.obj, self.sigma, self.pool
+        if not pool:
+            return
+        obj.follow(sigma.order)
+        current, base = frozenset(sigma.order), sigma.value
+        max_costs = self.cons.max_costs
+        best_e, best_density, best_fval = None, None, None
+        for e in pool:
+            fe = obj.value(current | {e})
+            density = (fe - base) / max_costs[e]
+            if best_density is None or density > best_density:
+                best_e, best_density, best_fval = e, density, fe
+        if best_density < 0:
+            pool.clear()
+            return
+        pool.remove(best_e)
+        sigma.take(self.cons, best_e, best_fval)
 
     def apply_weights(self, new_weights):
         """Stack-rollback update rule for a new budget vector. A vector of

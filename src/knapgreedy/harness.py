@@ -69,13 +69,13 @@ def perturb_weights(weights, totals, noise_sigma, rng):
     return fractions * totals
 
 
-def _restart_value(inst, weights, lam, call_limit):
+def _restart_value(inst, lam, call_limit):
     """The restart contestant for one interval: a static greedy started from
-    scratch under weights and run until inst.objective's eval_count reaches
-    call_limit, scored by current_best(); 0.0 when no element fits."""
-    restarted = Instance(inst.ground, inst.constraints.with_weights(weights), inst.objective)
+    scratch on inst, whose constraints are the budgets the engine has just
+    adopted, and run until inst.objective's eval_count reaches call_limit,
+    scored by current_best(); 0.0 when no element fits."""
     try:
-        restart = DynamicGreedy(restarted, lam)
+        restart = DynamicGreedy(inst, lam)
     except EmptyAfterReductionError:
         return 0.0
     restart.run_to_completion(call_limit)
@@ -98,7 +98,6 @@ def run_dynamic(inst, cfg):
     dg_obj = inst.objective.clone()
     rs_obj = inst.objective.clone()
     dg_inst = Instance(inst.ground, inst.constraints.with_weights(weights), dg_obj)
-    rs_inst = Instance(inst.ground, inst.constraints, rs_obj)
     engine = DynamicGreedy(dg_inst, cfg.lam)
     # Warm-up interval of the engine under the initial weights, not recorded.
     engine.run_to_completion(dg_obj.eval_count + cfg.tau)
@@ -109,7 +108,8 @@ def run_dynamic(inst, cfg):
         dg_start, rs_start = dg_obj.eval_count, rs_obj.eval_count
         engine.apply_weights(weights)
         engine.run_to_completion(dg_start + cfg.tau)
-        rs_value = _restart_value(rs_inst, weights, cfg.lam, rs_start + cfg.tau)
+        rs_inst = Instance(inst.ground, engine.cons, rs_obj)
+        rs_value = _restart_value(rs_inst, cfg.lam, rs_start + cfg.tau)
         trace.rows.append(
             TraceRow(
                 update=u,

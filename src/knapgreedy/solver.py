@@ -72,35 +72,6 @@ def split_by_threshold(cons, lam):
     return Partition(tuple(np.flatnonzero(cheap).tolist()), tuple(np.flatnonzero(expensive).tolist()))
 
 
-def greedy_step(obj, cons, sigma, pool):
-    """One eager density-greedy selection, the dynamic engine's step.
-
-    Follows sigma's order on the objective, then evaluates f(sigma + e) for
-    every candidate in pool (one oracle call each, answered from the prefix
-    state). Removes the one with the largest density, marginal gain per
-    maximum cost (ties to the earliest in pool order), and appends or
-    discards it. When the winner's density is negative, every other
-    candidate's density is at most that, so no gain in the pool is
-    nonnegative and sigma cannot grow until it changes: the pool is cleared
-    instead of being discarded one scan at a time. Returns whether sigma
-    grew.
-    """
-    obj.follow(sigma.order)
-    current, base = frozenset(sigma.order), sigma.value
-    max_costs = cons.max_costs
-    best_e, best_density, best_fval = None, None, None
-    for e in pool:
-        fe = obj.value(current | {e})
-        density = (fe - base) / max_costs[e]
-        if best_density is None or density > best_density:
-            best_e, best_density, best_fval = e, density, fe
-    if best_density < 0:
-        pool.clear()
-        return False
-    pool.remove(best_e)
-    return sigma.take(cons, best_e, best_fval)
-
-
 def _heap_key(density):
     """Min-heap key of a density: its negation, with NaN as +inf."""
     return -density if density == density else math.inf
@@ -108,8 +79,8 @@ def _heap_key(density):
 
 def greedy_phase(obj, cons, part, singleton_values, sigma):
     """Lazy density greedy over the cheap set (Minoux 1978): extends the
-    prefix sigma in place with the eager greedy_step's sequence until no
-    candidate can be appended, and returns sigma.
+    prefix sigma in place with the sequence that repeated DynamicGreedy.step
+    calls append, until no candidate can be appended, and returns sigma.
 
     For submodular f, monotone or not, a marginal gain can only shrink as
     the prefix grows and max_costs is fixed, so a density computed at an
@@ -265,8 +236,9 @@ def best_singleton(obj, elements, values):
     sequence elements, ties to the lowest index, and its value; a NaN value
     never wins, and (None, 0.0) is returned when no value is a number.
     values caches f({e}) keyed by element: only the elements missing from
-    it are evaluated, one call each, and stored there. The objective's
-    followed prefix is dropped only when one is missing."""
+    it are evaluated, one call each, and stored there. Only when one is
+    missing is the objective's followed prefix reset to the empty one, by
+    follow(())."""
     numbers = [e for e, v in zip(elements, _singletons(obj, elements, values)) if v == v]
     best_e = max(numbers, key=values.__getitem__, default=None)
     return best_e, 0.0 if best_e is None else values[best_e]

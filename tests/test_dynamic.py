@@ -595,7 +595,7 @@ class TestEngineProperties:
             return seen, eng.obj.eval_count
 
         got, calls = trail()
-        with mock.patch("knapgreedy.dynamic.greedy_step", eager_greedy_step):
+        with mock.patch.object(DynamicGreedy, "step", EagerTwin.step):
             expected, eager_calls = trail()
         assert got == expected
         assert calls <= eager_calls

@@ -91,6 +91,16 @@ class TestFastPathMatchesReference:
         for S in ({3, 1, 5}, {3, 1}, {0, 2, 4, 6}, {1, 5, 0, 2}, set()):
             assert close(obj.value(S), obj._value(frozenset(S)))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_new_element_short_of_the_prefix_falls_back(self, family):
+        # each set holds one element outside the followed prefix but misses
+        # a prefix member, so the state's f(prefix + [0]) is not its value
+        rng = np.random.default_rng(20 + FAMILIES.index(family))
+        obj = random_objective(rng, 8, family)
+        obj.follow([3, 1, 5])
+        for S in ({0}, {3, 0}, {1, 5, 0}):
+            assert close(obj.value(S), obj._value(frozenset(S)))
+
 
 class TestAccounting:
     @pytest.mark.parametrize("family", FAMILIES)

@@ -27,11 +27,12 @@ from knapgreedy import (
     split_by_threshold,
 )
 from knapgreedy.core import FEAS_TOL
-from knapgreedy.solver import Partition, best_of, best_singleton, greedy_step
+from knapgreedy.solver import Partition, best_of, best_singleton
 
 from conftest import (
     FAMILIES,
     eager_greedy_calls,
+    eager_greedy_step,
     integer_instance,
     random_instance,
     random_spd,
@@ -116,11 +117,11 @@ def lazy_phase(obj, cons, part):
 
 
 def eager_phase(obj, cons, part):
-    """The greedy phase as a loop over the eager greedy_step."""
+    """The greedy phase as a loop over conftest.eager_greedy_step."""
     sigma = Solution(cons.k)
     pool = list(part.cheap)
     while pool:
-        greedy_step(obj, cons, sigma, pool)
+        eager_greedy_step(obj, cons, sigma, pool)
     return sigma
 
 

@@ -186,8 +186,8 @@ class Objective:
         self.eval_count = 0
 
     def value(self, S):
-        """f(S), one oracle call. When S is the followed prefix P plus one
-        element e, the prefix state's f(P + [e]) if it has one, else
+        """f(S), one oracle call: the prefix state's f(P + [e]) when S is the
+        followed prefix P plus one element e and the state has it, else
         _value(S)."""
         self.eval_count += 1
         S = frozenset(S)

@@ -80,8 +80,7 @@ class DynamicGreedy:
         return "greedy" if self.pool else "finished"
 
     def step(self):
-        """One eager density-greedy selection; nothing when the pool is
-        empty.
+        """One eager density-greedy selection when the pool is not empty.
 
         Follows sigma's order on the objective, then evaluates f(sigma + e)
         for every candidate in the pool (one oracle call each, answered

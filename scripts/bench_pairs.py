@@ -13,9 +13,12 @@ ones, so slow drift of the machine's speed falls on both sides. The output holds
 run's end-to-end metrics, per metric the median and quartiles of each side,
 the ratio of the medians and the number of pairs the change won (by the
 ``better`` direction in BENCHMARK.json), the environment the benchmark
-reported, and both full revisions. Each run's ``correct`` flag is recorded
-too; when any run was not correct the script still writes the file but exits
-1, so that its numbers are not taken for a valid pair.
+reported, and both full revisions. One ``--trace 1`` run per side and
+workload follows the pairs, and each side's per-layer metrics (seconds and
+calls per pass of every traced layer) are recorded beside them, so that a
+claim can show in which layer the time went. Each run's ``correct`` flag is
+recorded too; when any run was not correct the script still writes the file
+but exits 1, so that its numbers are not taken for a valid pair.
 """
 
 from __future__ import annotations
@@ -47,11 +50,11 @@ def export(rev, dest):
         tar.extractall(dest, filter="data")
 
 
-def run(tree, workload):
+def run(tree, workload, trace=0):
     """One benchmark run in tree; returns its result (the JSON document it
     prints last) and the environment it reports on its "# env" line."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(SEED),
-           "--trace", "0"]
+           "--trace", str(trace)]
     lines = subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.PIPE,
                            text=True).stdout.splitlines()
     env = next((json.loads(x[len("# env "):]) for x in lines if x.startswith("# env ")), None)
@@ -119,6 +122,13 @@ def main(argv=None):
                     workload, i + 1, PAIRS, pair["parent"]["ops_per_s"],
                     pair["change"]["ops_per_s"]), flush=True)
             doc["workloads"][workload] = {"summary": summarize(runs, better), "runs": runs}
+            layers = {}
+            for side in ("parent", "change"):
+                res, _ = run(trees[side], workload, trace=1)
+                if not res["correct"]:
+                    incorrect.append("%s %s traced run" % (side, workload))
+                layers[side] = {m: v["value"] for m, v in res["metrics"].items() if m not in better}
+            doc["workloads"][workload]["per_layer"] = layers
 
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -2,10 +2,14 @@
 
 The engine interleaves single greedy selections with weight-update events.
 On an update it pops the most recently added elements of the current
-sequence until the remainder is a prefix that is safe under both the old
-and the new budgets (small enough to be automatically feasible in both,
-and contained in both cheap sets), then resumes stepping under the new
-weights. Popping restores cached costs and values, and the objective's
+sequence until the remainder is a prefix that a greedy started from
+scratch under the new budgets would build too, then resumes stepping under
+the new weights. Whether a restart rebuilds a depth is decided without
+oracle calls: its element must still be cheap and fit, and no element that
+the new budgets let in there may outrank it, which its singleton value
+bounds by submodularity (DynamicGreedy._restart_depth). So after any
+update, tightening, loosening or mixed, the sequence is the one a restart
+appends. Popping restores cached costs and values, and the objective's
 prefix state is truncated on the next step, so recovery consumes oracle
 calls only for the greedy re-extension. The engine keeps the whole ground
 set: an element that does not fit the budgets sits out until an update
@@ -20,10 +24,11 @@ import numpy as np
 
 from .core import EmptyAfterReductionError, InvalidInstanceError, Solution, validate
 from .solver import (
+    BOUND_SLACK,
     Partition,
     best_of,
     best_singleton,
-    chi,
+    chi,  # no caller here; benchmark/tracing.py patches this binding
     complement_search,
     greedy_phase,
     split_by_threshold,
@@ -61,19 +66,22 @@ class DynamicGreedy:
         # updates re-derive the best feasible singleton for free.
         self.singleton_values = {}
         self._adopt(inst.constraints, split_by_threshold(inst.constraints, lam))
+        self._refill()
         if not (self.part.cheap or self.part.expensive):
             raise EmptyAfterReductionError("empty after reduction")
 
     def _adopt(self, cons, part):
-        """Take cons and its partition as the current budgets: pick v* over
-        the elements that fit (both parts) with best_singleton, which
-        evaluates only those not yet in singleton_values, and refill the
-        pool with the cheap elements outside the prefix."""
+        """Take cons and its partition as the current budgets and pick v*
+        over the elements that fit (both parts) with best_singleton, which
+        evaluates only those not yet in singleton_values."""
         self.cons, self.part = cons, part
         fitting = sorted(part.cheap + part.expensive)
         self.vstar, self.vstar_value = best_singleton(self.obj, fitting, self.singleton_values)
+
+    def _refill(self):
+        """Refill the pool with the cheap elements outside the prefix."""
         taken = set(self.sigma.order)
-        self.pool = [e for e in part.cheap if e not in taken]
+        self.pool = [e for e in self.part.cheap if e not in taken]
 
     @property
     def phase(self):
@@ -111,20 +119,77 @@ class DynamicGreedy:
         sigma.take(self.cons, best_e, best_fval)
 
     def apply_weights(self, new_weights):
-        """Stack-rollback update rule for a new budget vector. A vector of
-        the wrong length, or with a non-finite or negative entry, raises
-        InvalidInstanceError and leaves the engine unchanged."""
-        old_cons = self.cons
+        """Stack-rollback update rule for a new budget vector: adopt it, pop
+        to the longest prefix a from-scratch greedy under it would build
+        (_restart_depth), and refill the pool. A vector of the wrong length,
+        or with a non-finite or negative entry, raises InvalidInstanceError
+        and leaves the engine unchanged."""
+        old_cons, old_part = self.cons, self.part
         new_cons = old_cons.with_weights(new_weights)
-        new_part = split_by_threshold(new_cons, self.lam)
-        chi_cap = min(chi(old_cons), chi(new_cons))
+        # v* first: the rule reads the singleton value of every element
+        # that fits now, and best_singleton evaluates those it has not seen
+        self._adopt(new_cons, split_by_threshold(new_cons, self.lam))
+        self.sigma.truncate(self._restart_depth(old_cons, old_part))
+        self._refill()
 
-        # the longest prefix of at most chi_cap elements, all in both cheap sets
-        both = set(self.part.cheap).intersection(new_part.cheap)
-        order = self.sigma.order
-        depth = next((i for i, e in enumerate(order) if e not in both), len(order))
-        self.sigma.truncate(min(depth, chi_cap))
-        self._adopt(new_cons, new_part)
+    def _restart_depth(self, old_cons, old_part):
+        """The longest depth d such that order[:d] is the prefix a fresh
+        greedy under the current budgets appends, when the prefix was that
+        greedy's under old_cons and old_part. Makes no oracle call: it
+        reads singleton_values, which must hold every cheap element.
+
+        At each depth j the greedy appends the densest element that is
+        cheap and fits on top of order[:j] (see greedy_phase). Depth d is
+        kept when, for every j < d:
+        (a) order[j] is cheap now, and order[:j + 1] fits the budgets now;
+        (b) no newcomer can outrank order[j]. A newcomer at depth j is an
+            element outside order[:j] that is cheap now and fits on top of
+            order[:j] now, but was not cheap-and-fitting under old_cons: it
+            was no candidate when order[j] won. The others were, and lost,
+            with the same gains now. By submodularity f({x}) bounds x's
+            gain at any depth, so x cannot outrank order[j] when
+            f({x}) / max_cost(x) is below order[j]'s density
+            (history[j + 1] minus history[j] value, over its max cost) by
+            more than the rounding slack. A NaN bound never blocks.
+        When no budget grew, nothing is a newcomer and (a) decides alone;
+        under tightening the kept prefix is then never shorter than chi's.
+        """
+        order, history, cons = self.sigma.order, self.sigma.history, self.cons
+        cheap, limit = set(self.part.cheap), cons.limit
+        depth = next((j for j, e in enumerate(order) if e not in cheap), len(order))
+        if depth and not (history[depth][1] <= limit).all():  # take's comparison
+            acc = np.array([cost for _, cost in history[1:depth + 1]])
+            depth = int((acc <= limit).all(axis=1).argmin())
+        if not depth or (cons.weights <= old_cons.weights).all():
+            return depth
+
+        # An element that was cheap and fits on top of order[:depth - 1]
+        # under old_cons fits on top of every shorter prefix: it is never a
+        # newcomer. Nor is an element of the prefix.
+        old_limit, old_cheap = old_cons.limit, set(old_part.cheap)
+        deepest = history[depth - 1][1][:, None] + cons.costs <= old_limit[:, None]
+        deepest = deepest.all(axis=0).tolist()
+        cand = [e for e in cheap.difference(order) if not (deepest[e] and e in old_cheap)]
+        if not cand:
+            return depth
+        # order[j]'s density less the slack greedy_phase allows a gain over
+        # a bound, taken at the least max cost of any element
+        max_costs, values = cons.max_costs, [value for value, _ in history[:depth + 1]]
+        min_cost = min(max_costs)
+        floor = [(values[j + 1] - values[j]) / max_costs[order[j]] for j in range(depth)]
+        floor = [d - BOUND_SLACK * (max(1.0, abs(d)) + v / min_cost) for d, v in zip(floor, values)]
+        lowest = min(floor)
+        bound = {e: self.singleton_values[e] / max_costs[e] for e in cand}
+        cand = [e for e in cand if bound[e] >= lowest]  # a NaN bound never blocks
+        if not cand:
+            return depth
+        acc = np.array([cost for _, cost in history[:depth]])
+        sums = acc[:, :, None] + cons.costs[:, cand]  # (depth, k, candidates)
+        fits_now = (sums <= limit[:, None]).all(axis=1)
+        was_candidate = (sums <= old_limit[:, None]).all(axis=1) & [e in old_cheap for e in cand]
+        outranks = np.array([bound[e] for e in cand]) >= np.array(floor)[:, None]
+        stops = (fits_now & ~was_candidate & outranks).any(axis=1)
+        return int(stops.argmax()) if stops.any() else depth
 
     def run_to_completion(self, call_limit=None):
         """Extend the prefix until the pool is empty. With call_limit, an

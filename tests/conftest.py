@@ -5,7 +5,8 @@ determinants go through cofactor expansion, eigenvalues through power
 iteration, cut values through a plain adjacency scan, and the from-scratch
 greedy is a standalone loop that shares no step code with the solver or the
 dynamic engine. The loops that faster library code replaced are kept here
-as references: chi's per-element walk, the exhaustive complement search,
+as references: chi's per-element walk, the engine's rollback depth by its
+definition, the exhaustive complement search,
 the greedy step that discards a negative-gain winner one scan at a time,
 the one-call-per-mask value table, the mask loop for the optimum and the
 pairwise curvature scan.
@@ -27,6 +28,7 @@ from knapgreedy import (
     ModularObjective,
 )
 from knapgreedy.core import FEAS_TOL
+from knapgreedy.solver import BOUND_SLACK
 from knapgreedy.oracle import (
     CURVATURE_CAP,
     OPT_CAP,
@@ -117,6 +119,32 @@ def reference_chi(cons):
             j += 1
         best = j if best is None else min(best, j)
     return best
+
+
+def reference_restart_depth(order, history, old, new, singleton_values):
+    """The engine's rollback depth by its definition, one depth and one
+    element at a time: the first j at which order[j] is not cheap under
+    new, order[:j + 1] does not fit new, or an element outside order[:j]
+    that is cheap under new and fits on top of order[:j] under new, but was
+    not cheap and fitting under old, has a singleton density (a number) at
+    least order[j]'s density less the slack; len(order) when there is none.
+    old and new are (constraints, partition) pairs; history is the
+    prefix's Solution.history under old."""
+    (old_cons, old_part), (cons, part) = old, new
+    max_costs = cons.max_costs
+    for j, e in enumerate(order):
+        (value, cost), (next_value, next_cost) = history[j], history[j + 1]
+        if e not in part.cheap or not cons.is_feasible_cost(next_cost):
+            return j
+        density = (next_value - value) / max_costs[e]
+        floor = density - BOUND_SLACK * (max(1.0, abs(density)) + value / min(max_costs))
+        for x in part.cheap:
+            grown = cost + cons.costs[:, x]
+            newcomer = x not in order[:j] and cons.is_feasible_cost(grown) and not (
+                x in old_part.cheap and old_cons.is_feasible_cost(grown))
+            if newcomer and singleton_values[x] / max_costs[x] >= floor:
+                return j
+    return len(order)
 
 
 def reference_complement(obj, cons, part):

@@ -36,6 +36,7 @@ from conftest import (
     integer_instance,
     random_instance,
     reference_greedy,
+    reference_restart_depth,
     twin_instance,
 )
 
@@ -152,17 +153,69 @@ class TestApplyWeights:
         eng.run_to_completion()
         assert eng.sigma.order == [4, 0]
         eng.apply_weights([3.0])
-        assert eng.sigma.order == [4]  # chi cap min(1, 1) forces one pop
+        # elements 2 and 3 now fit on top of [4], and their singleton
+        # density 0.5 outranks element 0's 0.25: one pop
+        assert eng.sigma.order == [4]
         result = eng.finalize()
         assert result.value == 4.0
         assert result.greedy_order == (4, 2)
 
-    def test_identity_update_pops_down_to_chi(self, worked_example):
+    def test_identity_update_keeps_the_prefix(self, worked_example):
+        # the same budgets let no element in: a restart builds [4, 0] again
         eng = DynamicGreedy(worked_example, 1.0)
         eng.run_to_completion()
+        before = eng.obj.eval_count
         eng.apply_weights([2.0])
-        assert len(eng.sigma.order) <= chi(worked_example.constraints)
-        assert eng.sigma.order == [4]
+        assert eng.sigma.order == [4, 0]
+        assert eng.obj.eval_count == before
+
+    def test_loosening_stops_where_a_newcomer_outranks(self):
+        # element 2 (cost 2.5) does not fit W = 2; at W = 3 it is cheap, and
+        # its singleton density 2 beats element 0's, the first of the prefix
+        # [0, 1]: every depth goes, though [0, 1] is cheap and fits W = 3
+        inst = Instance(GroundSet(3), KnapsackConstraints([[1.0, 1.0, 2.5]], [2.0]),
+                        ModularObjective([1.0, 0.5, 5.0]))
+        eng = DynamicGreedy(inst, 1.0)
+        eng.run_to_completion()
+        assert eng.sigma.order == [0, 1]
+        eng.apply_weights([3.0])
+        assert eng.sigma.order == []
+        eng.run_to_completion()
+        fresh = DynamicGreedy(Instance(inst.ground, eng.cons, inst.objective.clone()), 1.0)
+        fresh.run_to_completion()
+        assert eng.sigma.order == fresh.sigma.order == [2]
+
+    def test_loosening_keeps_what_no_newcomer_can_outrank(self):
+        # at W = 2.5 element 2 (cost 2.2, density 5) fits alone, below
+        # element 0's density 10, but not on top of [0], where it would
+        # outrank element 1: the whole prefix stays, and only element 2's
+        # singleton is evaluated. chi at W = 2 is 0, so the old rule kept
+        # nothing here
+        inst = Instance(GroundSet(3), KnapsackConstraints([[1.0, 1.0, 2.2]], [2.0]),
+                        ModularObjective([10.0, 1.0, 11.0]))
+        eng = DynamicGreedy(inst, 1.0)
+        eng.run_to_completion()
+        assert eng.sigma.order == [0, 1] and chi(eng.cons) == 0
+        before = eng.obj.eval_count
+        eng.apply_weights([2.5])
+        assert eng.sigma.order == [0, 1]
+        assert eng.obj.eval_count - before == 1
+        fresh = DynamicGreedy(Instance(inst.ground, eng.cons, inst.objective.clone()), 1.0)
+        fresh.run_to_completion()
+        assert fresh.sigma.order == [0, 1]
+
+    def test_a_newcomer_that_ties_from_a_lower_index_outranks(self):
+        # at W = 2 element 0 fits, with element 1's density 1: a restart
+        # takes the lower index first, so the kept [1] goes
+        inst = Instance(GroundSet(2), KnapsackConstraints([[2.0, 1.0]], [1.5]),
+                        ModularObjective([2.0, 1.0]))
+        eng = DynamicGreedy(inst, 1.0)
+        eng.run_to_completion()
+        assert eng.sigma.order == [1]
+        eng.apply_weights([2.0])
+        assert eng.sigma.order == []
+        eng.run_to_completion()
+        assert eng.sigma.order == [0]
 
     def test_shrinking_cheap_set_empties_stack(self):
         # first-added element leaves the cheap set: stack pops cannot skip it
@@ -202,7 +255,7 @@ class TestApplyWeights:
         eng.step()
         eng.step()
         assert eng.sigma.order == [0, 1]
-        eng.apply_weights([0.25])  # chi 1: one pop
+        eng.apply_weights([0.25])  # [0, 1] costs 0.3: one pop
         assert eng.sigma.order == [0]
         assert eng.sigma.cost_acc.tolist() == [0.1]
         assert eng.sigma.value == 2.0
@@ -371,12 +424,11 @@ class TestRestartEquivalence:
             assert scratch.order == eng.sigma.order
             checked += 1
 
-    def test_order_can_differ_when_cheap_set_grows(self):
-        # documented limitation: a budget increase can promote an element the
-        # engine never considered at early contexts, so only set equality is
-        # guaranteed, not insertion order
+    def test_sequences_identical_under_mixed_updates(self):
+        # a budget increase can let in an element that no early depth
+        # considered; the rollback stops where its singleton density could
+        # outrank the kept element, so the order is a restart's too
         rng = np.random.default_rng(7)
-        mismatches = 0
         for _ in range(150):
             n = int(rng.integers(4, 13))
             k = int(rng.integers(1, 4))
@@ -394,10 +446,7 @@ class TestRestartEquivalence:
             eng.run_to_completion()
             cons = inst.constraints.with_weights(new_w)
             scratch = reference_greedy(eng.obj, cons, split_by_threshold(cons, lam))
-            if scratch.order != eng.sigma.order:
-                mismatches += 1
-                assert set(scratch.order) == set(eng.sigma.order)
-        assert mismatches >= 1
+            assert scratch.order == eng.sigma.order
 
 
 class TestGuaranteeUnderUpdates:
@@ -476,7 +525,7 @@ class TestScriptedUpdates:
 class TestBacktrackFoil:
     def test_plain_backtracking_underperforms_rollback(self, worked_example):
         # keep-and-extend on the worked example reaches only 3 + 2/n,
-        # while the chi-capped rollback reaches 4
+        # while the restart-exact rollback reaches 4
         eng = DynamicGreedy(worked_example, 1.0)
         eng.run_to_completion()
         sigma = list(eng.sigma.order)
@@ -519,8 +568,8 @@ def engine_runs(draw, low, high):
     Half the instances have narrow costs in [1.5, 2] and budgets of k to
     1.5k times the largest cost, so every element starts cheap. With
     lam < k, a budget cut can then push a prefix element out of the cheap
-    set (cost > lam * W / k) while the prefix still fits within chi (every
-    cost <= W), so that only the cheap-set rule forces the pop."""
+    set (cost > lam * W / k) while the prefix still fits the budgets, so
+    that only the cheap-set rule forces the pop."""
     n = draw(st.integers(2, 8))
     k = draw(st.integers(1, 3))
     family = draw(st.sampled_from(FAMILIES))
@@ -657,7 +706,7 @@ def machine_cases(draw):
     Narrow costs lie in [1.5, 2] with budgets of k to 1.5k times the largest
     cost, so every element starts cheap. With lam < k, a budget cut can then
     push a prefix element out of the cheap set while the prefix still fits
-    within chi, so that only the cheap-set rule forces the pop."""
+    the budgets, so that only the cheap-set rule forces the pop."""
     family = draw(st.sampled_from(FAMILIES))
     kind = draw(st.sampled_from(("random", "narrow", "integer", "twin")))
     n, k = draw(st.integers(2, 8)), draw(st.integers(1, 3))
@@ -697,14 +746,15 @@ class EngineMachine(RuleBasedStateMachine):
     After every rule, the engine's prefix, the value bits and cost bytes of
     every depth, equal the twin's, with no more oracle calls; the cost
     bytes are the prefix's cost columns added one by one, and feasible; the
-    partition, the pool and v* are those of the current budgets; and, while
-    every update so far has tightened, a complete prefix is the one a
-    from-scratch greedy under the current budgets builds."""
+    partition, the pool and v* are those of the current budgets; and, after
+    any updates, a complete prefix is the one a from-scratch greedy under
+    the current budgets builds. Each update keeps the depth that
+    conftest.reference_restart_depth's loop finds, and under tightening no
+    fewer elements than the chi rule."""
 
     @initialize(case=machine_cases())
     def build(self, case):
         self.inst, self.lam, self.ties_exact = case
-        self.tightened_only = True
         inst = self.inst
         self.eng, self.twin = self.engines = [
             cls(Instance(inst.ground, inst.constraints, inst.objective.clone()), self.lam)
@@ -736,15 +786,25 @@ class EngineMachine(RuleBasedStateMachine):
 
     def _update(self, factors):
         factors = np.array(factors[: self.eng.cons.k])
-        self.tightened_only &= bool((factors <= 1.0).all())
         order, built = list(self.eng.sigma.order), _bits(self.eng.sigma)
+        history, old = list(self.eng.sigma.history), (self.eng.cons, self.eng.part)
         weights = self.eng.cons.weights * factors
         for eng in self.engines:
             eng.apply_weights(weights)
         depth = len(self.eng.sigma.order)
         assert self.eng.sigma.order == order[:depth]
         assert _bits(self.eng.sigma) == built[: depth + 1]
+        new = (self.eng.cons, self.eng.part)
+        assert depth == reference_restart_depth(order, history, old, new,
+                                                self.eng.singleton_values)
         self._check_pool_refilled()
+        if (factors <= 1.0).all():
+            # under tightening the paper's rule keeps the longest prefix of
+            # at most chi elements in both cheap sets; this one keeps no less
+            (old_cons, old_part), (new_cons, new_part) = old, new
+            both = set(old_part.cheap).intersection(new_part.cheap)
+            in_both = next((i for i, e in enumerate(order) if e not in both), len(order))
+            assert depth >= min(in_both, chi(old_cons), chi(new_cons))
 
     @rule(factors=factors(0.4, 1.0))
     def tighten(self, factors):
@@ -800,9 +860,9 @@ class EngineMachine(RuleBasedStateMachine):
         assert (eng.vstar, eng.vstar_value) == (vstar, 0.0 if vstar is None else values[vstar])
 
     @invariant()
-    def restart_exact_after_tightening(self):
+    def restart_exact(self):
         eng = self.eng
-        if self.tightened_only and self.ties_exact and not eng.pool:
+        if self.ties_exact and not eng.pool:
             assert eng.sigma.order == reference_greedy(eng.obj, eng.cons, eng.part).order
 
 

@@ -622,9 +622,6 @@ class TestUnfitElements:
             return (tuple(pos[e] for e in r.chosen), r.value, r.which,
                     tuple(pos[e] for e in r.greedy_order), r.oracle_calls)
 
-        def chi_of_fitting(cons):
-            return chi(KnapsackConstraints(cons.costs[:, cons.fits()], cons.weights))
-
         def fresh(case):
             return Instance(case.ground, case.constraints, case.objective.clone())
 
@@ -648,18 +645,16 @@ class TestUnfitElements:
             result = lambda_greedy(fresh(big), lam)
             assert picks(result, same) == picks(small, pos)
 
-            # chi counts every column, so an element that never fits sets it
-            # to 0 and deepens every rollback; with chi over the fitting
-            # columns the walk is the same in both engines
+            # and through updates: an element that never fits is never a
+            # newcomer, so each rollback keeps the same depth in both engines
             finals = []
-            with mock.patch("knapgreedy.dynamic.chi", chi_of_fitting):
-                for case in (inst, big):
-                    eng = DynamicGreedy(fresh(case), lam)
-                    for factor in (0.6, 1.0):
-                        for _ in range(3):
-                            eng.step()
-                        eng.apply_weights(factor * case.constraints.weights)
-                    finals.append(eng.finalize())
+            for case in (inst, big):
+                eng = DynamicGreedy(fresh(case), lam)
+                for factor in (0.6, 1.0):
+                    for _ in range(3):
+                        eng.step()
+                    eng.apply_weights(factor * case.constraints.weights)
+                finals.append(eng.finalize())
             assert picks(finals[1], same) == picks(finals[0], pos)
             checked += 1
 

@@ -6,10 +6,9 @@ iteration, cut values through a plain adjacency scan, and the from-scratch
 greedy is a standalone loop that shares no step code with the solver or the
 dynamic engine. The loops that faster library code replaced are kept here
 as references: chi's per-element walk, the engine's rollback depth by its
-definition, the exhaustive complement search,
-the greedy step that discards a negative-gain winner one scan at a time,
-the one-call-per-mask value table, the mask loop for the optimum and the
-pairwise curvature scan.
+definition, the exhaustive complement search, the greedy step that discards
+a negative-gain winner one scan at a time, the one-call-per-mask value
+table, the mask loop for the optimum and the pairwise curvature scan.
 """
 
 import math
@@ -28,13 +27,13 @@ from knapgreedy import (
     ModularObjective,
 )
 from knapgreedy.core import FEAS_TOL
-from knapgreedy.solver import BOUND_SLACK
 from knapgreedy.oracle import (
     CURVATURE_CAP,
     OPT_CAP,
     CurvatureDegenerateError,
     OracleCapError,
 )
+from knapgreedy.solver import BOUND_SLACK
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,11 @@ class KnapsackConstraints:
             return np.zeros(self.k)
         return self.costs[:, idx].sum(axis=1)
 
-    def is_feasible_cost(self, cost_vec):
-        return bool((cost_vec <= self.limit).all())
+    def is_feasible_cost(self, cost):
+        """The package's one budget test: a cost sum fits when each
+        component is at most limit. One length-k vector gives a numpy bool,
+        a stack of shape (..., k) a boolean mask over its leading axes."""
+        return (cost <= self.limit).all(axis=-1)
 
     def is_feasible(self, S):
         return self.is_feasible_cost(self.set_cost(S))

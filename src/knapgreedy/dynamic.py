@@ -65,17 +65,18 @@ class DynamicGreedy:
         # time it fits (n calls at most over a run) and kept, so later
         # updates re-derive the best feasible singleton for free.
         self.singleton_values = {}
-        self._adopt(inst.constraints, split_by_threshold(inst.constraints, lam))
+        self._adopt(inst.constraints)
         self._refill()
         if not (self.part.cheap or self.part.expensive):
             raise EmptyAfterReductionError("empty after reduction")
 
-    def _adopt(self, cons, part):
-        """Take cons and its partition as the current budgets and pick v*
-        over the elements that fit (both parts) with best_singleton, which
-        evaluates only those not yet in singleton_values."""
-        self.cons, self.part = cons, part
-        fitting = sorted(part.cheap + part.expensive)
+    def _adopt(self, cons):
+        """Take cons as the current budgets, at construction and on every
+        update: split it at lam with split_by_threshold, and pick v* over
+        both parts with best_singleton, which evaluates only the elements
+        not yet in singleton_values."""
+        self.cons, self.part = cons, split_by_threshold(cons, self.lam)
+        fitting = sorted(self.part.cheap + self.part.expensive)
         self.vstar, self.vstar_value = best_singleton(self.obj, fitting, self.singleton_values)
 
     def _refill(self):
@@ -128,7 +129,7 @@ class DynamicGreedy:
         new_cons = old_cons.with_weights(new_weights)
         # v* first: the rule reads the singleton value of every element
         # that fits now, and best_singleton evaluates those it has not seen
-        self._adopt(new_cons, split_by_threshold(new_cons, self.lam))
+        self._adopt(new_cons)
         self.sigma.truncate(self._restart_depth(old_cons, old_part))
         self._refill()
 
@@ -155,20 +156,19 @@ class DynamicGreedy:
         under tightening the kept prefix is then never shorter than chi's.
         """
         order, history, cons = self.sigma.order, self.sigma.history, self.cons
-        cheap, limit = set(self.part.cheap), cons.limit
+        cheap = set(self.part.cheap)
         depth = next((j for j, e in enumerate(order) if e not in cheap), len(order))
-        if depth and not (history[depth][1] <= limit).all():  # take's comparison
+        if depth and not cons.is_feasible_cost(history[depth][1]):
             acc = np.array([cost for _, cost in history[1:depth + 1]])
-            depth = int((acc <= limit).all(axis=1).argmin())
+            depth = int(cons.is_feasible_cost(acc).argmin())
         if not depth or (cons.weights <= old_cons.weights).all():
             return depth
 
         # An element that was cheap and fits on top of order[:depth - 1]
         # under old_cons fits on top of every shorter prefix: it is never a
         # newcomer. Nor is an element of the prefix.
-        old_limit, old_cheap = old_cons.limit, set(old_part.cheap)
-        deepest = history[depth - 1][1][:, None] + cons.costs <= old_limit[:, None]
-        deepest = deepest.all(axis=0).tolist()
+        old_cheap = set(old_part.cheap)
+        deepest = old_cons.is_feasible_cost(history[depth - 1][1] + cons.costs.T).tolist()
         cand = [e for e in cheap.difference(order) if not (deepest[e] and e in old_cheap)]
         if not cand:
             return depth
@@ -178,16 +178,12 @@ class DynamicGreedy:
         min_cost = min(max_costs)
         floor = [(values[j + 1] - values[j]) / max_costs[order[j]] for j in range(depth)]
         floor = [d - BOUND_SLACK * (max(1.0, abs(d)) + v / min_cost) for d, v in zip(floor, values)]
-        lowest = min(floor)
-        bound = {e: self.singleton_values[e] / max_costs[e] for e in cand}
-        cand = [e for e in cand if bound[e] >= lowest]  # a NaN bound never blocks
-        if not cand:
-            return depth
         acc = np.array([cost for _, cost in history[:depth]])
-        sums = acc[:, :, None] + cons.costs[:, cand]  # (depth, k, candidates)
-        fits_now = (sums <= limit[:, None]).all(axis=1)
-        was_candidate = (sums <= old_limit[:, None]).all(axis=1) & [e in old_cheap for e in cand]
-        outranks = np.array([bound[e] for e in cand]) >= np.array(floor)[:, None]
+        sums = acc[:, None] + cons.costs[:, cand].T  # (depth, candidates, k)
+        fits_now = cons.is_feasible_cost(sums)
+        was_candidate = old_cons.is_feasible_cost(sums) & [e in old_cheap for e in cand]
+        bound = np.array([self.singleton_values[e] / max_costs[e] for e in cand])
+        outranks = bound >= np.array(floor)[:, None]  # a NaN bound never blocks
         stops = (fits_now & ~was_candidate & outranks).any(axis=1)
         return int(stops.argmax()) if stops.any() else depth
 

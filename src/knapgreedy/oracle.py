@@ -49,11 +49,10 @@ def _opt(cons, table, n):
     smallest tuple; NaN never wins; when no feasible entry is > 0 the empty
     set (value 0) wins."""
     feasible = np.zeros(1 << n, dtype=bool)
-    limit = cons.limit[:, None]
     for rows, masks in subsets_by_size(n):
         # Each row's costs are summed as set_cost sums a set, so a set on
         # the slack's boundary falls on the same side.
-        feasible[masks] = (cons.costs[:, rows].sum(axis=-1) <= limit).all(axis=0)
+        feasible[masks] = cons.is_feasible_cost(cons.costs[:, rows].sum(axis=-1).T)
     candidates = feasible & (table > 0)
     if not candidates.any():
         return 0.0, ()

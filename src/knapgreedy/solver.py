@@ -53,12 +53,13 @@ class SolveResult:
 def chi(cons):
     """Largest cardinality at which every subset is automatically feasible.
 
-    Per knapsack: sort costs descending and count the prefix sums that fit
-    the budget (cumsum adds in sequence, and costs are nonnegative, so the
-    sums never decrease); the result is the minimum over knapsacks.
+    Per knapsack: sort costs descending and take the prefix sums (cumsum
+    adds in sequence, and costs are nonnegative, so the sums never
+    decrease); the count of prefix lengths that fit every knapsack is then
+    the minimum over knapsacks of the lengths that fit each.
     """
     prefix = np.cumsum(np.sort(cons.costs, axis=1)[:, ::-1], axis=1)
-    return int((prefix <= cons.limit[:, None]).sum(axis=1).min())
+    return int(cons.is_feasible_cost(prefix.T).sum())
 
 
 def split_by_threshold(cons, lam):
@@ -105,9 +106,9 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
       later one. The eager greedy would evaluate it and, were it the
       winner, discard it; a discard appends nothing, and the winner among
       the rest is the same, so the eager sequence is the argmax over the
-      elements that fit. A fits mask, rebuilt after each append with
-      Solution.take's own sums and comparison, drops such a stale top
-      without a call.
+      elements that fit. A fits mask, is_feasible_cost of cost_acc plus
+      each element's costs, the comparison Solution.take makes, is rebuilt
+      after each append and drops such a stale top without a call.
     - Negative bound. Every key bounds its element's current -density
       from below, up to the rounding slack, and the top holds the least
       key. A top, stale or exact, whose key exceeds the slack leaves no
@@ -122,7 +123,7 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
     # of, which are at most sigma.value plus the gain itself.
     min_cost = min((max_costs[e] for e in part.cheap), default=1.0)
     depth, followed, base = len(sigma.order), -1, sigma.value
-    fits = _fits_residual(cons, sigma)
+    fits = cons.is_feasible_cost(sigma.cost_acc + cons.costs.T)
     while heap:
         key, e, at, fe = heap[0]
         slack = BOUND_SLACK * (max(1.0, abs(key)) + base / min_cost)
@@ -153,15 +154,8 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
             break
         if sigma.take(cons, e, fe):
             depth, base = depth + 1, sigma.value
-            fits = _fits_residual(cons, sigma)
+            fits = cons.is_feasible_cost(sigma.cost_acc + cons.costs.T)
     return sigma
-
-
-def _fits_residual(cons, sigma):
-    """Boolean mask over elements: e fits on top of sigma. The sums and the
-    comparison are Solution.take's, element by element, so an element is
-    masked out exactly when take would discard it."""
-    return ((sigma.cost_acc[:, None] + cons.costs) <= cons.limit[:, None]).all(axis=0)
 
 
 def complement_search(obj, cons, part, singleton_values, floor=0.0):
@@ -196,15 +190,14 @@ def complement_search(obj, cons, part, singleton_values, floor=0.0):
             "complement too large: branch-and-bound search over %d elements" % len(part.expensive),
             RuntimeWarning,
         )
-    limit = cons.limit[:, None]
     best_val, best_path = 0.0, ()
     path = []
 
     def visit(cand, cost, f_path):
         nonlocal best_val, best_path
-        child_costs = cost[:, None] + cons.costs[:, cand]
-        fit = (child_costs <= limit).all(axis=0)
-        cand, child_costs = cand[fit], child_costs[:, fit]
+        child_costs = cost + cons.costs[:, cand].T  # (m, k)
+        fit = cons.is_feasible_cost(child_costs)
+        cand, child_costs = cand[fit], child_costs[fit]
         if not cand.size:
             return
         idx = cand.tolist()
@@ -224,7 +217,7 @@ def complement_search(obj, cons, part, singleton_values, floor=0.0):
             if vals[j] + later[j] + BOUND_SLACK * max(1.0, abs(bar)) < bar:
                 continue
             path.append(e)
-            visit(cand[j + 1:], child_costs[:, j], vals[j])
+            visit(cand[j + 1:], child_costs[j], vals[j])
             path.pop()
 
     visit(np.array(part.expensive, dtype=np.intp), np.zeros(cons.k), 0.0)

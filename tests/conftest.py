@@ -246,7 +246,7 @@ def reference_curvature(obj, n):
 
 
 def eager_greedy_step(obj, cons, sigma, pool):
-    """solver.greedy_step without the negative-density early end: the
+    """DynamicGreedy.step without the negative-density early end: the
     winner is removed and discarded one scan at a time, so a pool whose
     gains are all negative takes one scan per candidate to empty. The
     winner is appended or discarded by Solution.take."""

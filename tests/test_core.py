@@ -13,13 +13,14 @@ from knapgreedy import (
     ModularObjective,
     brute_force_opt,
     check_guarantee,
+    chi,
     lambda_greedy,
     reduce_instance,
     validate,
 )
 from knapgreedy.core import FEAS_TOL, SUBSET_CHUNK, subsets_by_size
 
-from conftest import random_instance, random_objective, FAMILIES
+from conftest import random_instance, random_objective, reference_chi, FAMILIES
 
 
 def modular(values):
@@ -38,6 +39,45 @@ class TestSetCost:
     def test_two_knapsacks(self):
         cons = KnapsackConstraints([[3, 2, 2], [1, 1, 1]], [9, 9])
         assert np.array_equal(cons.set_cost({0, 1, 2}), [7.0, 3.0])
+
+
+class TestIsFeasibleCost:
+    """The package's one budget comparison: a cost sum fits when each of its
+    components is at most limit, for one vector or for a stack of them."""
+
+    def test_at_the_limit_fits_and_one_ulp_above_does_not(self):
+        cons = KnapsackConstraints([[1, 2], [1, 2], [1, 2]], [0.5, 3.0, 7.0])
+        for i in range(cons.k):
+            cost = np.zeros(cons.k)
+            cost[i] = cons.limit[i]
+            fits = cons.is_feasible_cost(cost)
+            assert type(fits) is np.bool_ and fits
+            cost[i] = np.nextafter(cons.limit[i], np.inf)
+            assert not cons.is_feasible_cost(cost)
+
+    def test_a_stack_gives_the_mask_of_its_vectors(self):
+        rng = np.random.default_rng(7)
+        cons = KnapsackConstraints(rng.uniform(0.0, 2.0, size=(3, 5)), [1.0, 2.0, 3.0])
+        # each component one ulp below, at, or one ulp above its limit
+        near = np.stack([np.nextafter(cons.limit, -np.inf), cons.limit,
+                         np.nextafter(cons.limit, np.inf)])
+        stack = near[rng.integers(0, 3, size=(4, 6, 3)), np.arange(3)]  # (d, m, k)
+        mask = cons.is_feasible_cost(stack)
+        assert mask.shape == (4, 6) and mask.any() and not mask.all()
+        for idx in np.ndindex(*mask.shape):
+            by_component = all(c <= w for c, w in zip(stack[idx].tolist(), cons.limit.tolist()))
+            assert mask[idx] == cons.is_feasible_cost(stack[idx]) == by_component
+
+    @pytest.mark.parametrize("costs, weights", [
+        ([[2, 2, 1, 1, 1]], [2]),
+        ([[2, 2, 1, 1, 1]], [3]),
+        ([[1] * 7], [4]),
+        ([[3, 2, 2], [1, 1, 1]], [5, 3]),
+        (np.random.default_rng(3).uniform(0.0, 2.0, size=(3, 12)), [4.0, 6.0, 8.0]),
+    ])
+    def test_chi_counts_the_prefixes_that_fit_every_knapsack(self, costs, weights):
+        cons = KnapsackConstraints(costs, weights)
+        assert chi(cons) == reference_chi(cons)
 
 
 class TestSubsetsBySize:

@@ -28,7 +28,7 @@ from knapgreedy import (
 )
 from knapgreedy.core import FEAS_TOL
 from knapgreedy.dynamic import WeightUpdate
-from knapgreedy.solver import best_singleton
+from knapgreedy.solver import BOUND_SLACK, best_singleton
 
 from conftest import (
     FAMILIES,
@@ -215,6 +215,27 @@ class TestApplyWeights:
         eng.apply_weights([2.0])
         assert eng.sigma.order == []
         eng.run_to_completion()
+        assert eng.sigma.order == [0]
+
+    def test_a_newcomer_exactly_at_the_slack_floor_outranks(self):
+        # Under W = 2 the engine takes [0, 1]; element 2 (cost 2) lost at
+        # depth 0 and did not fit on top of [0]. W = 3 makes it a newcomer
+        # at depth 1, and its singleton density is order[1]'s density less
+        # the rounding slack, to the bit: the rollback stops at depth 1. A
+        # rule without the slack, or comparing with >, keeps [0, 1].
+        d, v = (6.0 - 4.0) / 1.0, 4.0  # order[1]'s density and f(order[:1])
+        min_cost = 1.0
+        floor = d - BOUND_SLACK * (max(1.0, abs(d)) + v / min_cost)
+        assert floor < d
+        inst = Instance(GroundSet(3), KnapsackConstraints([[1.0, 1.0, 2.0]], [2.0]),
+                        ModularObjective([4.0, 2.0, 2.0 * floor]))
+        eng = DynamicGreedy(inst, 1.0)
+        eng.run_to_completion()
+        assert eng.sigma.order == [0, 1]
+        assert [value for value, _ in eng.sigma.history] == [0.0, v, v + d]
+        assert min(eng.cons.max_costs) == min_cost
+        assert eng.singleton_values[2] / eng.cons.max_costs[2] == floor
+        eng.apply_weights([3.0])
         assert eng.sigma.order == [0]
 
     def test_shrinking_cheap_set_empties_stack(self):

@@ -89,13 +89,12 @@ def tree_hashes(tree, seeds):
     workloads. Runs in a fresh process, so that the tree's modules are the
     ones imported."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "benchmark")]
-    import knapgreedy
+    import knapgreedy as lib  # its submodules below are its attributes
     import workloads
-    from knapgreedy import dynamic, harness, io, oracle, solver
+    from knapgreedy import dynamic, harness, io, oracle, solver  # noqa: F401
 
-    if not os.path.abspath(knapgreedy.__file__).startswith(os.path.abspath(tree) + os.sep):
-        raise RuntimeError("imported %s, not the tree's library" % knapgreedy.__file__)
-    lib = argparse.Namespace(dynamic=dynamic, harness=harness, oracle=oracle, solver=solver)
+    if not os.path.abspath(lib.__file__).startswith(os.path.abspath(tree) + os.sep):
+        raise RuntimeError("imported %s, not the tree's library" % lib.__file__)
     run_op = {"static-solve": _static, "drift-race": _drift, "verify-small": _verify}
     out = {}
     for workload in WORKLOADS:
@@ -131,7 +130,7 @@ def main(argv=None):
                 hashes[side] = pool.apply(tree_hashes, (tree, args.seeds))
     print("parent %s, change %s" % (revs["parent"][:12], revs["change"][:12]))
     differ = 0
-    for key in sorted(hashes["parent"], key=lambda k: (WORKLOADS.index(k[0]), args.seeds.index(k[1]))):
+    for key in hashes["parent"]:  # by workload, then seed
         (ops, a), (_, b) = hashes["parent"][key], hashes["change"][key]
         differ += a != b
         print("%-12s seed %-5d ops %3d  parent %s  change %s  %s" % (

@@ -107,8 +107,8 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
       winner, discard it; a discard appends nothing, and the winner among
       the rest is the same, so the eager sequence is the argmax over the
       elements that fit. A fits mask, is_feasible_cost of cost_acc plus
-      each element's costs, the comparison Solution.take makes, is rebuilt
-      after each append and drops such a stale top without a call.
+      each element's costs (Solution.take's sums and comparison), is
+      rebuilt after each append and drops such a stale top without a call.
     - Negative bound. Every key bounds its element's current -density
       from below, up to the rounding slack, and the top holds the least
       key. A top, stale or exact, whose key exceeds the slack leaves no

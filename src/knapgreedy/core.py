@@ -63,7 +63,11 @@ class KnapsackConstraints:
                 "dimension mismatch: weights length %d, costs rows %d"
                 % (weights.shape[0] if weights.ndim == 1 else -1, self.costs.shape[0])
             )
-        check_weights(weights)
+        for i, w in enumerate(weights.tolist()):
+            if not math.isfinite(w):
+                raise InvalidInstanceError("non-finite weight for knapsack %d" % i)
+            if w < 0:
+                raise InvalidInstanceError("negative weight for knapsack %d" % i)
         return weights
 
     @property
@@ -93,11 +97,9 @@ class KnapsackConstraints:
         other.weights = self._checked_weights(weights)
         return other
 
-    def fits(self, bounds=None):
-        """Boolean mask over elements: every per-knapsack cost of the
-        element alone is within bounds (default: the budgets) + FEAS_TOL."""
-        limit = self.limit if bounds is None else bounds + FEAS_TOL
-        return (self.costs <= limit[:, None]).all(axis=0)
+    def fits(self):
+        """Boolean mask over elements: is_feasible_cost of each one alone."""
+        return self.is_feasible_cost(self.costs.T)
 
     def set_cost(self, S):
         """Cost vector of a set: component i is the sum of costs[i] over S."""
@@ -293,16 +295,6 @@ class Solution:
     def truncate(self, depth):
         """Roll back to order[:depth] with its value and cost vector."""
         del self.order[depth:], self.history[depth + 1:]
-
-
-def check_weights(weights):
-    """Raise InvalidInstanceError unless every budget of the float array
-    weights is finite and nonnegative, naming the first offending knapsack."""
-    for i, w in enumerate(weights.tolist()):
-        if not math.isfinite(w):
-            raise InvalidInstanceError("non-finite weight for knapsack %d" % i)
-        if w < 0:
-            raise InvalidInstanceError("negative weight for knapsack %d" % i)
 
 
 def validate(inst):

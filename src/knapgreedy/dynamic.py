@@ -24,12 +24,12 @@ import numpy as np
 
 from .core import EmptyAfterReductionError, InvalidInstanceError, Solution, validate
 from .solver import (
-    BOUND_SLACK,
     Partition,
     best_of,
     best_singleton,
     chi,  # no caller here; benchmark/tracing.py patches this binding
     complement_search,
+    density_slack,
     greedy_phase,
     split_by_threshold,
 )
@@ -151,7 +151,7 @@ class DynamicGreedy:
             gain at any depth, so x cannot outrank order[j] when
             f({x}) / max_cost(x) is below order[j]'s density
             (history[j + 1] minus history[j] value, over its max cost) by
-            more than the rounding slack. A NaN bound never blocks.
+            more than density_slack, greedy_phase's. A NaN bound never blocks.
         When no budget grew, nothing is a newcomer and (a) decides alone;
         under tightening the kept prefix is then never shorter than chi's.
         """
@@ -172,12 +172,11 @@ class DynamicGreedy:
         cand = [e for e in cheap.difference(order) if not (deepest[e] and e in old_cheap)]
         if not cand:
             return depth
-        # order[j]'s density less the slack greedy_phase allows a gain over
-        # a bound, taken at the least max cost of any element
+        # order[j]'s density less density_slack at the least max cost
         max_costs, values = cons.max_costs, [value for value, _ in history[:depth + 1]]
         min_cost = min(max_costs)
         floor = [(values[j + 1] - values[j]) / max_costs[order[j]] for j in range(depth)]
-        floor = [d - BOUND_SLACK * (max(1.0, abs(d)) + v / min_cost) for d, v in zip(floor, values)]
+        floor = [d - density_slack(d, v, min_cost) for d, v in zip(floor, values)]
         acc = np.array([cost for _, cost in history[:depth]])
         sums = acc[:, None] + cons.costs[:, cand].T  # (depth, candidates, k)
         fits_now = cons.is_feasible_cost(sums)

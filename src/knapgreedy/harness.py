@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import EmptyAfterReductionError, Instance, check_weights
+from .core import EmptyAfterReductionError, Instance
 from .dynamic import DynamicGreedy, WeightUpdate
 
 
@@ -125,14 +125,13 @@ def run_dynamic(inst, cfg):
 
 def load_updates(path):
     """Update stream file: [{"at_call": int, "weights": [real]}], sorted.
-    Non-finite or negative weights raise InvalidInstanceError."""
+    A bad weights vector raises InvalidInstanceError when its update is
+    applied, by DynamicGreedy.apply_weights, which leaves the engine as it was."""
     with open(path) as fh:
         doc = json.load(fh)
     updates = [WeightUpdate(int(u["at_call"]), np.asarray(u["weights"], dtype=float)) for u in doc]
     if any(b.at_call < a.at_call for a, b in zip(updates, updates[1:])):
         raise ValueError("update stream must be sorted by at_call")
-    for u in updates:
-        check_weights(u.weights)
     return updates
 
 

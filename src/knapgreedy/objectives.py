@@ -225,6 +225,8 @@ class DppLogDetObjective(_BatchedObjective):
         self.L = _check_symmetric(L, "L")
         self.n = self.L.shape[0]
         self.jitter = float(jitter)
+        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise InvalidInstanceError("jitter must be finite and nonnegative, got %r" % self.jitter)
 
     def _values(self, rows):
         return _logdet_principals(self.L, rows, self.jitter)

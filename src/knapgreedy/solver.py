@@ -22,8 +22,8 @@ import numpy as np
 # exponential in their number; a warning is emitted and the run proceeds.
 COMPLEMENT_SIZE_WARNING = 25
 
-# Relative slack on the branch-and-bound prune test, so that rounding in the
-# oracle's prefix state can never prune a subtree holding a true optimum.
+# Relative slack of density_slack and of the branch-and-bound prune test, so
+# that rounding in the oracle's prefix state can never change a pick.
 BOUND_SLACK = 1e-12
 
 
@@ -63,14 +63,21 @@ def chi(cons):
 
 
 def split_by_threshold(cons, lam):
-    """Partition the elements that fit the budgets into cheap (c_j(e) <=
-    lam*W_j/k for all j) and expensive (the rest). An element that does not
-    fit alone is in neither part: no feasible set holds it, even when
-    lam*W_j/k rounds one ulp above W_j (lam = k = 3, say)."""
+    """Partition the elements that fit the budgets into cheap (they fit the
+    budgets lam*W_j/k alone too) and expensive (the rest). An element that
+    does not fit alone is in neither part: no feasible set holds it, even
+    when lam*W_j/k rounds one ulp above W_j (lam = k = 3, say)."""
     fits = cons.fits()
-    cheap = fits & cons.fits(lam * cons.weights / cons.k)
+    cheap = fits & cons.with_weights(lam * cons.weights / cons.k).fits()
     expensive = fits & ~cheap
     return Partition(tuple(np.flatnonzero(cheap).tolist()), tuple(np.flatnonzero(expensive).tolist()))
+
+
+def density_slack(density, value, min_cost):
+    """How far a density may round above an earlier bound on it, when its
+    gain is a difference of f-values of at most value over a max cost of at
+    least min_cost: greedy_phase's and DynamicGreedy._restart_depth's slack."""
+    return BOUND_SLACK * (max(1.0, abs(density)) + value / min_cost)
 
 
 def _heap_key(density):
@@ -93,8 +100,8 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
     singleton values. The top is re-evaluated until its depth is the
     current one; in exact arithmetic an exact top is then the eager winner.
     In floating point a gain may round a little above an earlier bound, so
-    before an exact top is taken the entries within the rounding slack of
-    it are popped: the stale ones go back keyed -inf, to be re-evaluated
+    before an exact top is taken the entries within density_slack of it
+    are popped: the stale ones go back keyed -inf, to be re-evaluated
     lowest index first, the rest unchanged. Among exact entries the heap
     order is the eager scan's: the largest density, ties to the lowest
     index, the earliest position in the ascending cheap set. From the empty
@@ -119,14 +126,12 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
     heap = [(_heap_key(singleton_values[e] / max_costs[e]), e, 0, singleton_values[e])
             for e in part.cheap]  # gain over f(empty) = 0
     heapq.heapify(heap)
-    # A gain's rounding error scales with the f-values it is the difference
-    # of, which are at most sigma.value plus the gain itself.
     min_cost = min((max_costs[e] for e in part.cheap), default=1.0)
     depth, followed, base = len(sigma.order), -1, sigma.value
     fits = cons.is_feasible_cost(sigma.cost_acc + cons.costs.T)
     while heap:
         key, e, at, fe = heap[0]
-        slack = BOUND_SLACK * (max(1.0, abs(key)) + base / min_cost)
+        slack = density_slack(key, base, min_cost)
         if key > slack:  # every density bound left is negative, or NaN
             break
         if at != depth:

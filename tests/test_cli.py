@@ -61,15 +61,20 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["chosen"], doc["value"], doc["oracle_calls"]) == ([4], 3.0, 5)
 
-    @pytest.mark.parametrize("bad", ["NaN", "-1.0"])
-    def test_bad_update_weight_exit_2(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("bad, message", [
+        ("[NaN]", "non-finite weight for knapsack 0"),
+        ("[-1.0]", "negative weight for knapsack 0"),
+        ("5", "dimension mismatch"),
+        ("[[1.0]]", "dimension mismatch"),
+    ], ids=["NaN", "-1.0", "scalar", "nested"])
+    def test_bad_update_weight_exit_2(self, tmp_path, capsys, bad, message):
         stream = tmp_path / "updates.json"
-        stream.write_text('[{"at_call": 30, "weights": [%s]}]' % bad)
+        stream.write_text('[{"at_call": 30, "weights": %s}]' % bad)
         code = main(
             ["solve", "--instance", FIXTURE, "--lambda", "1.0", "--updates", str(stream)]
         )
         assert code == 2
-        assert "weight for knapsack 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
@@ -299,6 +304,18 @@ class TestOracle:
             assert main(["oracle", "--instance", path, "--lambda", "1.0"] + extra) == 2
             captured = capsys.readouterr()
             assert (captured.out, message in captured.err) == ("", True)
+
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_dpp_jitter_exit_2(self, tmp_path, capsys, jitter):
+        # unchecked, a NaN jitter solves to 0.0 and passes the oracle
+        # vacuously, and an infinite one prints "value": Infinity
+        doc = json.loads(open(DPP_FIXTURE).read())
+        doc["objective"]["jitter"] = jitter
+        path = write_instance(tmp_path, doc)
+        for command in (["solve"], ["oracle"]):
+            assert main(command + ["--instance", path, "--lambda", "1.0"]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, "jitter must be finite" in captured.err) == ("", True)
 
     def test_too_large_exit_2(self, tmp_path, capsys):
         n = 25

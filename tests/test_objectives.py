@@ -95,6 +95,13 @@ class TestDppLogDet:
         obj = DppLogDetObjective(random_spd(rng, 5))
         assert obj.value([3, 1, 4]) == obj.value([4, 3, 1])
 
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1e-10])
+    def test_rejects_non_finite_or_negative_jitter(self, jitter):
+        # unchecked, a NaN jitter makes every value NaN, so the solver
+        # returns 0.0, and an infinite one makes every value infinite
+        with pytest.raises(InvalidInstanceError, match="jitter must be finite and nonnegative"):
+            DppLogDetObjective(np.eye(2), jitter=jitter)
+
     def test_not_positive_definite(self):
         L = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         obj = DppLogDetObjective(L, jitter=0.0)

@@ -59,9 +59,9 @@ class KnapsackConstraints:
     def _checked_weights(self, weights):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or weights.shape[0] != self.costs.shape[0]:
+            got = "length %d" % weights.shape[0] if weights.ndim == 1 else "shape %s" % (weights.shape,)
             raise InvalidInstanceError(
-                "dimension mismatch: weights length %d, costs rows %d"
-                % (weights.shape[0] if weights.ndim == 1 else -1, self.costs.shape[0])
+                "dimension mismatch: weights %s, costs rows %d" % (got, self.costs.shape[0])
             )
         for i, w in enumerate(weights.tolist()):
             if not math.isfinite(w):
@@ -280,17 +280,11 @@ class Solution:
     def cost_acc(self):
         return self.history[-1][1]
 
-    def take(self, cons, e, fe):
-        """Append e, with f(order + [e]) = fe, when its gain is nonnegative
-        and the grown set is feasible under cons; a NaN gain is never
-        appended. Returns whether the selection grew."""
-        value, cost = self.history[-1]
-        new_cost = cost + cons.costs[:, e]
-        if not (fe - value >= 0 and cons.is_feasible_cost(new_cost)):
-            return False
+    def take(self, e, fe, cost):
+        """Record e as appended, with f(order + [e]) = fe and cost vector
+        cost (cost_acc + costs[:, e]); the caller decides whether it is."""
         self.order.append(e)
-        self.history.append((fe, new_cost))
-        return True
+        self.history.append((fe, cost))
 
     def truncate(self, depth):
         """Roll back to order[:depth] with its value and cost vector."""

@@ -95,11 +95,11 @@ class DynamicGreedy:
         for every candidate in the pool (one oracle call each, answered
         from the prefix state). Removes the one with the largest density,
         marginal gain per maximum cost (ties to the earliest in pool
-        order), and appends or discards it. When the winner's density is
-        negative, every other candidate's density is at most that, so no
-        gain in the pool is nonnegative and sigma cannot grow until it
-        changes: the pool is cleared instead of being discarded one scan at
-        a time.
+        order), and appends it if its density is a number >= 0 and it fits
+        on top of sigma, else discards it. A negative winner's density
+        bounds every other candidate's, so no gain in the pool is
+        nonnegative and sigma cannot grow until it changes: the pool is
+        cleared instead of being discarded one scan at a time.
         """
         obj, sigma, pool = self.obj, self.sigma, self.pool
         if not pool:
@@ -117,7 +117,9 @@ class DynamicGreedy:
             pool.clear()
             return
         pool.remove(best_e)
-        sigma.take(self.cons, best_e, best_fval)
+        cost = sigma.cost_acc + self.cons.costs[:, best_e]
+        if best_density >= 0 and self.cons.is_feasible_cost(cost):
+            sigma.take(best_e, best_fval, cost)
 
     def apply_weights(self, new_weights):
         """Stack-rollback update rule for a new budget vector: adopt it, pop
@@ -212,10 +214,11 @@ class DynamicGreedy:
         current weights, and return the overall argmax (with no update, the
         static solve). The search is floored at current_best(): best_of
         takes the complement set only when it beats the greedy prefix and
-        the best singleton strictly."""
+        the best singleton strictly. Drops the objective's prefix state."""
         self.run_to_completion()
         comp_set, comp_val = complement_search(
             self.obj, self.cons, self.part, self.singleton_values, self.current_best()
         )
+        self.obj.follow(None)
         calls = self.obj.eval_count - self._calls_baseline
         return best_of(self.sigma, self.vstar, self.vstar_value, comp_set, comp_val, calls)

@@ -38,7 +38,11 @@ from .objectives import (
 def _load_objective(spec, n, base_dir):
     kind = spec.get("kind")
     if kind == "modular":
-        return ModularObjective(spec["values"])
+        values = np.asarray(spec["values"], dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise InvalidInstanceError("non-finite modular value for element %d" % finite.argmin())
+        return ModularObjective(values)
     if kind == "cut":
         return DirectedCutObjective(n, spec["arcs"])
     if kind == "dpp":

@@ -32,7 +32,10 @@ def _check_symmetric(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInstanceError("%s must be square" % name)
-    if not np.allclose(M, M.T, atol=SYMMETRY_TOL, rtol=0):
+    if not np.isfinite(M).all():
+        raise InvalidInstanceError("%s must be finite" % name)
+    # M is finite, so this is np.allclose(M, M.T, atol=SYMMETRY_TOL, rtol=0)
+    if not (np.abs(M - M.T) <= SYMMETRY_TOL).all():
         raise InvalidInstanceError("%s must be symmetric" % name)
     return M
 
@@ -184,8 +187,10 @@ class DirectedCutObjective(_BatchedObjective):
         self.n = n
         self.arcs = [(int(u), int(v), float(w)) for u, v, w in arcs]
         for u, v, w in self.arcs:
-            if w < 0:
-                raise InvalidInstanceError("negative arc weight on (%d, %d)" % (u, v))
+            if not 0 <= w < math.inf:
+                raise InvalidInstanceError(
+                    "arc weight on (%d, %d) must be finite and nonnegative, got %r" % (u, v, w)
+                )
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInstanceError("arc (%d, %d) out of range for n=%d" % (u, v, n))
 

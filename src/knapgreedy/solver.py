@@ -114,8 +114,8 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
       winner, discard it; a discard appends nothing, and the winner among
       the rest is the same, so the eager sequence is the argmax over the
       elements that fit. A fits mask, is_feasible_cost of cost_acc plus
-      each element's costs (Solution.take's sums and comparison), is
-      rebuilt after each append and drops such a stale top without a call.
+      each element's costs, is rebuilt after each append and drops such a
+      top, stale or exact, without a call: a top that is taken fits.
     - Negative bound. Every key bounds its element's current -density
       from below, up to the rounding slack, and the top holds the least
       key. A top, stale or exact, whose key exceeds the slack leaves no
@@ -134,10 +134,10 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
         slack = density_slack(key, base, min_cost)
         if key > slack:  # every density bound left is negative, or NaN
             break
+        if not fits[e]:  # never fits again: dropped without a call
+            heapq.heappop(heap)
+            continue
         if at != depth:
-            if not fits[e]:  # never fits again: dropped without a call
-                heapq.heappop(heap)
-                continue
             if followed != depth:
                 obj.follow(sigma.order)
                 current, followed = frozenset(sigma.order), depth
@@ -157,9 +157,9 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
             continue
         if key > 0:
             break
-        if sigma.take(cons, e, fe):
-            depth, base = depth + 1, sigma.value
-            fits = cons.is_feasible_cost(sigma.cost_acc + cons.costs.T)
+        sigma.take(e, fe, sigma.cost_acc + cons.costs[:, e])
+        depth, base = depth + 1, fe
+        fits = cons.is_feasible_cost(sigma.cost_acc + cons.costs.T)
     return sigma
 
 
@@ -271,11 +271,8 @@ def best_of(sigma, vstar, vstar_val, comp_set, comp_val, calls):
 
 def lambda_greedy(inst, lam):
     """Full static solve on the caller's instance, a fresh dynamic engine's
-    finalize(). An element that does not fit the budgets alone is never
-    evaluated. The objective's prefix state is dropped before returning."""
+    finalize(), which drops the objective's prefix state. An element that
+    does not fit the budgets alone is never evaluated."""
     from .dynamic import DynamicGreedy  # dynamic imports this module
 
-    try:
-        return DynamicGreedy(inst, lam).finalize()
-    finally:
-        inst.objective.follow(None)
+    return DynamicGreedy(inst, lam).finalize()

@@ -249,7 +249,8 @@ def eager_greedy_step(obj, cons, sigma, pool):
     """DynamicGreedy.step without the negative-density early end: the
     winner is removed and discarded one scan at a time, so a pool whose
     gains are all negative takes one scan per candidate to empty. The
-    winner is appended or discarded by Solution.take."""
+    winner is appended when its gain is a number at least 0 and the grown
+    set fits, and discarded otherwise."""
     obj.follow(sigma.order)
     current, base = frozenset(sigma.order), sigma.value
     max_costs = cons.max_costs
@@ -260,7 +261,9 @@ def eager_greedy_step(obj, cons, sigma, pool):
         if best_density is None or density > best_density:
             best_e, best_density, best_fval = e, density, fe
     pool.remove(best_e)
-    return sigma.take(cons, best_e, best_fval)
+    cost = sigma.cost_acc + cons.costs[:, best_e]
+    if best_fval - base >= 0 and cons.is_feasible_cost(cost):
+        sigma.take(best_e, best_fval, cost)
 
 
 def eager_greedy_calls(cheap_size):

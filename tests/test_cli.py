@@ -64,8 +64,8 @@ class TestSolve:
     @pytest.mark.parametrize("bad, message", [
         ("[NaN]", "non-finite weight for knapsack 0"),
         ("[-1.0]", "negative weight for knapsack 0"),
-        ("5", "dimension mismatch"),
-        ("[[1.0]]", "dimension mismatch"),
+        ("5", "dimension mismatch: weights shape (), costs rows 1"),
+        ("[[1.0]]", "dimension mismatch: weights shape (1, 1), costs rows 1"),
     ], ids=["NaN", "-1.0", "scalar", "nested"])
     def test_bad_update_weight_exit_2(self, tmp_path, capsys, bad, message):
         stream = tmp_path / "updates.json"
@@ -316,6 +316,25 @@ class TestOracle:
             assert main(command + ["--instance", path, "--lambda", "1.0"]) == 2
             captured = capsys.readouterr()
             assert (captured.out, "jitter must be finite" in captured.err) == ("", True)
+
+    @pytest.mark.parametrize("objective, message", [
+        ({"kind": "dpp", "L": np.diag([math.inf, 1, 1, 1, 1]).tolist()}, "L must be finite"),
+        ({"kind": "entropy", "Sigma": np.diag([1, 1, math.nan, 1, 1]).tolist()}, "Sigma must be finite"),
+        ({"kind": "modular", "values": [1, math.inf, 1, 1, 1]}, "non-finite modular value for element 1"),
+        ({"kind": "modular", "values": [1, 1, 1, math.nan, 1]}, "non-finite modular value for element 3"),
+        ({"kind": "cut", "arcs": [[0, 1, 1.0], [2, 3, math.inf]]}, "arc weight on (2, 3) must be finite"),
+        ({"kind": "cut", "arcs": [[4, 0, math.nan]]}, "arc weight on (4, 0) must be finite"),
+    ], ids=["dpp-inf", "entropy-nan", "modular-inf", "modular-nan", "cut-inf", "cut-nan"])
+    def test_non_finite_objective_data_exit_2(self, tmp_path, capsys, objective, message):
+        # unchecked, an infinite entry makes solve print "value": Infinity,
+        # which is no JSON, and a NaN modular value or arc weight is ignored
+        doc = json.loads(open(FIXTURE).read())
+        doc["objective"] = objective
+        path = write_instance(tmp_path, doc)
+        for command in (["solve"], ["oracle"]):
+            assert main(command + ["--instance", path, "--lambda", "1.0"]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, message in captured.err) == ("", True)
 
     def test_too_large_exit_2(self, tmp_path, capsys):
         n = 25

@@ -26,7 +26,7 @@ from knapgreedy import (
     run_with_updates,
     split_by_threshold,
 )
-from knapgreedy.core import FEAS_TOL
+from knapgreedy.core import FEAS_TOL, Solution
 from knapgreedy.dynamic import WeightUpdate
 from knapgreedy.solver import BOUND_SLACK, best_singleton
 
@@ -145,6 +145,27 @@ class TestStep:
         assert eng.sigma.order == [0, 2]
         assert eng.pool == [] and eng.phase == "finished"
         assert eng.obj.eval_count - start == 5 + 4 + 3
+
+    def test_a_nan_winner_is_discarded(self):
+        # a NaN density first in the pool wins its scan, since no number
+        # compares greater; it is discarded, not appended, and does not end
+        # the phase: the next scan appends the best number
+        def inst():
+            return Instance(GroundSet(3), KnapsackConstraints([[1.0] * 3], [3.0]),
+                            ModularObjective([np.nan, 1.0, 2.0]))
+
+        eng = DynamicGreedy(inst(), 1.0)
+        start = eng.obj.eval_count
+        eng.step()
+        assert (eng.sigma.order, eng.pool) == ([], [1, 2])
+        eng.step()
+        assert (eng.sigma.order, eng.sigma.value) == ([2], 2.0)
+        ref = inst()
+        sigma, pool = Solution(1), [0, 1, 2]
+        for _ in range(2):
+            eager_greedy_step(ref.objective, ref.constraints, sigma, pool)
+        assert sigma.order == eng.sigma.order
+        assert ref.objective.eval_count == eng.obj.eval_count - start == 3 + 2
 
 
 class TestApplyWeights:
@@ -353,6 +374,17 @@ class TestFinalize:
         (_, _, part, values, floor), _ = search.call_args
         assert part.expensive and floor == eng.current_best()
         assert values is eng.singleton_values
+
+    @pytest.mark.parametrize("solve", [
+        lambda inst: lambda_greedy(inst, 1.0),
+        lambda inst: run_with_updates(inst, 1.0, []),
+        lambda inst: DynamicGreedy(inst, 1.0).finalize(),
+    ], ids=["lambda_greedy", "run_with_updates", "finalize"])
+    def test_every_solve_drops_the_prefix_state(self, worked_example, solve):
+        # the lazy phase follows its prefix on the objective; no solve
+        # leaves that state behind
+        solve(worked_example)
+        assert worked_example.objective._prefix is None
 
     def test_empty_expensive_max_of_sigma_vstar(self, worked_example):
         eng = DynamicGreedy(worked_example, 1.0)

@@ -102,6 +102,25 @@ class TestDppLogDet:
         with pytest.raises(InvalidInstanceError, match="jitter must be finite and nonnegative"):
             DppLogDetObjective(np.eye(2), jitter=jitter)
 
+    @pytest.mark.parametrize("family", [DppLogDetObjective, EntropyObjective])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_kernel(self, family, bad):
+        # np.allclose(inf, inf) holds, so the symmetry check alone let an
+        # infinite kernel through, and a NaN one failed as "not symmetric"
+        M = np.eye(2)
+        M[1, 1] = bad
+        with pytest.raises(InvalidInstanceError, match="must be finite"):
+            family(M)
+
+    @pytest.mark.parametrize("family", [DppLogDetObjective, EntropyObjective])
+    def test_symmetry_tolerance(self, family):
+        M = np.eye(2)
+        M[0, 1] = objectives.SYMMETRY_TOL
+        family(M)
+        M[0, 1] = 2 * objectives.SYMMETRY_TOL
+        with pytest.raises(InvalidInstanceError, match="must be symmetric"):
+            family(M)
+
     def test_not_positive_definite(self):
         L = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         obj = DppLogDetObjective(L, jitter=0.0)
@@ -154,6 +173,13 @@ class TestDirectedCut:
     def test_rejects_arc_out_of_range(self, arc):
         with pytest.raises(InvalidInstanceError, match="out of range"):
             DirectedCutObjective(2, [arc])
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_rejects_a_non_finite_arc_weight(self, weight):
+        # unchecked, an infinite weight makes values infinite, and a NaN
+        # one makes every set that the arc leaves worth NaN
+        with pytest.raises(InvalidInstanceError, match=r"arc weight on \(0, 1\) must be finite and nonnegative"):
+            DirectedCutObjective(2, [(1, 0, 1.0), (0, 1, weight)])
 
     def test_self_loop_never_counts(self):
         obj = DirectedCutObjective(2, [(0, 0, 5.0), (0, 1, 1.0)])

@@ -2,7 +2,7 @@
 
 Subcommands: solve, simulate, oracle, curvature. Exit codes: 0 success,
 1 guarantee violation (oracle only), 2 usage or validation error,
-3 degenerate instance (nothing survives the singleton filter).
+3 degenerate instance (solve and oracle: no element fits alone).
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="drifting-budget engine-vs-restart simulation")
-    common(p)
+    p.add_argument("--instance", required=True)  # writes files only, so no --pretty
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--updates", type=int, default=50)

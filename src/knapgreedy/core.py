@@ -317,9 +317,9 @@ def reduce_instance(inst):
 
     Returns (kept, removed), ascending element lists: the elements that fit
     every knapsack alone, and the rest, which no feasible set holds. Raises
-    EmptyAfterReductionError when nothing fits. The theoretical zero-value
-    filler element is not materialized; the solver's negative-marginal skip
-    rule plays its role.
+    EmptyAfterReductionError when nothing fits, the package's one such test,
+    made by every solve. The zero-value filler element of the theory is not
+    materialized; the solver's negative-marginal skip rule plays its role.
     """
     fits = inst.constraints.fits()
     kept, removed = np.flatnonzero(fits).tolist(), np.flatnonzero(~fits).tolist()

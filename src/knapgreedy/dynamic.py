@@ -13,7 +13,7 @@ appends. Popping restores cached costs and values, and the objective's
 prefix state is truncated on the next step, so recovery consumes oracle
 calls only for the greedy re-extension. The engine keeps the whole ground
 set: an element that does not fit the budgets sits out until an update
-makes it fit again.
+makes it fit again, and budgets that admit none leave the value at 0.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyAfterReductionError, InvalidInstanceError, Solution, validate
+from .core import InvalidInstanceError, Solution, validate
 from .solver import (
     Partition,
     best_of,
@@ -48,7 +48,8 @@ class DynamicGreedy:
     The phase is derived from the pool, never stored: "greedy" while
     candidates remain, "finished" when the pool is empty. apply_weights()
     may be called in either phase; it refills the pool with the cheap
-    elements outside the surviving prefix.
+    elements outside the surviving prefix. Built under budgets that admit
+    no element, the engine is finished at once, with vstar None.
     """
 
     def __init__(self, inst, lam):
@@ -67,8 +68,6 @@ class DynamicGreedy:
         self.singleton_values = {}
         self._adopt(inst.constraints)
         self._refill()
-        if not (self.part.cheap or self.part.expensive):
-            raise EmptyAfterReductionError("empty after reduction")
 
     def _adopt(self, cons):
         """Take cons as the current budgets, at construction and on every

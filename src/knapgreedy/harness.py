@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import EmptyAfterReductionError, Instance
+from .core import Instance, reduce_instance
 from .dynamic import DynamicGreedy, WeightUpdate
 
 
@@ -69,21 +69,9 @@ def perturb_weights(weights, totals, noise_sigma, rng):
     return fractions * totals
 
 
-def _restart_value(inst, lam, call_limit):
-    """The restart contestant for one interval: a static greedy started from
-    scratch on inst, whose constraints are the budgets the engine has just
-    adopted, and run until inst.objective's eval_count reaches call_limit,
-    scored by current_best(); 0.0 when no element fits."""
-    try:
-        restart = DynamicGreedy(inst, lam)
-    except EmptyAfterReductionError:
-        return 0.0
-    restart.run_to_completion(call_limit)
-    return restart.current_best()
-
-
 def run_dynamic(inst, cfg):
-    """Simulate cfg.n_updates budget drifts; returns the per-update trace."""
+    """Simulate cfg.n_updates budget drifts; returns the per-update trace,
+    in which a contestant under budgets that admit no element scores 0.0."""
     if cfg.tau < inst.ground.n:
         warnings.warn("budget too small: tau=%d < n=%d" % (cfg.tau, inst.ground.n), RuntimeWarning)
     rng = np.random.default_rng(cfg.seed)
@@ -108,14 +96,14 @@ def run_dynamic(inst, cfg):
         dg_start, rs_start = dg_obj.eval_count, rs_obj.eval_count
         engine.apply_weights(weights)
         engine.run_to_completion(dg_start + cfg.tau)
-        rs_inst = Instance(inst.ground, engine.cons, rs_obj)
-        rs_value = _restart_value(rs_inst, cfg.lam, rs_start + cfg.tau)
+        restart = DynamicGreedy(Instance(inst.ground, engine.cons, rs_obj), cfg.lam)
+        restart.run_to_completion(rs_start + cfg.tau)
         trace.rows.append(
             TraceRow(
                 update=u,
                 weights=weights.copy(),
                 dgreedy_value=engine.current_best(),
-                restart_value=rs_value,
+                restart_value=restart.current_best(),
                 dgreedy_calls=dg_obj.eval_count - dg_start,
                 restart_calls=rs_obj.eval_count - rs_start,
             )
@@ -137,11 +125,12 @@ def load_updates(path):
 
 def run_with_updates(inst, lam, updates):
     """Run the dynamic engine, delivering each scripted weight update once
-    the engine's oracle-call counter reaches its timestamp. Updates are
-    consumed at step boundaries; any still pending when the pool empties
-    are applied before finalizing."""
+    the engine's oracle-call counter reaches its timestamp, at a step
+    boundary; any still pending when the pool empties are applied before
+    finalizing. EmptyAfterReductionError if nothing fits inst's budgets."""
     baseline = inst.objective.eval_count
     engine = DynamicGreedy(inst, lam)
+    reduce_instance(inst)
     for u in updates:
         engine.run_to_completion(baseline + u.at_call)
         engine.apply_weights(u.weights)

@@ -40,6 +40,14 @@ def _check_symmetric(M, name):
     return M
 
 
+def _whole(x, what, i):
+    """int(x), after checking that a float x is a whole number, which int()
+    would otherwise truncate; else InvalidInstanceError naming what and i."""
+    if isinstance(x, float) and not x.is_integer():
+        raise InvalidInstanceError("%s %d must be a whole number, got %r" % (what, i, x))
+    return int(x)
+
+
 def _logdet_principals(M, rows, jitter=0.0):
     """log det of the principal submatrix of M + jitter*I indexed by each
     row of rows, a (G, s) array of ascending indices, via one stacked
@@ -168,6 +176,10 @@ class ModularObjective(_BatchedObjective):
     def __init__(self, singleton_values):
         super().__init__()
         self.singleton_values = np.asarray(singleton_values, dtype=float)
+        if self.singleton_values.ndim != 1:
+            raise InvalidInstanceError(
+                "modular values must be one-dimensional, got shape %s" % (self.singleton_values.shape,)
+            )
         self.n = self.singleton_values.size
 
     def _values(self, rows):
@@ -185,7 +197,10 @@ class DirectedCutObjective(_BatchedObjective):
     def __init__(self, n, arcs):
         super().__init__()
         self.n = n
-        self.arcs = [(int(u), int(v), float(w)) for u, v, w in arcs]
+        self.arcs = [
+            (_whole(u, "tail of arc", i), _whole(v, "head of arc", i), float(w))
+            for i, (u, v, w) in enumerate(arcs)
+        ]
         for u, v, w in self.arcs:
             if not 0 <= w < math.inf:
                 raise InvalidInstanceError(
@@ -296,7 +311,7 @@ class PartitionBudget:
     """Per-group cardinality caps, encoded as 0/1-cost knapsacks."""
 
     def __init__(self, labels, budgets):
-        self.labels = [int(x) for x in labels]
+        self.labels = [_whole(x, "partition label of element", e) for e, x in enumerate(labels)]
         self.budgets = [float(b) for b in budgets]
         p = len(self.budgets)
         for e, lab in enumerate(self.labels):

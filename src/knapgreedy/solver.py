@@ -270,9 +270,9 @@ def best_of(sigma, vstar, vstar_val, comp_set, comp_val, calls):
 
 
 def lambda_greedy(inst, lam):
-    """Full static solve on the caller's instance, a fresh dynamic engine's
-    finalize(), which drops the objective's prefix state. An element that
-    does not fit the budgets alone is never evaluated."""
-    from .dynamic import DynamicGreedy  # dynamic imports this module
+    """Full static solve on the caller's instance, run_with_updates with no
+    update: a fresh engine's finalize(), which drops the objective's prefix
+    state. Elements that do not fit the budgets alone are never evaluated."""
+    from .harness import run_with_updates  # harness imports dynamic, which imports this module
 
-    return DynamicGreedy(inst, lam).finalize()
+    return run_with_updates(inst, lam, ())

@@ -230,6 +230,31 @@ class TestSimulate:
         b = (tmp_path / "trace_b.csv.summary.json").read_bytes()
         assert a == b
 
+    def test_a_file_in_which_nothing_fits_exit_0(self, tmp_path, capsys):
+        # solve and oracle reject it (exit 3); the race records 0 until a
+        # drift admits an element
+        path = write_instance(tmp_path, {
+            "n": 2, "k": 1, "costs": [[5.0, 5.0]], "weights": [1.0],
+            "objective": {"kind": "modular", "values": [1.0, 1.0]},
+        })
+        for cmd in (["solve"], ["oracle"]):
+            assert main(cmd + ["--instance", path, "--lambda", "1.0"]) == 3
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--instance", path, "--tau", "5", "--sigma", "0.1",
+                     "--updates", "5", "--seed", "1", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 6
+
+    def test_pretty_is_not_an_option(self, tmp_path, capsys):
+        # simulate writes files only; it never read --pretty
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--instance", FIXTURE, "--tau", "5", "--sigma", "0.1",
+                  "--out", str(out), "--pretty"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pretty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_tau_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "t.csv")
         code = main(
@@ -333,6 +358,28 @@ class TestOracle:
         path = write_instance(tmp_path, doc)
         for command in (["solve"], ["oracle"]):
             assert main(command + ["--instance", path, "--lambda", "1.0"]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, message in captured.err) == ("", True)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"objective": {"kind": "cut", "arcs": [[0, 1, 1.0], [0.7, 1.9, 1.0]]}},
+         "tail of arc 1 must be a whole number, got 0.7"),
+        ({"objective": {"kind": "cut", "arcs": [[4, 2.5, 1.0]]}},
+         "head of arc 0 must be a whole number, got 2.5"),
+        ({"costs": None, "weights": None, "partition": {"labels": [0, 0.9, 1.5, 1, 1], "budgets": [1, 1]}},
+         "partition label of element 1 must be a whole number, got 0.9"),
+        ({"objective": {"kind": "modular", "values": [[0.25, 0.25, 1.0, 1.0, 3.0]]}},
+         "modular values must be one-dimensional, got shape (1, 5)"),
+    ], ids=["cut-tail", "cut-head", "partition-label", "nested-modular"])
+    def test_truncated_or_nested_data_exit_2(self, tmp_path, capsys, change, message):
+        # unchecked, int() truncates a fractional endpoint or label and the
+        # file solves as another instance; nested values fail in numpy
+        doc = json.loads(open(FIXTURE).read())
+        doc.update(change)
+        doc = {key: value for key, value in doc.items() if value is not None}
+        path = write_instance(tmp_path, doc)
+        for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"], ["curvature"]):
+            assert main([cmd[0], "--instance", path] + cmd[1:]) == 2
             captured = capsys.readouterr()
             assert (captured.out, message in captured.err) == ("", True)
 

@@ -38,6 +38,7 @@ from conftest import (
     reference_greedy,
     reference_restart_depth,
     twin_instance,
+    worked_example_instance,
 )
 
 
@@ -62,6 +63,24 @@ class TestInit:
         eng = DynamicGreedy(inst, 1.0)  # threshold 2.0 in knapsack 0
         assert eng.phase == "finished"
         assert eng.pool == []
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_budgets_that_admit_nothing_build_like_an_update_to_them(self, family):
+        # zero budgets admit no element: the engine is built finished, with
+        # no call, and an update to the instance's budgets leaves it where a
+        # fresh engine under them ends, calls included
+        inst = random_instance(np.random.default_rng(31), 10, 2, family)
+        obj = inst.objective.clone()
+        eng = DynamicGreedy(Instance(inst.ground, inst.constraints.with_weights([0.0, 0.0]), obj), 1.5)
+        assert (eng.phase, eng.vstar, eng.current_best(), obj.eval_count) == ("finished", None, 0.0, 0)
+        eng.apply_weights(inst.constraints.weights)
+        eng.run_to_completion()
+        fresh = DynamicGreedy(inst, 1.5)
+        fresh.run_to_completion()
+        assert eng.sigma.order == fresh.sigma.order != []
+        assert _bits(eng.sigma) == _bits(fresh.sigma)
+        assert eng.current_best() == fresh.current_best()
+        assert obj.eval_count == inst.objective.eval_count
 
     def test_init_costs_exactly_singleton_scan(self, worked_example):
         before = worked_example.objective.eval_count
@@ -573,6 +592,21 @@ class TestScriptedUpdates:
             worked_example, 1.0, [WeightUpdate(at_call=10 ** 6, weights=np.array([3.0]))]
         )
         assert result.value == 4.0
+
+
+    @pytest.mark.parametrize("solve", [
+        lambda inst, lam: lambda_greedy(inst, lam),
+        lambda inst, lam: run_with_updates(inst, lam, [WeightUpdate(at_call=0, weights=np.array([3.0]))]),
+    ], ids=["lambda_greedy", "run_with_updates"])
+    def test_a_degenerate_instance_is_rejected_before_any_call(self, solve):
+        # W = 0.5 admits no element; an update that would admit some does
+        # not save the instance, and a bad lambda is reported first
+        inst = worked_example_instance(W=0.5)
+        with pytest.raises(InvalidInstanceError, match="lambda out of"):
+            solve(inst, 2.0)
+        with pytest.raises(EmptyAfterReductionError):
+            solve(inst, 1.0)
+        assert inst.objective.eval_count == 0
 
 
 class TestBacktrackFoil:

@@ -186,6 +186,30 @@ class TestRunDynamic:
         warm_up = dg_obj.eval_count - sum(r.dgreedy_calls for r in trace.rows)
         assert 0 < warm_up <= cfg.tau + inst.ground.n
 
+    @pytest.mark.parametrize("family", ["modular", "dpp"])
+    def test_budgets_that_admit_nothing_score_zero(self, tmp_path, family):
+        # 1% of the total cost admits no element (every cost is at least
+        # 0.2 of a total below 20): the race starts anyway, each row under
+        # budgets that admit nothing reads 0 with no call for both
+        # contestants, and a rerun writes the same bytes
+        inst = random_instance(np.random.default_rng(12), 10, 2, family)
+        cfg = SimConfig(tau=10, noise_sigma=0.1, n_updates=30, seed=4, lam=1.0,
+                        initial_fraction=0.01)
+        traces = [run_dynamic(Instance(inst.ground, inst.constraints, inst.objective.clone()), cfg)
+                  for _ in range(2)]
+        rows = traces[0].rows
+        assert len(rows) == cfg.n_updates
+        empty = [not inst.constraints.with_weights(r.weights).fits().any() for r in rows]
+        assert any(empty) and not all(empty)
+        for r, nothing_fits in zip(rows, empty):
+            if nothing_fits:
+                assert (r.dgreedy_value, r.restart_value, r.dgreedy_calls, r.restart_calls) == (0.0, 0.0, 0, 0)
+        assert max(r.dgreedy_value for r in rows) > 0
+        paths = [tmp_path / ("trace_%d.csv" % i) for i in range(2)]
+        for trace, path in zip(traces, paths):
+            trace_to_csv(trace, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_small_tau_warns(self):
         inst = worked_example_instance()
         with pytest.warns(RuntimeWarning, match="budget too small"):

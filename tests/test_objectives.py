@@ -181,6 +181,20 @@ class TestDirectedCut:
         with pytest.raises(InvalidInstanceError, match=r"arc weight on \(0, 1\) must be finite and nonnegative"):
             DirectedCutObjective(2, [(1, 0, 1.0), (0, 1, weight)])
 
+    @pytest.mark.parametrize("arc, message", [
+        ((0.7, 1, 1.0), "tail of arc 0 must be a whole number, got 0.7"),
+        ((0, 1.9, 1.0), "head of arc 0 must be a whole number, got 1.9"),
+        ((math.nan, 1, 1.0), "tail of arc 0 must be a whole number, got nan"),
+    ])
+    def test_rejects_an_endpoint_that_is_not_whole(self, arc, message):
+        # int() would truncate it to another arc
+        with pytest.raises(InvalidInstanceError, match=message):
+            DirectedCutObjective(2, [arc])
+
+    def test_whole_float_endpoints_stay_legal(self):
+        obj = DirectedCutObjective(2, [(0.0, 1.0, 2.0), (np.float64(1.0), np.int64(0), 1.0)])
+        assert obj.arcs == [(0, 1, 2.0), (1, 0, 1.0)]
+
     def test_self_loop_never_counts(self):
         obj = DirectedCutObjective(2, [(0, 0, 5.0), (0, 1, 1.0)])
         obj.follow([])
@@ -277,6 +291,23 @@ class TestPartitionBudget:
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInstanceError):
             PartitionBudget([0, 3], [1, 1])
+
+    def test_rejects_a_label_that_is_not_whole(self):
+        # int() would put elements 1 and 2 in groups 0 and 1
+        with pytest.raises(InvalidInstanceError, match="partition label of element 1 must be a whole number, got 0.9"):
+            PartitionBudget([0, 0.9, 1.5], [1, 1])
+
+    def test_whole_float_labels_stay_legal(self):
+        assert PartitionBudget([0, 1.0, np.float64(1.0)], [1, 1]).labels == [0, 1, 1]
+
+
+class TestModular:
+    @pytest.mark.parametrize("values, shape", [([[1.0, 2.0]], r"\(1, 2\)"), (3.0, r"\(\)")])
+    def test_rejects_values_that_are_not_one_dimensional(self, values, shape):
+        # n would be the array's size, so validate would accept [[1, 2]] for
+        # n = 2, and a value would then fail to broadcast in numpy
+        with pytest.raises(InvalidInstanceError, match="modular values must be one-dimensional, got shape " + shape):
+            ModularObjective(values)
 
 
 class TestEvalCounting:

@@ -127,7 +127,7 @@ def run_with_updates(inst, lam, updates):
     """Run the dynamic engine, delivering each scripted weight update once
     the engine's oracle-call counter reaches its timestamp, at a step
     boundary; any still pending when the pool empties are applied before
-    finalizing. EmptyAfterReductionError if nothing fits inst's budgets."""
+    finalizing. reduce_instance rejects inst when nothing fits its budgets."""
     baseline = inst.objective.eval_count
     engine = DynamicGreedy(inst, lam)
     reduce_instance(inst)

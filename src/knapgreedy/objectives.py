@@ -42,7 +42,9 @@ def _check_symmetric(M, name):
 
 def _whole(x, what, i):
     """int(x), after checking that a float x is a whole number, which int()
-    would otherwise truncate; else InvalidInstanceError naming what and i."""
+    would otherwise truncate; else InvalidInstanceError naming what and i.
+    Callers pass an exact int through without the call, to keep instance
+    files with many indices as quick to load as a bare int() would."""
     if isinstance(x, float) and not x.is_integer():
         raise InvalidInstanceError("%s %d must be a whole number, got %r" % (what, i, x))
     return int(x)
@@ -198,7 +200,8 @@ class DirectedCutObjective(_BatchedObjective):
         super().__init__()
         self.n = n
         self.arcs = [
-            (_whole(u, "tail of arc", i), _whole(v, "head of arc", i), float(w))
+            (u if u.__class__ is int else _whole(u, "tail of arc", i),
+             v if v.__class__ is int else _whole(v, "head of arc", i), float(w))
             for i, (u, v, w) in enumerate(arcs)
         ]
         for u, v, w in self.arcs:
@@ -311,7 +314,8 @@ class PartitionBudget:
     """Per-group cardinality caps, encoded as 0/1-cost knapsacks."""
 
     def __init__(self, labels, budgets):
-        self.labels = [_whole(x, "partition label of element", e) for e, x in enumerate(labels)]
+        self.labels = [x if x.__class__ is int else _whole(x, "partition label of element", e)
+                       for e, x in enumerate(labels)]
         self.budgets = [float(b) for b in budgets]
         p = len(self.budgets)
         for e, lab in enumerate(self.labels):

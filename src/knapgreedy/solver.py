@@ -273,6 +273,6 @@ def lambda_greedy(inst, lam):
     """Full static solve on the caller's instance, run_with_updates with no
     update: a fresh engine's finalize(), which drops the objective's prefix
     state. Elements that do not fit the budgets alone are never evaluated."""
-    from .harness import run_with_updates  # harness imports dynamic, which imports this module
+    from .harness import run_with_updates  # harness imports this module, through dynamic
 
     return run_with_updates(inst, lam, ())

@@ -12,8 +12,8 @@ from knapgreedy import (
     EntropyObjective,
     GroundSet,
     Instance,
-    PartitionBudget,
     lambda_greedy,
+    partition_constraints,
 )
 
 rng = np.random.default_rng(3)
@@ -28,7 +28,7 @@ budgets = [3, 3, 2, 2]
 
 inst = Instance(
     ground=GroundSet(n),
-    constraints=PartitionBudget(regions, budgets).to_constraints(),
+    constraints=partition_constraints(regions, budgets),
     objective=EntropyObjective(Sigma),
 )
 

@@ -31,9 +31,8 @@ from .objectives import (
     EntropyObjective,
     ModularObjective,
     NotPositiveDefiniteError,
-    PartitionBudget,
-    QdKernelSpec,
     build_qd_kernel,
+    partition_constraints,
 )
 from .oracle import (
     CurvatureDegenerateError,

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, simulate, oracle, curvature. Exit codes: 0 success,
-1 guarantee violation (oracle only), 2 usage or validation error,
-3 degenerate instance (solve and oracle: no element fits alone).
+1 guarantee violation (oracle only), 2 usage or validation error (a
+malformed file, a fractional whole-number field, or JSON of the wrong
+shape), 3 degenerate instance (solve, and oracle with or without
+--assert-value: no element fits alone).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import dataclasses
 import json
 import sys
 
-from .core import EmptyAfterReductionError, InvalidInstanceError, validate
+from .core import EmptyAfterReductionError, InvalidInstanceError, reduce_instance, validate
 from .harness import (
     SimConfig,
     load_updates,
@@ -71,10 +73,9 @@ def cmd_simulate(args):
 
 def cmd_oracle(args):
     inst = load_instance(args.instance)
-    if args.assert_value is not None:
-        alg_value = args.assert_value
-    else:
-        alg_value = lambda_greedy(inst, args.lam).value
+    validate(inst)
+    reduce_instance(inst)  # exit 3 when nothing fits, with or without a claimed value
+    alg_value = lambda_greedy(inst, args.lam).value if args.assert_value is None else args.assert_value
     report = check_guarantee(inst, args.lam, alg_value)
     _emit(dict(dataclasses.asdict(report), alg_value=alg_value), args.pretty)
     return EXIT_OK if report.passed else EXIT_VIOLATION

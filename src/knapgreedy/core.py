@@ -11,6 +11,7 @@ import copy
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,24 @@ class InvalidInstanceError(ValueError):
 
 class EmptyAfterReductionError(ValueError):
     """Raised when no element survives the singleton-feasibility filter."""
+
+
+def _whole(x, what):
+    """x as an int if it is a whole number, else InvalidInstanceError naming
+    what (int() would truncate 2.5 to 2): the reader of every whole number
+    in a file. Callers with many indices pass an exact int by without it."""
+    if isinstance(x, numbers.Integral) or isinstance(x, numbers.Real) and float(x).is_integer():
+        return int(x)
+    raise InvalidInstanceError("%s must be a whole number, got %r" % (what, x))
+
+
+def _shape(x, kind, what):
+    """x, after checking that it is a JSON object (kind dict) or list (kind
+    list), else InvalidInstanceError naming what."""
+    if not isinstance(x, kind):
+        name = "object" if kind is dict else "list"
+        raise InvalidInstanceError("%s must be a JSON %s, got %s" % (what, name, type(x).__name__))
+    return x
 
 
 @dataclass(frozen=True)

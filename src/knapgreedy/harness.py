@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import Instance, reduce_instance
+from .core import Instance, _shape, _whole, reduce_instance
 from .dynamic import DynamicGreedy, WeightUpdate
 
 
@@ -113,11 +113,16 @@ def run_dynamic(inst, cfg):
 
 def load_updates(path):
     """Update stream file: [{"at_call": int, "weights": [real]}], sorted.
-    A bad weights vector raises InvalidInstanceError when its update is
-    applied, by DynamicGreedy.apply_weights, which leaves the engine as it was."""
+    at_call is a whole number, and a stream or an update of another JSON
+    shape raises InvalidInstanceError. A bad weights vector raises it when
+    its update is applied, by DynamicGreedy.apply_weights, which leaves the
+    engine as it was."""
     with open(path) as fh:
         doc = json.load(fh)
-    updates = [WeightUpdate(int(u["at_call"]), np.asarray(u["weights"], dtype=float)) for u in doc]
+    updates = []
+    for i, u in enumerate(_shape(doc, list, "update stream")):
+        at_call = _whole(_shape(u, dict, "update %d" % i)["at_call"], "at_call of update %d" % i)
+        updates.append(WeightUpdate(at_call, np.asarray(u["weights"], dtype=float)))
     if any(b.at_call < a.at_call for a, b in zip(updates, updates[1:])):
         raise ValueError("update stream must be sorted by at_call")
     return updates

@@ -4,6 +4,8 @@ Schema:
     {"n": int, "k": int, "costs": [[real]], "weights": [real],
      "objective": {"kind": "modular"|"cut"|"dpp"|"entropy", ...}}
 
+"n" and "k" are whole numbers: 2.0 reads as 2, and 2.5 is rejected
+rather than truncated. "k", when given, must equal the number of knapsacks.
 Instead of costs/weights, a per-group cardinality budget may be given as
     {"partition": {"labels": [int], "budgets": [int]}}
 which expands to 0/1-cost knapsacks, one per group.
@@ -12,8 +14,12 @@ Objective fields by kind:
     modular: {"values": [real]}
     cut:     {"arcs": [[u, v, w]]}
     dpp:     {"L": [[real]]} or
-             {"qd": {"q": [...], "features": {name: [[real]]}, "sigmas": {name: real}}}
+             {"qd": {"q": [...], "features": {name: [[real]]}, "sigmas": {name: real}}},
+             and optionally "jitter": real (DppLogDetObjective's default otherwise)
     entropy: {"Sigma": [[real]]} or {"Sigma_csv": "path"}
+
+The file, "objective", "partition" and "qd" must be JSON objects; any other
+shape raises InvalidInstanceError naming the field.
 """
 
 from __future__ import annotations
@@ -23,35 +29,34 @@ import os
 
 import numpy as np
 
-from .core import GroundSet, Instance, InvalidInstanceError, KnapsackConstraints
+from .core import GroundSet, Instance, InvalidInstanceError, KnapsackConstraints, _shape, _whole
 from .objectives import (
     DirectedCutObjective,
     DppLogDetObjective,
     EntropyObjective,
     ModularObjective,
-    PartitionBudget,
-    QdKernelSpec,
     build_qd_kernel,
+    partition_constraints,
 )
 
 
 def _load_objective(spec, n, base_dir):
-    kind = spec.get("kind")
+    kind = _shape(spec, dict, "objective").get("kind")
     if kind == "modular":
-        values = np.asarray(spec["values"], dtype=float)
-        finite = np.isfinite(values)
+        obj = ModularObjective(spec["values"])
+        finite = np.isfinite(obj.singleton_values)
         if not finite.all():
             raise InvalidInstanceError("non-finite modular value for element %d" % finite.argmin())
-        return ModularObjective(values)
+        return obj
     if kind == "cut":
         return DirectedCutObjective(n, spec["arcs"])
     if kind == "dpp":
         if "L" in spec:
             L = np.asarray(spec["L"], dtype=float)
         else:
-            qd = spec["qd"]
-            L = build_qd_kernel(QdKernelSpec(qd["q"], qd["features"], qd["sigmas"]))
-        return DppLogDetObjective(L, jitter=spec.get("jitter", 1e-10))
+            qd = _shape(spec["qd"], dict, "qd")
+            L = build_qd_kernel(qd["q"], qd["features"], qd["sigmas"])
+        return DppLogDetObjective(L, **({"jitter": spec["jitter"]} if "jitter" in spec else {}))
     if kind == "entropy":
         if "Sigma" in spec:
             Sigma = np.asarray(spec["Sigma"], dtype=float)
@@ -65,16 +70,14 @@ def _load_objective(spec, n, base_dir):
 
 
 def instance_from_dict(doc, base_dir="."):
-    n = int(doc["n"])
+    n = _whole(_shape(doc, dict, "instance file")["n"], "n")
     if "partition" in doc:
-        part = doc["partition"]
-        cons = PartitionBudget(part["labels"], part["budgets"]).to_constraints()
+        part = _shape(doc["partition"], dict, "partition")
+        cons = partition_constraints(part["labels"], part["budgets"])
     else:
         cons = KnapsackConstraints(doc["costs"], doc["weights"])
-        if "k" in doc and int(doc["k"]) != cons.k:
-            raise InvalidInstanceError(
-                "dimension mismatch: k=%d but %d cost rows" % (int(doc["k"]), cons.k)
-            )
+    if "k" in doc and _whole(doc["k"], "k") != cons.k:
+        raise InvalidInstanceError("dimension mismatch: k=%d but %d cost rows" % (doc["k"], cons.k))
     obj = _load_objective(doc.get("objective", {}), n, base_dir)
     return Instance(ground=GroundSet(n), constraints=cons, objective=obj)
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import InvalidInstanceError, KnapsackConstraints, Objective, PrefixState, subsets_by_size
+from .core import InvalidInstanceError, KnapsackConstraints, Objective, PrefixState, _whole, subsets_by_size
 
 SYMMETRY_TOL = 1e-9
 ENTROPY_PER_ELEMENT = 0.5 * (1.0 + math.log(2.0 * math.pi))
@@ -38,16 +38,6 @@ def _check_symmetric(M, name):
     if not (np.abs(M - M.T) <= SYMMETRY_TOL).all():
         raise InvalidInstanceError("%s must be symmetric" % name)
     return M
-
-
-def _whole(x, what, i):
-    """int(x), after checking that a float x is a whole number, which int()
-    would otherwise truncate; else InvalidInstanceError naming what and i.
-    Callers pass an exact int through without the call, to keep instance
-    files with many indices as quick to load as a bare int() would."""
-    if isinstance(x, float) and not x.is_integer():
-        raise InvalidInstanceError("%s %d must be a whole number, got %r" % (what, i, x))
-    return int(x)
 
 
 def _logdet_principals(M, rows, jitter=0.0):
@@ -200,8 +190,8 @@ class DirectedCutObjective(_BatchedObjective):
         super().__init__()
         self.n = n
         self.arcs = [
-            (u if u.__class__ is int else _whole(u, "tail of arc", i),
-             v if v.__class__ is int else _whole(v, "head of arc", i), float(w))
+            (u if u.__class__ is int else _whole(u, "tail of arc %d" % i),
+             v if v.__class__ is int else _whole(v, "head of arc %d" % i), float(w))
             for i, (u, v, w) in enumerate(arcs)
         ]
         for u, v, w in self.arcs:
@@ -274,57 +264,39 @@ class EntropyObjective(_BatchedObjective):
         return _EntropyPrefix(self.Sigma)
 
 
-class QdKernelSpec:
-    """Quality/diversity kernel specification.
-
-    qualities: n positive per-item quality scores.
-    feature_sets: mapping of feature-family name -> (n, d) feature matrix.
-    sigmas: mapping of feature-family name -> positive bandwidth.
-    """
-
-    def __init__(self, qualities, feature_sets, sigmas):
-        self.qualities = np.asarray(qualities, dtype=float)
-        if np.any(self.qualities <= 0):
-            raise InvalidInstanceError("qualities must be positive")
-        self.feature_sets = {f: np.asarray(v, dtype=float) for f, v in feature_sets.items()}
-        self.sigmas = {f: float(s) for f, s in sigmas.items()}
-        n = self.qualities.shape[0]
-        for f, v in self.feature_sets.items():
-            if f not in self.sigmas:
-                raise InvalidInstanceError("missing bandwidth for feature family %r" % f)
-            if v.shape[0] != n:
-                raise InvalidInstanceError("feature family %r has %d rows, expected %d" % (f, v.shape[0], n))
-        for f, s in self.sigmas.items():
-            if s <= 0:
-                raise InvalidInstanceError("nonpositive bandwidth for feature family %r" % f)
-
-
-def build_qd_kernel(spec):
-    """L[i, j] = q(i) * exp(-sum_f ||v_f_i - v_f_j||^2 / sigma_f) * q(j)."""
-    n = spec.qualities.shape[0]
+def build_qd_kernel(qualities, feature_sets, sigmas):
+    """Quality/diversity kernel L[i, j] = q(i) * exp(-sum_f ||v_f_i - v_f_j||^2 / sigma_f) * q(j)
+    from n positive qualities q, a mapping of feature-family name f -> (n, d)
+    feature matrix v_f, and a mapping of f -> positive bandwidth sigma_f."""
+    q = np.asarray(qualities, dtype=float)
+    if np.any(q <= 0):
+        raise InvalidInstanceError("qualities must be positive")
+    feature_sets = {f: np.asarray(v, dtype=float) for f, v in feature_sets.items()}
+    sigmas = {f: float(s) for f, s in sigmas.items()}
+    n = q.shape[0]
+    for f, V in feature_sets.items():
+        if f not in sigmas:
+            raise InvalidInstanceError("missing bandwidth for feature family %r" % f)
+        if V.shape[0] != n:
+            raise InvalidInstanceError("feature family %r has %d rows, expected %d" % (f, V.shape[0], n))
+    for f, s in sigmas.items():
+        if s <= 0:
+            raise InvalidInstanceError("nonpositive bandwidth for feature family %r" % f)
     expo = np.zeros((n, n))
-    for f, V in spec.feature_sets.items():
-        d2 = np.sum((V[:, None, :] - V[None, :, :]) ** 2, axis=2)
-        expo += d2 / spec.sigmas[f]
-    L = np.outer(spec.qualities, spec.qualities) * np.exp(-expo)
+    for f, V in feature_sets.items():
+        expo += np.sum((V[:, None, :] - V[None, :, :]) ** 2, axis=2) / sigmas[f]
+    L = np.outer(q, q) * np.exp(-expo)
     return 0.5 * (L + L.T)
 
 
-class PartitionBudget:
-    """Per-group cardinality caps, encoded as 0/1-cost knapsacks."""
-
-    def __init__(self, labels, budgets):
-        self.labels = [x if x.__class__ is int else _whole(x, "partition label of element", e)
-                       for e, x in enumerate(labels)]
-        self.budgets = [float(b) for b in budgets]
-        p = len(self.budgets)
-        for e, lab in enumerate(self.labels):
-            if not 0 <= lab < p:
-                raise InvalidInstanceError("partition label %d of element %d out of range" % (lab, e))
-
-    def to_constraints(self):
-        p, n = len(self.budgets), len(self.labels)
-        costs = np.zeros((p, n))
-        for e, lab in enumerate(self.labels):
-            costs[lab, e] = 1.0
-        return KnapsackConstraints(costs, np.asarray(self.budgets, dtype=float))
+def partition_constraints(labels, budgets):
+    """Per-group cardinality caps as 0/1-cost knapsacks: element e costs 1 in
+    knapsack labels[e] only, and knapsack g has budget budgets[g]."""
+    weights = np.asarray(budgets, dtype=float)
+    costs = np.zeros((weights.size, len(labels)))
+    for e, lab in enumerate(labels):
+        lab = lab if lab.__class__ is int else _whole(lab, "partition label of element %d" % e)
+        if not 0 <= lab < weights.size:
+            raise InvalidInstanceError("partition label %d of element %d out of range" % (lab, e))
+        costs[lab, e] = 1.0
+    return KnapsackConstraints(costs, weights)

@@ -26,13 +26,13 @@ from knapgreedy import (
     Instance,
     KnapsackConstraints,
     ModularObjective,
-    PartitionBudget,
     SimConfig,
     brute_force_curvature,
     brute_force_opt,
     chi,
     guarantee_bound,
     lambda_greedy,
+    partition_constraints,
     run_dynamic,
     split_by_threshold,
     summarize,
@@ -334,7 +334,7 @@ def _advantage_instances():
     labels = [e % 3 for e in range(n)]
     ent = Instance(
         GroundSet(n),
-        PartitionBudget(labels, [5, 5, 5]).to_constraints(),
+        partition_constraints(labels, [5, 5, 5]),
         EntropyObjective(Sigma),
     )
     mod = Instance(

@@ -76,6 +76,41 @@ class TestSolve:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stream, message", [
+        ('[{"at_call": 2.9, "weights": [1.0]}]', "at_call of update 0 must be a whole number, got 2.9"),
+        ('[{"at_call": 30, "weights": [3.0]}, {"at_call": 2, "weights": [1.0]}]',
+         "update stream must be sorted by at_call"),
+        ('{"at_call": 2, "weights": [1.0]}', "update stream must be a JSON list, got dict"),
+        ('[[2, [1.0]]]', "update 0 must be a JSON object, got list"),
+    ], ids=["fractional-at_call", "unsorted", "object-stream", "list-update"])
+    def test_bad_update_stream_exit_2(self, tmp_path, capsys, stream, message):
+        # unchecked, int() applies an update at 2.9 at call 2, and a stream
+        # of another shape raises a TypeError (exit 1, with a traceback)
+        path = tmp_path / "updates.json"
+        path.write_text(stream)
+        code = main(["solve", "--instance", FIXTURE, "--lambda", "1.0", "--updates", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, message in captured.err) == (2, "", True)
+
+    def test_whole_float_fields_stay_legal(self, tmp_path, capsys):
+        doc = json.loads(open(FIXTURE).read())
+        doc.update(n=5.0, k=1.0)
+        stream = tmp_path / "updates.json"
+        outs = []
+        for path, at_call in ((FIXTURE, 2), (write_instance(tmp_path, doc), 2.0)):
+            stream.write_text(json.dumps([{"at_call": at_call, "weights": [1.0]}]))
+            assert main(["solve", "--instance", path, "--lambda", "1.0", "--updates", str(stream)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_pretty_output(self, capsys):
+        assert main(["solve", "--instance", FIXTURE, "--lambda", "1.0"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["solve", "--instance", FIXTURE, "--lambda", "1.0", "--pretty"]) == 0
+        pretty = capsys.readouterr().out
+        assert pretty.count("\n") > plain.count("\n") == 1
+        assert json.loads(pretty) == json.loads(plain)
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -145,6 +180,19 @@ class TestInstanceFiles:
             assert main([cmd[0], "--instance", path] + cmd[1:]) == 2
             assert "cost matrix has 3 columns, ground set has 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k, message", [
+        (3, "dimension mismatch: k=3 but 2 cost rows"),
+        (2.5, "k must be a whole number, got 2.5"),
+    ])
+    def test_partition_file_reads_k_too(self, tmp_path, capsys, k, message):
+        # k counts the knapsacks, one per group; it was ignored beside a partition
+        doc = dict(self.PARTITION, k=k)
+        path = write_instance(tmp_path, doc)
+        assert main(["solve", "--instance", path, "--lambda", "2.0"]) == 2
+        assert message in capsys.readouterr().err
+        doc["k"] = 2.0
+        assert load_instance(write_instance(tmp_path, doc)).constraints.k == 2
+
     def test_sigma_csv_resolves_next_to_the_instance_file(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(4)
         A = rng.normal(size=(4, 4))
@@ -195,6 +243,26 @@ class TestInstanceFiles:
             assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "instance file must be a JSON object, got list"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": "modular"}',
+         "objective must be a JSON object, got str"),
+        ('{"n": 2, "partition": [[0, 0], [1]], "objective": {"kind": "modular", "values": [1, 1]}}',
+         "partition must be a JSON object, got list"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "dpp", "qd": [1, 1]}}',
+         "qd must be a JSON object, got list"),
+    ], ids=["list-file", "string-objective", "list-partition", "list-qd"])
+    def test_wrong_json_shape_exit_2(self, tmp_path, capsys, text, message):
+        # unchecked, each raises a TypeError or an AttributeError (exit 1,
+        # with a traceback)
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"], ["curvature"]):
+            assert main([cmd[0], "--instance", str(path)] + cmd[1:]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, message in captured.err) == ("", True)
+
+
 class TestSimulate:
     def test_zero_noise_run(self, tmp_path, capsys):
         out = str(tmp_path / "trace.csv")
@@ -237,7 +305,7 @@ class TestSimulate:
             "n": 2, "k": 1, "costs": [[5.0, 5.0]], "weights": [1.0],
             "objective": {"kind": "modular", "values": [1.0, 1.0]},
         })
-        for cmd in (["solve"], ["oracle"]):
+        for cmd in (["solve"], ["oracle"], ["oracle", "--assert-value", "0"]):
             assert main(cmd + ["--instance", path, "--lambda", "1.0"]) == 3
         out = tmp_path / "trace.csv"
         code = main(["simulate", "--instance", path, "--tau", "5", "--sigma", "0.1",
@@ -318,7 +386,10 @@ class TestOracle:
         ("weights", [float("nan")], "non-finite weight for knapsack 0"),
         ("weights", [-1.0], "negative weight for knapsack 0"),
         ("costs", [[1, -1, 2, 2, 1]], "negative cost for element 1 in knapsack 0"),
-    ], ids=["nan-budget", "negative-budget", "negative-cost"])
+        # nothing fits either, but a malformed file exits 2 before the
+        # degeneracy test can exit 3
+        ("costs", [[math.nan] * 5], "non-finite cost for element 0 in knapsack 0"),
+    ], ids=["nan-budget", "negative-budget", "negative-cost", "nan-costs"])
     def test_malformed_instance_exit_2(self, tmp_path, capsys, field, value, message):
         # unchecked, the bad budgets pass with a vacuous OPT of 0 and the
         # negative cost reports the infeasible [1, 2, 4] as OPT
@@ -370,10 +441,15 @@ class TestOracle:
          "partition label of element 1 must be a whole number, got 0.9"),
         ({"objective": {"kind": "modular", "values": [[0.25, 0.25, 1.0, 1.0, 3.0]]}},
          "modular values must be one-dimensional, got shape (1, 5)"),
-    ], ids=["cut-tail", "cut-head", "partition-label", "nested-modular"])
+        ({"objective": {"kind": "modular", "values": [[0.25, math.nan, 1.0, 1.0, 3.0]]}},
+         "modular values must be one-dimensional, got shape (1, 5)"),
+        ({"n": 5.5}, "n must be a whole number, got 5.5"),
+        ({"k": 1.9}, "k must be a whole number, got 1.9"),
+    ], ids=["cut-tail", "cut-head", "partition-label", "nested-modular", "nested-modular-nan", "n", "k"])
     def test_truncated_or_nested_data_exit_2(self, tmp_path, capsys, change, message):
-        # unchecked, int() truncates a fractional endpoint or label and the
-        # file solves as another instance; nested values fail in numpy
+        # unchecked, int() truncates a fractional endpoint, label, n or k
+        # and the file solves as another instance; nested values fail in
+        # numpy, and a NaN among them was named by its flattened index
         doc = json.loads(open(FIXTURE).read())
         doc.update(change)
         doc = {key: value for key, value in doc.items() if value is not None}

@@ -18,7 +18,7 @@ from knapgreedy import (
     reduce_instance,
     validate,
 )
-from knapgreedy.core import FEAS_TOL, SUBSET_CHUNK, subsets_by_size
+from knapgreedy.core import FEAS_TOL, SUBSET_CHUNK, _whole, subsets_by_size
 
 from conftest import random_instance, random_objective, reference_chi, FAMILIES
 
@@ -114,6 +114,15 @@ class TestValidate:
         with pytest.raises(InvalidInstanceError, match="negative cost"):
             validate(inst)
 
+    def test_empty_ground_set(self):
+        with pytest.raises(InvalidInstanceError, match="at least one element"):
+            GroundSet(0)
+
+    @pytest.mark.parametrize("costs", [[1.0, 2.0], [[[1.0]]]], ids=["vector", "3-d"])
+    def test_costs_that_are_not_a_matrix(self, costs):
+        with pytest.raises(InvalidInstanceError, match="costs must be a k x n matrix"):
+            KnapsackConstraints(costs, [2])
+
     def test_negative_weight(self):
         # budgets are checked where they are built, before validate can run
         with pytest.raises(InvalidInstanceError, match="negative weight"):
@@ -184,6 +193,22 @@ class TestBudgetGate:
         assert cons.with_weights([1, 1, 1]).limit.tolist() == [1 + FEAS_TOL] * 3
 
 
+class TestWhole:
+    """The reader of every whole number a file gives: n, k, at_call, arc
+    endpoints and partition labels."""
+
+    @pytest.mark.parametrize("x", [2, 2.0, -3.0, np.int64(2), np.float64(2.0)])
+    def test_a_whole_number_reads_as_an_int(self, x):
+        assert _whole(x, "n") == int(x)
+        assert type(_whole(x, "n")) is int
+
+    @pytest.mark.parametrize("x", [2.5, 1.9, float("inf"), float("nan"), "2", None, [2]])
+    def test_anything_else_is_named(self, x):
+        # int() would truncate 2.5 and 1.9, and read "2" as 2
+        with pytest.raises(InvalidInstanceError, match=r"^n must be a whole number, got "):
+            _whole(x, "n")
+
+
 class TestReduce:
     def test_all_feasible_identity(self, worked_example):
         assert reduce_instance(worked_example) == ([0, 1, 2, 3, 4], [])
@@ -234,5 +259,5 @@ class TestExports:
         exec("from knapgreedy import *", names)
         names.pop("__builtins__")
         assert sorted(names) == knapgreedy.__all__
-        assert len(names) == 42
+        assert len(names) == 41
         assert all(value.__module__.startswith("knapgreedy.") for value in names.values())

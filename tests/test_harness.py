@@ -7,8 +7,11 @@ import pytest
 from knapgreedy import (
     DynamicGreedy,
     EmptyAfterReductionError,
+    GroundSet,
     Instance,
     InvalidInstanceError,
+    KnapsackConstraints,
+    ModularObjective,
     Objective,
     SimConfig,
     perturb_weights,
@@ -129,6 +132,13 @@ class TestRunDynamic:
         with pytest.raises(InvalidInstanceError, match="lambda out of"):
             run_dynamic(inst, SimConfig(tau=10, noise_sigma=0.1, n_updates=3, lam=lam))
         assert inst.objective.eval_count == 0
+
+    def test_rejects_a_knapsack_with_zero_total_cost(self):
+        # the drift is a fraction of each knapsack's total cost
+        inst = Instance(GroundSet(2), KnapsackConstraints([[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0]),
+                        ModularObjective([1.0, 1.0]))
+        with pytest.raises(ValueError, match="every knapsack needs positive total cost"):
+            run_dynamic(inst, SimConfig(tau=5, noise_sigma=0.1, n_updates=3))
 
     def test_budget_honesty(self):
         rng = np.random.default_rng(5)

@@ -14,10 +14,9 @@ from knapgreedy import (
     KnapsackConstraints,
     ModularObjective,
     NotPositiveDefiniteError,
-    PartitionBudget,
-    QdKernelSpec,
     brute_force_curvature,
     build_qd_kernel,
+    partition_constraints,
 )
 
 from conftest import (
@@ -37,12 +36,11 @@ def random_subset(rng, n):
 
 class TestQdKernel:
     def test_identical_features_all_ones(self):
-        spec = QdKernelSpec([1, 1, 1], {"a": [[2.0], [2.0], [2.0]]}, {"a": 1.0})
-        assert np.allclose(build_qd_kernel(spec), np.ones((3, 3)))
+        L = build_qd_kernel([1, 1, 1], {"a": [[2.0], [2.0], [2.0]]}, {"a": 1.0})
+        assert np.allclose(L, np.ones((3, 3)))
 
     def test_two_items_unit_gap(self):
-        spec = QdKernelSpec([1, 1], {"a": [[0.0], [1.0]]}, {"a": 1.0})
-        L = build_qd_kernel(spec)
+        L = build_qd_kernel([1, 1], {"a": [[0.0], [1.0]]}, {"a": 1.0})
         assert L[0, 0] == pytest.approx(1.0)
         assert L[0, 1] == pytest.approx(math.exp(-1.0))
 
@@ -51,7 +49,7 @@ class TestQdKernel:
         q = rng.uniform(0.5, 2.0, 3)
         feats = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 4))}
         sigmas = {"a": 0.7, "b": 2.3}
-        L = build_qd_kernel(QdKernelSpec(q, feats, sigmas))
+        L = build_qd_kernel(q, feats, sigmas)
         for i in range(3):
             for j in range(3):
                 expo = 0.0
@@ -62,11 +60,22 @@ class TestQdKernel:
 
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(InvalidInstanceError):
-            QdKernelSpec([1, 1], {"a": [[0.0], [1.0]]}, {"a": 0.0})
+            build_qd_kernel([1, 1], {"a": [[0.0], [1.0]]}, {"a": 0.0})
 
     def test_rejects_nonpositive_quality(self):
         with pytest.raises(InvalidInstanceError):
-            QdKernelSpec([1, 0], {"a": [[0.0], [1.0]]}, {"a": 1.0})
+            build_qd_kernel([1, 0], {"a": [[0.0], [1.0]]}, {"a": 1.0})
+
+    @pytest.mark.parametrize("features, sigmas, message", [
+        ({"a": [[0.0], [1.0]], "b": [[0.0], [1.0]]}, {"a": 1.0},
+         "missing bandwidth for feature family 'b'"),
+        ({"a": [[0.0], [1.0], [2.0]]}, {"a": 1.0}, "feature family 'a' has 3 rows, expected 2"),
+        ({"a": [[0.0], [1.0]], "b": [[0.0]]}, {"a": 0.0},
+         "missing bandwidth for feature family 'b'"),  # every family before any bandwidth
+    ], ids=["no-bandwidth", "row-count", "families-first"])
+    def test_rejects_a_feature_family_it_cannot_use(self, features, sigmas, message):
+        with pytest.raises(InvalidInstanceError, match=message):
+            build_qd_kernel([1, 1], features, sigmas)
 
 
 class TestDppLogDet:
@@ -111,6 +120,12 @@ class TestDppLogDet:
         M[1, 1] = bad
         with pytest.raises(InvalidInstanceError, match="must be finite"):
             family(M)
+
+    @pytest.mark.parametrize("family", [DppLogDetObjective, EntropyObjective])
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_rejects_a_kernel_that_is_not_square(self, family, shape):
+        with pytest.raises(InvalidInstanceError, match="must be square"):
+            family(np.ones(shape))
 
     @pytest.mark.parametrize("family", [DppLogDetObjective, EntropyObjective])
     def test_symmetry_tolerance(self, family):
@@ -279,8 +294,7 @@ class TestSubmodularityAndCurvature:
 
 class TestPartitionBudget:
     def test_encoding(self):
-        pb = PartitionBudget([0, 1, 0, 2], [1, 2, 1])
-        cons = pb.to_constraints()
+        cons = partition_constraints([0, 1, 0, 2], [1, 2, 1])
         assert cons.k == 3
         assert np.array_equal(cons.costs, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
         assert np.array_equal(cons.weights, [1.0, 2.0, 1.0])
@@ -290,15 +304,15 @@ class TestPartitionBudget:
 
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInstanceError):
-            PartitionBudget([0, 3], [1, 1])
+            partition_constraints([0, 3], [1, 1])
 
     def test_rejects_a_label_that_is_not_whole(self):
         # int() would put elements 1 and 2 in groups 0 and 1
         with pytest.raises(InvalidInstanceError, match="partition label of element 1 must be a whole number, got 0.9"):
-            PartitionBudget([0, 0.9, 1.5], [1, 1])
+            partition_constraints([0, 0.9, 1.5], [1, 1])
 
     def test_whole_float_labels_stay_legal(self):
-        assert PartitionBudget([0, 1.0, np.float64(1.0)], [1, 1]).labels == [0, 1, 1]
+        assert partition_constraints([0, 1.0, np.float64(1.0)], [1, 1]).costs.tolist() == [[1, 0, 0], [0, 1, 1]]
 
 
 class TestModular:

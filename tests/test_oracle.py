@@ -169,6 +169,9 @@ class TestBruteForceOpt:
 
 
 class TestBruteForceCurvature:
+    def test_empty_ground_set_is_zero(self):
+        assert brute_force_curvature(ModularObjective([]), 0) == 0.0
+
     def test_modular_is_zero(self):
         obj = ModularObjective([0.5, 2.0, 1.0])
         assert brute_force_curvature(obj, 3) == 0.0

@@ -11,7 +11,7 @@ import copy
 import functools
 import itertools
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +33,13 @@ class EmptyAfterReductionError(ValueError):
 
 def _whole(x, what):
     """x as an int if it is a whole number, else InvalidInstanceError naming
-    what (int() would truncate 2.5 to 2): the reader of every whole number
-    in a file. Callers with many indices pass an exact int by without it."""
-    if isinstance(x, numbers.Integral) or isinstance(x, numbers.Real) and float(x).is_integer():
+    what; int() would truncate 2.5 to 2. Callers with many indices pass an exact int by."""
+    if isinstance(x, float) and x.is_integer():
         return int(x)
-    raise InvalidInstanceError("%s must be a whole number, got %r" % (what, x))
+    try:
+        return operator.index(x)  # an int or a numpy integer; not a str or None
+    except TypeError:
+        raise InvalidInstanceError("%s must be a whole number, got %r" % (what, x)) from None
 
 
 def _shape(x, kind, what):

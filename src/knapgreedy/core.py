@@ -33,8 +33,8 @@ class EmptyAfterReductionError(ValueError):
 
 def _whole(x, what):
     """x as an int if it is a whole number, else InvalidInstanceError naming
-    what; int() would truncate 2.5 to 2. Callers with many indices pass an exact int by."""
-    if isinstance(x, float) and x.is_integer():
+    what (int() would truncate 2.5 to 2). Index-heavy callers skip it for an exact int."""
+    if isinstance(x, (float, np.floating)) and x.is_integer():
         return int(x)
     try:
         return operator.index(x)  # an int or a numpy integer; not a str or None

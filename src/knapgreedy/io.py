@@ -17,8 +17,9 @@ Objective fields by kind:
              and optionally "jitter": real (DppLogDetObjective's default otherwise)
     entropy: {"Sigma": [[real]]} or {"Sigma_csv": "path"}
 
-The file, "objective", "partition" and "qd" must be JSON objects; any other
-shape raises InvalidInstanceError naming the field.
+The file, "objective", "partition", "qd" and its "features" and "sigmas"
+must be JSON objects, and "arcs" and "labels" lists; any other shape raises
+InvalidInstanceError naming the field.
 """
 
 from __future__ import annotations
@@ -48,13 +49,14 @@ def _load_objective(spec, n, base_dir):
             raise InvalidInstanceError("non-finite modular value for element %d" % finite.argmin())
         return obj
     if kind == "cut":
-        return DirectedCutObjective(n, spec["arcs"])
+        return DirectedCutObjective(n, _shape(spec["arcs"], list, "arcs"))
     if kind == "dpp":
         if "L" in spec:
             L = np.asarray(spec["L"], dtype=float)
         else:
             qd = _shape(spec["qd"], dict, "qd")
-            L = build_qd_kernel(qd["q"], qd["features"], qd["sigmas"])
+            L = build_qd_kernel(qd["q"], _shape(qd["features"], dict, "qd features"),
+                                _shape(qd["sigmas"], dict, "qd sigmas"))
         return DppLogDetObjective(L, **({"jitter": spec["jitter"]} if "jitter" in spec else {}))
     if kind == "entropy":
         if "Sigma" in spec:
@@ -72,7 +74,7 @@ def instance_from_dict(doc, base_dir="."):
     n = _whole(_shape(doc, dict, "instance file")["n"], "n")
     if "partition" in doc:
         part = _shape(doc["partition"], dict, "partition")
-        cons = partition_constraints(part["labels"], part["budgets"])
+        cons = partition_constraints(_shape(part["labels"], list, "partition labels"), part["budgets"])
     else:
         cons = KnapsackConstraints(doc["costs"], doc["weights"])
     if "k" in doc and _whole(doc["k"], "k") != cons.k:

@@ -251,7 +251,18 @@ class TestInstanceFiles:
          "partition must be a JSON object, got list"),
         ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "dpp", "qd": [1, 1]}}',
          "qd must be a JSON object, got list"),
-    ], ids=["list-file", "string-objective", "list-partition", "list-qd"])
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "dpp", '
+         '"qd": {"q": [1, 1], "features": [[0], [1]], "sigmas": {"a": 1}}}}',
+         "qd features must be a JSON object, got list"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "dpp", '
+         '"qd": {"q": [1, 1], "features": {"a": [[0], [1]]}, "sigmas": 1}}}',
+         "qd sigmas must be a JSON object, got int"),
+        ('{"n": 2, "partition": {"labels": 3, "budgets": [1]}, "objective": {"kind": "modular", "values": [1, 1]}}',
+         "partition labels must be a JSON list, got int"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "cut", "arcs": 5}}',
+         "arcs must be a JSON list, got int"),
+    ], ids=["list-file", "string-objective", "list-partition", "list-qd", "list-features", "number-sigmas",
+            "number-labels", "number-arcs"])
     def test_wrong_json_shape_exit_2(self, tmp_path, capsys, text, message):
         # unchecked, each raises a TypeError or an AttributeError (exit 1,
         # with a traceback)

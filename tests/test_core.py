@@ -197,12 +197,12 @@ class TestWhole:
     """The reader of every whole number a file gives: n, k, at_call, arc
     endpoints and partition labels."""
 
-    @pytest.mark.parametrize("x", [2, 2.0, -3.0, np.int64(2), np.float64(2.0)])
+    @pytest.mark.parametrize("x", [2, 2.0, -3.0, np.int64(2), np.float64(2.0), np.float32(2.0)])
     def test_a_whole_number_reads_as_an_int(self, x):
         assert _whole(x, "n") == int(x)
         assert type(_whole(x, "n")) is int
 
-    @pytest.mark.parametrize("x", [2.5, 1.9, float("inf"), float("nan"), "2", None, [2]])
+    @pytest.mark.parametrize("x", [2.5, 1.9, float("inf"), float("nan"), np.float32(2.5), "2", None, [2]])
     def test_anything_else_is_named(self, x):
         # int() would truncate 2.5 and 1.9, and read "2" as 2
         with pytest.raises(InvalidInstanceError, match=r"^n must be a whole number, got "):

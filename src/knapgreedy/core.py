@@ -66,18 +66,23 @@ class KnapsackConstraints:
     costs is a (k, n) nonnegative matrix, weights a length-k nonnegative
     vector. A set S is feasible iff costs[i] summed over S stays within
     limit[i] = weights[i] + FEAS_TOL for every i. A budget vector is
-    checked where it is taken, at construction and in with_weights: one of
-    the wrong length, or with a non-finite or negative entry, raises
-    InvalidInstanceError naming the first offending knapsack.
+    checked and taken in one place, _take_weights, at construction and in
+    with_weights: one of the wrong length, or with a non-finite or negative
+    entry, raises InvalidInstanceError naming the first offending knapsack.
+    partitions holds split_by_threshold's partition of these budgets per
+    lam; a with_weights copy starts with none.
     """
 
     def __init__(self, costs, weights):
         self.costs = np.asarray(costs, dtype=float)
         if self.costs.ndim != 2:
             raise InvalidInstanceError("costs must be a k x n matrix")
-        self.weights = self._checked_weights(weights)
+        self._take_weights(weights)
 
-    def _checked_weights(self, weights):
+    def _take_weights(self, weights):
+        """Check a budget vector and take it as weights, with limit, the
+        budgets with the feasibility slack: a cost sum is within budget iff
+        it is at most limit, per knapsack."""
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or weights.shape[0] != self.costs.shape[0]:
             got = "length %d" % weights.shape[0] if weights.ndim == 1 else "shape %s" % (weights.shape,)
@@ -89,7 +94,7 @@ class KnapsackConstraints:
                 raise InvalidInstanceError("non-finite weight for knapsack %d" % i)
             if w < 0:
                 raise InvalidInstanceError("negative weight for knapsack %d" % i)
-        return weights
+        self.weights, self.limit, self.partitions = weights, weights + FEAS_TOL, {}
 
     @property
     def k(self):
@@ -99,12 +104,6 @@ class KnapsackConstraints:
     def n(self):
         return self.costs.shape[1]
 
-    @property
-    def limit(self):
-        """The budgets with the feasibility slack, weights + FEAS_TOL: a cost
-        sum is within budget iff it is at most this, per knapsack."""
-        return self.weights + FEAS_TOL
-
     @functools.cached_property
     def max_costs(self):
         """Largest per-knapsack cost of each element, the greedy's density
@@ -112,10 +111,25 @@ class KnapsackConstraints:
         use; with_weights copies made after that share it."""
         return self.costs.max(axis=0).tolist()
 
+    @functools.cached_property
+    def cost_error(self):
+        """Why costs is no valid cost matrix, naming the first non-finite or
+        negative cost or the first element whose costs are all 0, or None
+        when it is one: validate's verdict. Computed on first use; with_weights
+        copies made after that share it, as the costs do."""
+        for what, bad in (("non-finite", ~np.isfinite(self.costs)), ("negative", self.costs < 0)):
+            if bad.any():
+                i, e = np.argwhere(bad)[0]
+                return "%s cost for element %d in knapsack %d" % (what, e, i)
+        if 0 in self.max_costs:  # costs are nonnegative, so a max <= 0 is 0
+            return "zero max-cost element %d" % self.max_costs.index(0)
+        return None
+
     def with_weights(self, weights):
-        """The same costs (and column maxima) under another budget vector."""
+        """The same costs (with their column maxima and cost verdict, once
+        computed) under another budget vector, with no partition yet."""
         other = copy.copy(self)
-        other.weights = self._checked_weights(weights)
+        other._take_weights(weights)
         return other
 
     def fits(self):
@@ -133,7 +147,7 @@ class KnapsackConstraints:
         """The package's one budget test: a cost sum fits when each
         component is at most limit. One length-k vector gives a numpy bool,
         a stack of shape (..., k) a boolean mask over its leading axes."""
-        return (cost <= self.limit).all(axis=-1)
+        return np.logical_and.reduce(cost <= self.limit, axis=-1)
 
     def is_feasible(self, S):
         return self.is_feasible_cost(self.set_cost(S))
@@ -315,7 +329,8 @@ class Solution:
 def validate(inst):
     """Check structural invariants; raises InvalidInstanceError on the first
     violation, naming the offending element. The budgets were checked when
-    the constraints were built."""
+    the constraints were built, and the costs are scanned once per cost
+    matrix (KnapsackConstraints.cost_error)."""
     cons, n = inst.constraints, inst.ground.n
     if cons.n != n:
         raise InvalidInstanceError(
@@ -325,12 +340,8 @@ def validate(inst):
     size = inst.objective.n
     if size is not None and size != n:
         raise InvalidInstanceError("objective has size %d but n=%d" % (size, n))
-    for what, bad in (("non-finite", ~np.isfinite(cons.costs)), ("negative", cons.costs < 0)):
-        if bad.any():
-            i, e = np.argwhere(bad)[0]
-            raise InvalidInstanceError("%s cost for element %d in knapsack %d" % (what, e, i))
-    if 0 in cons.max_costs:  # costs are nonnegative, so a max <= 0 is 0
-        raise InvalidInstanceError("zero max-cost element %d" % cons.max_costs.index(0))
+    if cons.cost_error is not None:
+        raise InvalidInstanceError(cons.cost_error)
 
 
 def reduce_instance(inst):

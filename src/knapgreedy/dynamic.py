@@ -11,9 +11,13 @@ bounds by submodularity (DynamicGreedy._restart_depth). So after any
 update, tightening, loosening or mixed, the sequence is the one a restart
 appends. Popping restores cached costs and values, and the objective's
 prefix state is truncated on the next step, so recovery consumes oracle
-calls only for the greedy re-extension. The engine keeps the whole ground
-set: an element that does not fit the budgets sits out until an update
-makes it fit again, and budgets that admit none leave the value at 0.
+calls only for the greedy re-extension, and only for values the engine
+has never asked for: f is fixed while the budgets drift, so every answer
+is kept, keyed by its ordered prefix (DynamicGreedy.memo), and a depth
+scanned again or a prefix grown again is read from there. The engine keeps
+the whole ground set: an element that does not fit the budgets sits out
+until an update makes it fit again, and budgets that admit none leave the
+value at 0.
 """
 
 from __future__ import annotations
@@ -50,6 +54,16 @@ class DynamicGreedy:
     may be called in either phase; it refills the pool with the cheap
     elements outside the surviving prefix. Built under budgets that admit
     no element, the engine is finished at once, with vstar None.
+
+    memo maps an ordered prefix, as a tuple, to {e: f(prefix + [e])} for
+    every e evaluated on top of it, and the oracle is asked only on a miss.
+    The key is the order, not the set: the same ordered prefix gives the
+    same prefix-state pushes, so a stored value has the bits a new call
+    would return, where another order may round differently. Its root
+    entry memo[()] is singleton_values, the same dict. Nothing is dropped,
+    not on an update nor on a rollback, since f never changes: the memo
+    holds one float per distinct (prefix, element) pair the engine
+    evaluates, plus one key per distinct prefix it scans.
     """
 
     def __init__(self, inst, lam):
@@ -65,7 +79,11 @@ class DynamicGreedy:
         # set and no complement. Its singleton value is evaluated the first
         # time it fits (n calls at most over a run) and kept, so later
         # updates re-derive the best feasible singleton for free.
-        self.singleton_values = {}
+        self.memo = {(): {}}
+        self.singleton_values = self.memo[()]
+        # (budgets, fits mask on top of the prefix of the last discard under
+        # them): step's record of the elements that can no longer fit
+        self._fits = (None, None)
         self._adopt(inst.constraints)
         self._refill()
 
@@ -90,25 +108,38 @@ class DynamicGreedy:
     def step(self):
         """One eager density-greedy selection when the pool is not empty.
 
-        Follows sigma's order on the objective, then evaluates f(sigma + e)
-        for every candidate in the pool (one oracle call each, answered
-        from the prefix state). Removes the one with the largest density,
+        Reads f(sigma + e) for every candidate in the pool from the memo.
+        On the first miss it follows sigma's order on the objective; each
+        miss is one oracle call, answered from the prefix state, and its
+        answer is stored. Removes the one with the largest density,
         marginal gain per maximum cost (ties to the earliest in pool
         order), and appends it if its density is a number >= 0 and it fits
         on top of sigma, else discards it. A negative winner's density
         bounds every other candidate's, so no gain in the pool is
         nonnegative and sigma cannot grow until it changes: the pool is
-        cleared instead of being discarded one scan at a time.
+        cleared instead of being discarded one scan at a time. A winner
+        that does not fit leaves the fits mask of sigma under the current
+        budgets (is_feasible_cost of cost_acc plus each element's costs,
+        the sums and test the winner got). Under the same budgets sigma only
+        grows and costs are nonnegative, so an element outside the mask fits
+        on top of no later prefix either: a later winner outside it, often
+        one of a run of discards whose scans the memo answers, is discarded
+        without a sum.
         """
         obj, sigma, pool = self.obj, self.sigma, self.pool
         if not pool:
             return
-        obj.follow(sigma.order)
-        current, base = frozenset(sigma.order), sigma.value
+        values = self.memo.setdefault(tuple(sigma.order), {})
+        current, base = None, sigma.value
         max_costs = self.cons.max_costs
         best_e, best_density, best_fval = None, None, None
         for e in pool:
-            fe = obj.value(current | {e})
+            fe = values.get(e)
+            if fe is None:
+                if current is None:  # the first miss
+                    obj.follow(sigma.order)
+                    current = frozenset(sigma.order)
+                fe = values[e] = obj.value(current | {e})
             density = (fe - base) / max_costs[e]
             if best_density is None or density > best_density:
                 best_e, best_density, best_fval = e, density, fe
@@ -116,8 +147,13 @@ class DynamicGreedy:
             pool.clear()
             return
         pool.remove(best_e)
-        cost = sigma.cost_acc + self.cons.costs[:, best_e]
-        if best_density >= 0 and self.cons.is_feasible_cost(cost):
+        cons, fits = self.cons, self._fits
+        if fits[0] is cons and not fits[1][best_e]:
+            return  # discarded: it did not fit an earlier prefix under cons
+        cost = sigma.cost_acc + cons.costs[:, best_e]
+        if not cons.is_feasible_cost(cost):
+            self._fits = (cons, cons.is_feasible_cost(sigma.cost_acc + cons.costs.T))
+        elif best_density >= 0:
             sigma.take(best_e, best_fval, cost)
 
     def apply_weights(self, new_weights):
@@ -191,13 +227,15 @@ class DynamicGreedy:
         """Extend the prefix until the pool is empty. With call_limit, an
         absolute count (obj.eval_count + b budgets b more calls), step
         eagerly until eval_count reaches it; the limit is checked between
-        steps, so the last step may run past it by one scan of the pool.
-        Without one, run the lazy greedy_phase from the current prefix,
-        seeded by the cached singleton values, which bound the gains at any
-        depth by submodularity: it reaches the prefix eager steps reach."""
+        steps, so the last step may run past it by the misses of one scan of
+        the pool, and steps whose scan the memo answers cost no call.
+        Without one, run the lazy greedy_phase from the current prefix
+        through the memo, seeded by its root entry, the singleton values,
+        which bound the gains at any depth by submodularity: it reaches the
+        prefix eager steps reach."""
         if call_limit is None:
             part = Partition(cheap=tuple(self.pool), expensive=())
-            greedy_phase(self.obj, self.cons, part, self.singleton_values, self.sigma)
+            greedy_phase(self.obj, self.cons, part, self.memo, self.sigma)
             self.pool.clear()
             return
         while self.pool and self.obj.eval_count < call_limit:

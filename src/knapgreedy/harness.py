@@ -10,7 +10,10 @@ rule, DynamicGreedy.current_best(): the greedy prefix versus the best
 feasible singleton, with no complement search outside the budget. Only
 the engine has a warm-up, an unrecorded interval under the initial weights;
 each recorded interval builds a fresh restart, so every restart call is
-charged to a row.
+charged to a row. The engine keeps its memo of oracle answers across
+intervals; each restart's memo starts empty and lives for its interval, so
+the restart remembers nothing from an earlier update. A restart is built on
+the engine's constraints object, whose cost scans and split it reuses.
 """
 
 from __future__ import annotations

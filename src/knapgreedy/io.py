@@ -18,7 +18,8 @@ Objective fields by kind:
     entropy: {"Sigma": [[real]]} or {"Sigma_csv": "path"}
 
 The file, "objective", "partition", "qd" and its "features" and "sigmas"
-must be JSON objects, and "arcs" and "labels" lists; any other shape raises
+must be JSON objects, "arcs" and "labels" lists, each arc a list of three
+and each feature matrix a list of rows; any other shape raises
 InvalidInstanceError naming the field.
 """
 
@@ -49,7 +50,11 @@ def _load_objective(spec, n, base_dir):
             raise InvalidInstanceError("non-finite modular value for element %d" % finite.argmin())
         return obj
     if kind == "cut":
-        return DirectedCutObjective(n, _shape(spec["arcs"], list, "arcs"))
+        arcs = _shape(spec["arcs"], list, "arcs")
+        for i, arc in enumerate(arcs):
+            if len(_shape(arc, list, "arc %d" % i)) != 3:
+                raise InvalidInstanceError("arc %d must be [tail, head, weight], got %r" % (i, arc))
+        return DirectedCutObjective(n, arcs)
     if kind == "dpp":
         if "L" in spec:
             L = np.asarray(spec["L"], dtype=float)

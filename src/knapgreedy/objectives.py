@@ -277,6 +277,9 @@ def build_qd_kernel(qualities, feature_sets, sigmas):
     for f, V in feature_sets.items():
         if f not in sigmas:
             raise InvalidInstanceError("missing bandwidth for feature family %r" % f)
+        if V.ndim != 2:
+            raise InvalidInstanceError("feature family %r must be an (n, d) matrix, got shape %s"
+                                       % (f, V.shape))
         if V.shape[0] != n:
             raise InvalidInstanceError("feature family %r has %d rows, expected %d" % (f, V.shape[0], n))
     for f, s in sigmas.items():

@@ -66,11 +66,17 @@ def split_by_threshold(cons, lam):
     """Partition the elements that fit the budgets into cheap (they fit the
     budgets lam*W_j/k alone too) and expensive (the rest). An element that
     does not fit alone is in neither part: no feasible set holds it, even
-    when lam*W_j/k rounds one ulp above W_j (lam = k = 3, say)."""
-    fits = cons.fits()
-    cheap = fits & cons.with_weights(lam * cons.weights / cons.k).fits()
-    expensive = fits & ~cheap
-    return Partition(tuple(np.flatnonzero(cheap).tolist()), tuple(np.flatnonzero(expensive).tolist()))
+    when lam*W_j/k rounds one ulp above W_j (lam = k = 3, say). The split is
+    kept in cons.partitions, so the same constraints object is split once
+    per lam."""
+    part = cons.partitions.get(lam)
+    if part is None:
+        fits = cons.fits()
+        cheap = fits & cons.with_weights(lam * cons.weights / cons.k).fits()
+        expensive = fits & ~cheap
+        part = cons.partitions[lam] = Partition(tuple(np.flatnonzero(cheap).tolist()),
+                                                tuple(np.flatnonzero(expensive).tolist()))
+    return part
 
 
 def density_slack(density, value, min_cost):
@@ -85,20 +91,26 @@ def _heap_key(density):
     return -density if density == density else math.inf
 
 
-def greedy_phase(obj, cons, part, singleton_values, sigma):
+def greedy_phase(obj, cons, part, memo, sigma):
     """Lazy density greedy over the cheap set (Minoux 1978): extends the
     prefix sigma in place with the sequence that repeated DynamicGreedy.step
     calls append, until no candidate can be appended, and returns sigma.
 
+    memo is DynamicGreedy.memo: f(prefix + [e]) keyed by the ordered prefix
+    as a tuple, then by e. A re-evaluation reads it first and calls the
+    oracle, which follows the prefix first, only on a miss, storing the
+    answer there. The same ordered prefix gives the same prefix state, so
+    a stored value has the bits a new call would return.
+
     For submodular f, monotone or not, a marginal gain can only shrink as
     the prefix grows and max_costs is fixed, so a density computed at an
-    earlier depth bounds the current one from above. singleton_values
-    (f({e}) keyed by element, for every cheap e, from best_singleton) are
-    the gains over the empty prefix, so they bound the gains over any
-    prefix. A heap holds one entry (key, e, depth, f) per candidate: key
-    is -density and f is f(prefix[:depth] + [e]), depth 0 for the
-    singleton values. The top is re-evaluated until its depth is the
-    current one; in exact arithmetic an exact top is then the eager winner.
+    earlier depth bounds the current one from above. memo[()] (f({e})
+    keyed by element, for every cheap e, from best_singleton) holds the
+    gains over the empty prefix, so they bound the gains over any prefix.
+    A heap holds one entry (key, e, depth, f) per candidate: key is
+    -density and f is f(prefix[:depth] + [e]), depth 0 for the singleton
+    values. The top is re-evaluated until its depth is the current one;
+    in exact arithmetic an exact top is then the eager winner.
     In floating point a gain may round a little above an earlier bound, so
     before an exact top is taken the entries within density_slack of it
     are popped: the stale ones go back keyed -inf, to be re-evaluated
@@ -122,12 +134,13 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
       candidate with a nonnegative gain, so the phase ends there with no
       re-evaluation. A NaN density sorts as -inf and is never appended.
     """
-    max_costs = cons.max_costs
-    heap = [(_heap_key(singleton_values[e] / max_costs[e]), e, 0, singleton_values[e])
+    max_costs, roots = cons.max_costs, memo[()]
+    heap = [(_heap_key(roots[e] / max_costs[e]), e, 0, roots[e])
             for e in part.cheap]  # gain over f(empty) = 0
     heapq.heapify(heap)
     min_cost = min((max_costs[e] for e in part.cheap), default=1.0)
-    depth, followed, base = len(sigma.order), -1, sigma.value
+    depth, current, base = len(sigma.order), None, sigma.value
+    values = memo.setdefault(tuple(sigma.order), {})
     fits = cons.is_feasible_cost(sigma.cost_acc + cons.costs.T)
     while heap:
         key, e, at, fe = heap[0]
@@ -138,10 +151,12 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
             heapq.heappop(heap)
             continue
         if at != depth:
-            if followed != depth:
-                obj.follow(sigma.order)
-                current, followed = frozenset(sigma.order), depth
-            fe = obj.value(current | {e})
+            fe = values.get(e)
+            if fe is None:
+                if current is None:  # the first miss at this depth
+                    obj.follow(sigma.order)
+                    current = frozenset(sigma.order)
+                fe = values[e] = obj.value(current | {e})
             heapq.heapreplace(heap, (_heap_key((fe - base) / max_costs[e]), e, depth, fe))
             continue
         heapq.heappop(heap)  # the top, (key, e, at, fe)
@@ -158,7 +173,8 @@ def greedy_phase(obj, cons, part, singleton_values, sigma):
         if key > 0:
             break
         sigma.take(e, fe, sigma.cost_acc + cons.costs[:, e])
-        depth, base = depth + 1, fe
+        depth, current, base = depth + 1, None, fe
+        values = memo.setdefault(tuple(sigma.order), {})
         fits = cons.is_feasible_cost(sigma.cost_acc + cons.costs.T)
     return sigma
 

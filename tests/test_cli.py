@@ -261,11 +261,16 @@ class TestInstanceFiles:
          "partition labels must be a JSON list, got int"),
         ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "cut", "arcs": 5}}',
          "arcs must be a JSON list, got int"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "cut", "arcs": [5]}}',
+         "arc 0 must be a JSON list, got int"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "dpp", '
+         '"qd": {"q": [1, 1], "features": {"a": 5}, "sigmas": {"a": 1}}}}',
+         "feature family 'a' must be an (n, d) matrix, got shape ()"),
     ], ids=["list-file", "string-objective", "list-partition", "list-qd", "list-features", "number-sigmas",
-            "number-labels", "number-arcs"])
+            "number-labels", "number-arcs", "number-arc", "number-feature-matrix"])
     def test_wrong_json_shape_exit_2(self, tmp_path, capsys, text, message):
-        # unchecked, each raises a TypeError or an AttributeError (exit 1,
-        # with a traceback)
+        # unchecked, each raises a TypeError, an AttributeError or an
+        # IndexError (exit 1, with a traceback)
         path = tmp_path / "inst.json"
         path.write_text(text)
         for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"], ["curvature"]):

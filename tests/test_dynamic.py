@@ -28,7 +28,7 @@ from knapgreedy import (
 )
 from knapgreedy.core import FEAS_TOL, Solution
 from knapgreedy.dynamic import WeightUpdate
-from knapgreedy.solver import BOUND_SLACK, best_singleton
+from knapgreedy.solver import BOUND_SLACK, Partition, best_singleton, greedy_phase
 
 from conftest import (
     FAMILIES,
@@ -151,7 +151,8 @@ class TestStep:
 
     def test_negative_gain_winner_finishes(self):
         # variance-0.02 elements have negative entropy gain: the third scan's
-        # winner is one of them, so that step empties the pool
+        # winner is one of them, so that step empties the pool; the first
+        # scan is answered from the memo's root entry, the singleton values
         inst = Instance(
             GroundSet(5),
             KnapsackConstraints([[1.0] * 5], [5.0]),
@@ -163,12 +164,14 @@ class TestStep:
             eng.step()
         assert eng.sigma.order == [0, 2]
         assert eng.pool == [] and eng.phase == "finished"
-        assert eng.obj.eval_count - start == 5 + 4 + 3
+        assert eng.obj.eval_count - start == 0 + 4 + 3
 
     def test_a_nan_winner_is_discarded(self):
         # a NaN density first in the pool wins its scan, since no number
         # compares greater; it is discarded, not appended, and does not end
-        # the phase: the next scan appends the best number
+        # the phase: the next scan appends the best number. Both scans are
+        # of the empty prefix, answered from the memo's root entry, where
+        # the eager reference pays for each
         def inst():
             return Instance(GroundSet(3), KnapsackConstraints([[1.0] * 3], [3.0]),
                             ModularObjective([np.nan, 1.0, 2.0]))
@@ -184,7 +187,7 @@ class TestStep:
         for _ in range(2):
             eager_greedy_step(ref.objective, ref.constraints, sigma, pool)
         assert sigma.order == eng.sigma.order
-        assert ref.objective.eval_count == eng.obj.eval_count - start == 3 + 2
+        assert (ref.objective.eval_count, eng.obj.eval_count - start) == (3 + 2, 0)
 
 
 class TestApplyWeights:
@@ -338,19 +341,72 @@ class TestApplyWeights:
             eng.apply_weights([2.0, 2.0])
 
 
+class TestMemo:
+    def test_a_regrown_prefix_costs_no_call(self):
+        # unit costs: under a budget of 6 every element fits, so no winner
+        # is discarded. Cut to 1, the engine keeps one element; back at 6 it
+        # grows the same prefix again, with the same bits, and every scan
+        # is read from the memo, since a rollback drops no value
+        inst = random_instance(np.random.default_rng(1), 6, 1, "dpp")
+        inst = Instance(inst.ground, KnapsackConstraints([[1.0] * 6], [6.0]), inst.objective)
+        eng = DynamicGreedy(inst, 1.0)
+        while eng.pool:
+            eng.step()
+        built, calls = _bits(eng.sigma), eng.obj.eval_count
+        assert len(eng.sigma.order) > 2
+        eng.apply_weights([1.0])
+        assert len(eng.sigma.order) == 1
+        eng.apply_weights([6.0])
+        while eng.pool:
+            eng.step()
+        assert (_bits(eng.sigma), eng.obj.eval_count) == (built, calls)
+
+    def test_each_order_of_a_set_keeps_its_own_values(self):
+        # [0, 1] and [1, 0] hold one set, but their prefix states round
+        # some values on top of it apart (this DPP kernel): a memo filled on
+        # top of one order leaves the lazy phase on top of the other with
+        # the values and the prefix a fresh memo gives
+        inst = random_instance(np.random.default_rng(1), 6, 1, "dpp")
+        cons = KnapsackConstraints([[1.0] * 6], [6.0])
+        part = Partition(cheap=(2, 3, 4, 5), expensive=())
+
+        def phase(obj, memo, order):
+            sigma = Solution(1)
+            for e in order:
+                obj.follow(sigma.order)
+                sigma.take(e, obj.value(sigma.order + [e]), sigma.cost_acc + cons.costs[:, e])
+            return greedy_phase(obj, cons, part, memo, sigma)
+
+        obj = inst.objective.clone()
+        memo = {(): {}}
+        best_singleton(obj, range(6), memo[()])
+        phase(obj, memo, [0, 1])
+        got = phase(obj, memo, [1, 0])
+        fresh_obj = inst.objective.clone()
+        fresh = {(): dict(memo[()])}
+        want = phase(fresh_obj, fresh, [1, 0])
+        assert _bits(got) == _bits(want)
+        assert {e: v.hex() for e, v in memo[(1, 0)].items()} == {e: v.hex() for e, v in fresh[(1, 0)].items()}
+        assert any(memo[(0, 1)][e].hex() != v.hex() for e, v in fresh[(1, 0)].items())
+
+
 class TestRunToCompletion:
     def test_call_limit_stops_at_step_boundary(self, worked_example):
         eng = DynamicGreedy(worked_example, 1.0)
         start = eng.obj.eval_count
         eng.run_to_completion(start + 1)
-        # the limit is checked between steps: the first step scans all 5
-        assert eng.obj.eval_count - start == 5
-        assert eng.sigma.order == [4]
+        # the limit is checked between steps: the first step is answered
+        # from the memo's root entry, so the second runs too and scans the
+        # 4 candidates left on top of [4], discarding element 2, which
+        # overflows the budget
+        assert eng.obj.eval_count - start == 4
+        assert (eng.sigma.order, eng.pool) == ([4], [0, 1, 3])
         eng.run_to_completion(start)  # limit already reached: no step
-        assert eng.obj.eval_count - start == 5
-        eng.run_to_completion()
+        assert eng.obj.eval_count - start == 4
+        eng.run_to_completion()  # the rest is read from the memo
         assert eng.phase == "finished"
         assert eng.sigma.order == [4, 0]
+        assert eng.obj.eval_count - start == 4
 
 
 class TestFinalize:
@@ -860,10 +916,16 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(calls=st.integers(0, 30))
     def limited_run(self, calls):
-        for eng in self.engines:
-            limit = eng.obj.eval_count + calls
+        # the memo answers some of the engine's scans, so under one call
+        # limit it steps further than its twin: the twin takes as many
+        # steps as the engine took
+        eng = self.eng
+        limit = eng.obj.eval_count + calls
+        with mock.patch.object(eng, "step", wraps=eng.step) as step:
             eng.run_to_completion(limit)
-            assert eng.obj.eval_count >= limit or not eng.pool
+        assert eng.obj.eval_count >= limit or not eng.pool
+        for _ in range(step.call_count):
+            self.twin.step()
 
     @rule()
     def unlimited_run(self):

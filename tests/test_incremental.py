@@ -202,7 +202,7 @@ class TestTies:
             seeds = {}
             best_singleton(obj, part.cheap, seeds)
             sigma = Solution(cons.k)
-            assert greedy_phase(obj, cons, part, seeds, sigma).order == expected
+            assert greedy_phase(obj, cons, part, {(): seeds}, sigma).order == expected
             eng = DynamicGreedy(Instance(inst.ground, cons, obj.clone()), 2.0)
             eng.run_to_completion()
             assert eng.sigma.order == expected

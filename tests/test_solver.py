@@ -113,7 +113,7 @@ def lazy_phase(obj, cons, part):
     of the cheap set, whose calls count on obj."""
     values = {}
     best_singleton(obj, part.cheap, values)
-    return greedy_phase(obj, cons, part, values, Solution(cons.k))
+    return greedy_phase(obj, cons, part, {(): values}, Solution(cons.k))
 
 
 def eager_phase(obj, cons, part):
@@ -313,7 +313,7 @@ class TestGreedyPhase:
         vstar, vstar_val = best_singleton(obj, range(4), seeds)
         assert (vstar, vstar_val, seeds) == (2, 4.0, dict(enumerate(values)))
         assert obj.eval_count == 4
-        assert greedy_phase(obj, cons, part, seeds, Solution(cons.k)).order == [2, 0, 3, 1]
+        assert greedy_phase(obj, cons, part, {(): seeds}, Solution(cons.k)).order == [2, 0, 3, 1]
         assert obj.eval_count == 4 + 3
 
     def test_discarded_winner_costs_no_call(self):
@@ -351,7 +351,7 @@ class TestGreedyPhase:
             seeds = {}
             best_singleton(obj, range(n), seeds)
             start = obj.eval_count
-            sigma = greedy_phase(obj, cons, part, seeds, Solution(cons.k))
+            sigma = greedy_phase(obj, cons, part, {(): seeds}, Solution(cons.k))
             assert (sigma.order, sigma.value) == (eager.order, eager.value)
             assert np.array_equal(sigma.cost_acc, eager.cost_acc)
             assert obj.eval_count - start <= eager_obj.eval_count
@@ -387,7 +387,7 @@ class TestGreedyPhase:
             seeds = {}
             best_singleton(obj, range(n), seeds)
             start = obj.eval_count
-            sigma = greedy_phase(obj, cons, part, seeds, Solution(cons.k))
+            sigma = greedy_phase(obj, cons, part, {(): seeds}, Solution(cons.k))
             assert (sigma.order, sigma.value) == (eager.order, eager.value)
             assert obj.eval_count - start <= eager_obj.eval_count
 
@@ -792,7 +792,7 @@ class TestLambdaGreedy:
             values = {}
             vstar, vstar_val = best_singleton(obj, fitting, values)
             part = split_by_threshold(cons, lam)
-            sigma = greedy_phase(obj, cons, part, values, Solution(cons.k))
+            sigma = greedy_phase(obj, cons, part, {(): values}, Solution(cons.k))
             comp_set, comp_val = complement_search(obj, cons, part, {})
             expected = best_of(sigma, vstar, vstar_val, comp_set, comp_val, obj.eval_count)
             assert picks(result) == picks(expected)

@@ -51,9 +51,12 @@ def _load_objective(spec, n, base_dir):
         return obj
     if kind == "cut":
         arcs = _shape(spec["arcs"], list, "arcs")
-        for i, arc in enumerate(arcs):
-            if len(_shape(arc, list, "arc %d" % i)) != 3:
-                raise InvalidInstanceError("arc %d must be [tail, head, weight], got %r" % (i, arc))
+        # one pass that builds no message: a file may hold thousands of arcs
+        bad = [i for i, arc in enumerate(arcs) if type(arc) is not list or len(arc) != 3]
+        if bad:
+            i = bad[0]
+            _shape(arcs[i], list, "arc %d" % i)
+            raise InvalidInstanceError("arc %d must be [tail, head, weight], got %r" % (i, arcs[i]))
         return DirectedCutObjective(n, arcs)
     if kind == "dpp":
         if "L" in spec:

@@ -14,6 +14,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .core import EmptyAfterReductionError, InvalidInstanceError, reduce_instance, validate
 from .harness import (
     SimConfig,
@@ -35,10 +37,7 @@ EXIT_DEGENERATE = 3
 
 
 def _emit(payload, pretty, out_path=None):
-    if pretty:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(payload, indent=2 if pretty else None, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -88,8 +87,6 @@ def cmd_curvature(args):
     payload = {"alpha": alpha}
     obj = inst.objective
     if isinstance(obj, EntropyObjective):
-        import numpy as np
-
         mu = float(np.linalg.eigvalsh(obj.Sigma).max())
         payload["entropy_upper_bound"] = 1.0 - 1.0 / mu
     _emit(payload, args.pretty)

@@ -132,9 +132,11 @@ class KnapsackConstraints:
         other._take_weights(weights)
         return other
 
-    def fits(self):
-        """Boolean mask over elements: is_feasible_cost of each one alone."""
-        return self.is_feasible_cost(self.costs.T)
+    def fits(self, base=None):
+        """Boolean mask over elements: is_feasible_cost of each one alone,
+        or with base, a prefix's cost vector, of base plus its costs (the
+        sums the prefix makes with it appended)."""
+        return self.is_feasible_cost(self.costs.T if base is None else base + self.costs.T)
 
     def set_cost(self, S):
         """Cost vector of a set: component i is the sum of costs[i] over S."""

@@ -22,6 +22,7 @@ value at 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,10 @@ class DynamicGreedy:
     The phase is derived from the pool, never stored: "greedy" while
     candidates remain, "finished" when the pool is empty. apply_weights()
     may be called in either phase; it refills the pool with the cheap
-    elements outside the surviving prefix. Built under budgets that admit
-    no element, the engine is finished at once, with vstar None.
+    elements outside the surviving prefix that fit on top of it, the only
+    elements the pool ever holds, so every step appends or ends the phase.
+    Built under budgets that admit no element, the engine is finished at
+    once, with vstar None.
 
     memo maps an ordered prefix, as a tuple, to {e: f(prefix + [e])} for
     every e evaluated on top of it, and the oracle is asked only on a miss.
@@ -81,9 +84,6 @@ class DynamicGreedy:
         # updates re-derive the best feasible singleton for free.
         self.memo = {(): {}}
         self.singleton_values = self.memo[()]
-        # (budgets, fits mask on top of the prefix of the last discard under
-        # them): step's record of the elements that can no longer fit
-        self._fits = (None, None)
         self._adopt(inst.constraints)
         self._refill()
 
@@ -97,34 +97,30 @@ class DynamicGreedy:
         self.vstar, self.vstar_value = best_singleton(self.obj, fitting, self.singleton_values)
 
     def _refill(self):
-        """Refill the pool with the cheap elements outside the prefix."""
-        taken = set(self.sigma.order)
-        self.pool = [e for e in self.part.cheap if e not in taken]
+        """Refill the pool with the cheap elements outside the prefix that
+        fit on top of it. The prefix only grows until the next update and
+        costs are nonnegative, so the rest fit on top of no later prefix."""
+        taken, fits = set(self.sigma.order), self.cons.fits(self.sigma.cost_acc)
+        self.pool = [e for e in self.part.cheap if e not in taken and fits[e]]
 
     @property
     def phase(self):
         return "greedy" if self.pool else "finished"
 
     def step(self):
-        """One eager density-greedy selection when the pool is not empty.
+        """One eager density-greedy selection, when the pool is not empty:
+        it appends an element or ends the phase.
 
         Reads f(sigma + e) for every candidate in the pool from the memo.
         On the first miss it follows sigma's order on the objective; each
-        miss is one oracle call, answered from the prefix state, and its
-        answer is stored. Removes the one with the largest density,
-        marginal gain per maximum cost (ties to the earliest in pool
-        order), and appends it if its density is a number >= 0 and it fits
-        on top of sigma, else discards it. A negative winner's density
-        bounds every other candidate's, so no gain in the pool is
-        nonnegative and sigma cannot grow until it changes: the pool is
-        cleared instead of being discarded one scan at a time. A winner
-        that does not fit leaves the fits mask of sigma under the current
-        budgets (is_feasible_cost of cost_acc plus each element's costs,
-        the sums and test the winner got). Under the same budgets sigma only
-        grows and costs are nonnegative, so an element outside the mask fits
-        on top of no later prefix either: a later winner outside it, often
-        one of a run of discards whose scans the memo answers, is discarded
-        without a sum.
+        miss is one oracle call, answered from the prefix state, and stored.
+        The winner has the largest density, marginal gain per maximum cost,
+        ties to the earliest in pool order; a NaN density never wins. A
+        winner of density >= 0 fits, as the whole pool does: it is appended
+        and the pool refilled. Otherwise no gain in the pool is a
+        nonnegative number, since a negative winner's density bounds every
+        other's, and sigma cannot grow until the budgets change: the pool
+        is cleared.
         """
         obj, sigma, pool = self.obj, self.sigma, self.pool
         if not pool:
@@ -132,7 +128,7 @@ class DynamicGreedy:
         values = self.memo.setdefault(tuple(sigma.order), {})
         current, base = None, sigma.value
         max_costs = self.cons.max_costs
-        best_e, best_density, best_fval = None, None, None
+        best_e, best_density, best_fval = None, -math.inf, None
         for e in pool:
             fe = values.get(e)
             if fe is None:
@@ -141,20 +137,13 @@ class DynamicGreedy:
                     current = frozenset(sigma.order)
                 fe = values[e] = obj.value(current | {e})
             density = (fe - base) / max_costs[e]
-            if best_density is None or density > best_density:
+            if density > best_density:
                 best_e, best_density, best_fval = e, density, fe
         if best_density < 0:
             pool.clear()
             return
-        pool.remove(best_e)
-        cons, fits = self.cons, self._fits
-        if fits[0] is cons and not fits[1][best_e]:
-            return  # discarded: it did not fit an earlier prefix under cons
-        cost = sigma.cost_acc + cons.costs[:, best_e]
-        if not cons.is_feasible_cost(cost):
-            self._fits = (cons, cons.is_feasible_cost(sigma.cost_acc + cons.costs.T))
-        elif best_density >= 0:
-            sigma.take(best_e, best_fval, cost)
+        sigma.take(best_e, best_fval, sigma.cost_acc + self.cons.costs[:, best_e])
+        self._refill()
 
     def apply_weights(self, new_weights):
         """Stack-rollback update rule for a new budget vector: adopt it, pop
@@ -205,7 +194,7 @@ class DynamicGreedy:
         # under old_cons fits on top of every shorter prefix: it is never a
         # newcomer. Nor is an element of the prefix.
         old_cheap = set(old_part.cheap)
-        deepest = old_cons.is_feasible_cost(history[depth - 1][1] + cons.costs.T).tolist()
+        deepest = old_cons.fits(history[depth - 1][1]).tolist()
         cand = [e for e in cheap.difference(order) if not (deepest[e] and e in old_cheap)]
         if not cand:
             return depth

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import Instance, _shape, _whole, reduce_instance
 from .dynamic import DynamicGreedy, WeightUpdate
+from .io import _array
 
 
 @dataclass
@@ -117,15 +118,16 @@ def run_dynamic(inst, cfg):
 def load_updates(path):
     """Update stream file: [{"at_call": int, "weights": [real]}], sorted.
     at_call is a whole number, and a stream or an update of another JSON
-    shape raises InvalidInstanceError. A bad weights vector raises it when
-    its update is applied, by DynamicGreedy.apply_weights, which leaves the
-    engine as it was."""
+    shape, or weights that io._array cannot read, raises
+    InvalidInstanceError. A bad weights vector raises it when its update is
+    applied, by DynamicGreedy.apply_weights, which leaves the engine as it
+    was."""
     with open(path) as fh:
         doc = json.load(fh)
     updates = []
     for i, u in enumerate(_shape(doc, list, "update stream")):
         at_call = _whole(_shape(u, dict, "update %d" % i)["at_call"], "at_call of update %d" % i)
-        updates.append(WeightUpdate(at_call, np.asarray(u["weights"], dtype=float)))
+        updates.append(WeightUpdate(at_call, _array(u["weights"], "weights of update %d" % i)))
     if any(b.at_call < a.at_call for a, b in zip(updates, updates[1:])):
         raise ValueError("update stream must be sorted by at_call")
     return updates

@@ -20,7 +20,8 @@ Objective fields by kind:
 The file, "objective", "partition", "qd" and its "features" and "sigmas"
 must be JSON objects, "arcs" and "labels" lists, each arc a list of three
 and each feature matrix a list of rows; any other shape raises
-InvalidInstanceError naming the field.
+InvalidInstanceError naming the field, and so does an array that is
+ragged or holds something that is not a number (_array).
 """
 
 from __future__ import annotations
@@ -41,10 +42,19 @@ from .objectives import (
 )
 
 
+def _array(x, what):
+    """x as a float array, else InvalidInstanceError naming what: the one
+    reader of every array a file gives, since numpy's error names no field."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInstanceError("%s must hold only numbers, in rows of equal length" % what) from None
+
+
 def _load_objective(spec, n, base_dir):
     kind = _shape(spec, dict, "objective").get("kind")
     if kind == "modular":
-        obj = ModularObjective(spec["values"])
+        obj = ModularObjective(_array(spec["values"], "modular values"))
         finite = np.isfinite(obj.singleton_values)
         if not finite.all():
             raise InvalidInstanceError("non-finite modular value for element %d" % finite.argmin())
@@ -57,18 +67,21 @@ def _load_objective(spec, n, base_dir):
             i = bad[0]
             _shape(arcs[i], list, "arc %d" % i)
             raise InvalidInstanceError("arc %d must be [tail, head, weight], got %r" % (i, arcs[i]))
+        _array([arc[2] for arc in arcs], "arc weights")
         return DirectedCutObjective(n, arcs)
     if kind == "dpp":
         if "L" in spec:
-            L = np.asarray(spec["L"], dtype=float)
+            L = _array(spec["L"], "L")
         else:
             qd = _shape(spec["qd"], dict, "qd")
-            L = build_qd_kernel(qd["q"], _shape(qd["features"], dict, "qd features"),
+            features = _shape(qd["features"], dict, "qd features")
+            L = build_qd_kernel(_array(qd["q"], "qd q"),
+                                {f: _array(v, "feature family %r" % f) for f, v in features.items()},
                                 _shape(qd["sigmas"], dict, "qd sigmas"))
         return DppLogDetObjective(L, **({"jitter": spec["jitter"]} if "jitter" in spec else {}))
     if kind == "entropy":
         if "Sigma" in spec:
-            Sigma = np.asarray(spec["Sigma"], dtype=float)
+            Sigma = _array(spec["Sigma"], "Sigma")
         else:
             path = spec["Sigma_csv"]
             if not os.path.isabs(path):
@@ -82,9 +95,10 @@ def instance_from_dict(doc, base_dir="."):
     n = _whole(_shape(doc, dict, "instance file")["n"], "n")
     if "partition" in doc:
         part = _shape(doc["partition"], dict, "partition")
-        cons = partition_constraints(_shape(part["labels"], list, "partition labels"), part["budgets"])
+        cons = partition_constraints(_shape(part["labels"], list, "partition labels"),
+                                     _array(part["budgets"], "partition budgets"))
     else:
-        cons = KnapsackConstraints(doc["costs"], doc["weights"])
+        cons = KnapsackConstraints(_array(doc["costs"], "costs"), _array(doc["weights"], "weights"))
     if "k" in doc and _whole(doc["k"], "k") != cons.k:
         raise InvalidInstanceError("dimension mismatch: k=%d but %d cost rows" % (doc["k"], cons.k))
     obj = _load_objective(doc.get("objective", {}), n, base_dir)

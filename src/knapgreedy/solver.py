@@ -122,12 +122,9 @@ def greedy_phase(obj, cons, part, memo, sigma):
     Only a candidate that can still be appended is evaluated:
     - Residual fit. The prefix only grows and costs are nonnegative, so an
       element that does not fit on top of the prefix fits on top of no
-      later one. The eager greedy would evaluate it and, were it the
-      winner, discard it; a discard appends nothing, and the winner among
-      the rest is the same, so the eager sequence is the argmax over the
-      elements that fit. A fits mask, is_feasible_cost of cost_acc plus
-      each element's costs, is rebuilt after each append and drops such a
-      top, stale or exact, without a call: a top that is taken fits.
+      later one. The fits mask, cons.fits(cost_acc), is rebuilt after each
+      append and drops such a top, stale or exact, without a call, as
+      DynamicGreedy.step drops it from its pool: a top that is taken fits.
     - Negative bound. Every key bounds its element's current -density
       from below, up to the rounding slack, and the top holds the least
       key. A top, stale or exact, whose key exceeds the slack leaves no
@@ -141,7 +138,7 @@ def greedy_phase(obj, cons, part, memo, sigma):
     min_cost = min((max_costs[e] for e in part.cheap), default=1.0)
     depth, current, base = len(sigma.order), None, sigma.value
     values = memo.setdefault(tuple(sigma.order), {})
-    fits = cons.is_feasible_cost(sigma.cost_acc + cons.costs.T)
+    fits = cons.fits(sigma.cost_acc)
     while heap:
         key, e, at, fe = heap[0]
         slack = density_slack(key, base, min_cost)
@@ -175,7 +172,7 @@ def greedy_phase(obj, cons, part, memo, sigma):
         sigma.take(e, fe, sigma.cost_acc + cons.costs[:, e])
         depth, current, base = depth + 1, None, fe
         values = memo.setdefault(tuple(sigma.order), {})
-        fits = cons.is_feasible_cost(sigma.cost_acc + cons.costs.T)
+        fits = cons.fits(sigma.cost_acc)
     return sigma
 
 

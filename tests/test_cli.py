@@ -66,7 +66,9 @@ class TestSolve:
         ("[-1.0]", "negative weight for knapsack 0"),
         ("5", "dimension mismatch: weights shape (), costs rows 1"),
         ("[[1.0]]", "dimension mismatch: weights shape (1, 1), costs rows 1"),
-    ], ids=["NaN", "-1.0", "scalar", "nested"])
+        ('["x"]', "weights of update 0 must hold only numbers"),
+        ("[[1.0], 2.0]", "weights of update 0 must hold only numbers, in rows of equal length"),
+    ], ids=["NaN", "-1.0", "scalar", "nested", "string", "ragged"])
     def test_bad_update_weight_exit_2(self, tmp_path, capsys, bad, message):
         stream = tmp_path / "updates.json"
         stream.write_text('[{"at_call": 30, "weights": %s}]' % bad)
@@ -266,11 +268,29 @@ class TestInstanceFiles:
         ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "dpp", '
          '"qd": {"q": [1, 1], "features": {"a": 5}, "sigmas": {"a": 1}}}}',
          "feature family 'a' must be an (n, d) matrix, got shape ()"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1], [1]], "weights": [2], "objective": {"kind": "modular", "values": [1, 1]}}',
+         "costs must hold only numbers, in rows of equal length"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": ["x"], "objective": {"kind": "modular", "values": [1, 1]}}',
+         "weights must hold only numbers"),
+        ('{"n": 2, "partition": {"labels": [0, 0], "budgets": ["x"]}, "objective": {"kind": "modular", "values": [1, 1]}}',
+         "partition budgets must hold only numbers"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "dpp", "L": [[1, 0], [0]]}}',
+         "L must hold only numbers"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "entropy", "Sigma": [[1], [0, 1]]}}',
+         "Sigma must hold only numbers"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "dpp", '
+         '"qd": {"q": [1, 1], "features": {"a": [[0], [1, 2]]}, "sigmas": {"a": 1}}}}',
+         "feature family 'a' must hold only numbers"),
+        ('{"n": 2, "k": 1, "costs": [[1, 1]], "weights": [2], "objective": {"kind": "cut", "arcs": [[0, 1, "x"]]}}',
+         "arc weights must hold only numbers"),
     ], ids=["list-file", "string-objective", "list-partition", "list-qd", "list-features", "number-sigmas",
-            "number-labels", "number-arcs", "number-arc", "number-feature-matrix"])
+            "number-labels", "number-arcs", "number-arc", "number-feature-matrix", "ragged-costs",
+            "string-weight", "string-budget", "ragged-L", "ragged-Sigma", "ragged-feature-matrix",
+            "string-arc-weight"])
     def test_wrong_json_shape_exit_2(self, tmp_path, capsys, text, message):
         # unchecked, each raises a TypeError, an AttributeError or an
-        # IndexError (exit 1, with a traceback)
+        # IndexError (exit 1, with a traceback), or a ragged or non-numeric
+        # array exits 2 with numpy's error, which names no field
         path = tmp_path / "inst.json"
         path.write_text(text)
         for cmd in (["solve", "--lambda", "1.0"], ["oracle", "--lambda", "1.0"], ["curvature"]):

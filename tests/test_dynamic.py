@@ -166,12 +166,13 @@ class TestStep:
         assert eng.pool == [] and eng.phase == "finished"
         assert eng.obj.eval_count - start == 0 + 4 + 3
 
-    def test_a_nan_winner_is_discarded(self):
-        # a NaN density first in the pool wins its scan, since no number
-        # compares greater; it is discarded, not appended, and does not end
-        # the phase: the next scan appends the best number. Both scans are
-        # of the empty prefix, answered from the memo's root entry, where
-        # the eager reference pays for each
+    def test_a_nan_density_never_wins(self):
+        # a NaN density first in the pool does not win its scan: one step
+        # appends the best number, where the eager reference's first scan
+        # picks the NaN and discards it. The scan is of the empty prefix,
+        # answered from the memo's root entry, where the eager reference
+        # pays for both of its scans. A pool left with the NaN alone is
+        # cleared, not appended to
         def inst():
             return Instance(GroundSet(3), KnapsackConstraints([[1.0] * 3], [3.0]),
                             ModularObjective([np.nan, 1.0, 2.0]))
@@ -179,15 +180,16 @@ class TestStep:
         eng = DynamicGreedy(inst(), 1.0)
         start = eng.obj.eval_count
         eng.step()
-        assert (eng.sigma.order, eng.pool) == ([], [1, 2])
-        eng.step()
-        assert (eng.sigma.order, eng.sigma.value) == ([2], 2.0)
+        assert (eng.sigma.order, eng.sigma.value, eng.pool) == ([2], 2.0, [0, 1])
         ref = inst()
         sigma, pool = Solution(1), [0, 1, 2]
         for _ in range(2):
             eager_greedy_step(ref.objective, ref.constraints, sigma, pool)
         assert sigma.order == eng.sigma.order
         assert (ref.objective.eval_count, eng.obj.eval_count - start) == (3 + 2, 0)
+        eng.step()
+        eng.step()
+        assert (eng.sigma.order, eng.pool) == ([2, 1], [])
 
 
 class TestApplyWeights:
@@ -390,23 +392,52 @@ class TestMemo:
         assert any(memo[(0, 1)][e].hex() != v.hex() for e, v in fresh[(1, 0)].items())
 
 
+    def test_no_entry_holds_an_element_that_did_not_fit_on_top_of_its_key(self):
+        # random walks of eager steps, limited runs and mixed updates, then
+        # finalize(): an element is evaluated on top of a prefix only when
+        # it fits there under the budgets of the moment, so it fits under
+        # the widest, each knapsack's largest budget of the walk. The key's
+        # cost is its columns added in order, the prefix's own sums
+        rng = np.random.default_rng(43)
+        for walk in range(80):
+            n, k = int(rng.integers(3, 11)), int(rng.integers(1, 4))
+            inst = random_instance(rng, n, k, FAMILIES[walk % len(FAMILIES)])
+            eng = DynamicGreedy(inst, float(rng.choice([1.0, k])))
+            widest = eng.cons.weights
+            for _ in range(4):
+                for _ in range(int(rng.integers(0, n))):
+                    eng.step()
+                eng.run_to_completion(eng.obj.eval_count + int(rng.integers(0, 3 * n)))
+                eng.apply_weights(eng.cons.weights * rng.uniform(0.3, 1.7, size=k))
+                widest = np.maximum(widest, eng.cons.weights)
+            eng.finalize()
+            cons = eng.cons.with_weights(widest)
+            for prefix, values in eng.memo.items():
+                cost = np.zeros(k)
+                for e in prefix:
+                    cost = cost + cons.costs[:, e]
+                fits = cons.fits(cost)
+                assert all(fits[e] for e in values), (walk, prefix)
+
+
 class TestRunToCompletion:
     def test_call_limit_stops_at_step_boundary(self, worked_example):
         eng = DynamicGreedy(worked_example, 1.0)
         start = eng.obj.eval_count
         eng.run_to_completion(start + 1)
         # the limit is checked between steps: the first step is answered
-        # from the memo's root entry, so the second runs too and scans the
-        # 4 candidates left on top of [4], discarding element 2, which
-        # overflows the budget
-        assert eng.obj.eval_count - start == 4
-        assert (eng.sigma.order, eng.pool) == ([4], [0, 1, 3])
+        # from the memo's root entry, so the second runs too, past the
+        # limit, and scans the 2 candidates that fit on top of [4]; elements
+        # 2 and 3 would overflow the budget and are never evaluated there
+        assert eng.obj.eval_count - start == 2
+        assert (eng.sigma.order, eng.pool) == ([4, 0], [])
+        assert sorted(eng.memo[(4,)]) == [0, 1]
         eng.run_to_completion(start)  # limit already reached: no step
-        assert eng.obj.eval_count - start == 4
-        eng.run_to_completion()  # the rest is read from the memo
+        assert eng.obj.eval_count - start == 2
+        eng.run_to_completion()
         assert eng.phase == "finished"
         assert eng.sigma.order == [4, 0]
-        assert eng.obj.eval_count - start == 4
+        assert eng.obj.eval_count - start == 2
 
 
 class TestFinalize:
@@ -764,11 +795,13 @@ class TestEngineProperties:
     @given(engine_runs(0.3, 1.7))
     def test_mixed_updates_trail_matches_eager_engine(self, run):
         # the same prefix after every step and update, and the same result,
-        # as an engine that discards a negative-gain winner one scan at a
-        # time, with no more oracle calls
+        # as an engine that discards a winner that does not fit or has a
+        # negative gain one scan at a time, with no more oracle calls. A
+        # step appends or ends the phase, so the eager engine is compared at
+        # equal depth: it steps until it appends or its pool is empty
         inst, lam, updates = run
 
-        def trail():
+        def trail(advance):
             try:
                 eng = DynamicGreedy(
                     Instance(inst.ground, inst.constraints, inst.objective.clone()), lam
@@ -778,7 +811,7 @@ class TestEngineProperties:
             seen = []
             for steps, factors in updates:
                 for _ in range(steps):
-                    eng.step()
+                    advance(eng)
                     seen.append((tuple(eng.sigma.order), eng.sigma.value))
                 eng.apply_weights(eng.cons.weights * np.array(factors))
                 seen.append((tuple(eng.sigma.order), eng.sigma.value))
@@ -786,9 +819,13 @@ class TestEngineProperties:
             seen.append((result.chosen, result.value, result.which, result.greedy_order))
             return seen, eng.obj.eval_count
 
-        got, calls = trail()
-        with mock.patch.object(DynamicGreedy, "step", EagerTwin.step):
-            expected, eager_calls = trail()
+        def eager(eng):
+            depth = len(eng.sigma.order)
+            while eng.pool and len(eng.sigma.order) == depth:
+                EagerTwin.step(eng)
+
+        got, calls = trail(DynamicGreedy.step)
+        expected, eager_calls = trail(eager)
         assert got == expected
         assert calls <= eager_calls
 
@@ -884,12 +921,16 @@ def factors(low, high):
 
 class EngineMachine(RuleBasedStateMachine):
     """An engine and its eager twin, driven through the same steps, limited
-    and unlimited runs, budget updates and finalize() calls.
+    and unlimited runs, budget updates and finalize() calls. A step of the
+    engine appends or ends the phase, where one of the twin's may discard:
+    after the engine steps, the twin steps until it holds as many elements.
 
     After every rule, the engine's prefix, the value bits and cost bytes of
     every depth, equal the twin's, with no more oracle calls; the cost
     bytes are the prefix's cost columns added one by one, and feasible; the
-    partition, the pool and v* are those of the current budgets; and, after
+    partition, the pool and v* are those of the current budgets, and the
+    pool holds only cheap elements outside the prefix that fit on top of
+    it; and, after
     any updates, a complete prefix is the one a from-scratch greedy under
     the current budgets builds. Each update keeps the depth that
     conftest.reference_restart_depth's loop finds, and under tightening no
@@ -906,26 +947,28 @@ class EngineMachine(RuleBasedStateMachine):
         self._check_pool_refilled()
 
     def _check_pool_refilled(self):
-        taken = set(self.eng.sigma.order)
-        assert self.eng.pool == [e for e in self.eng.part.cheap if e not in taken]
+        taken, fits = set(self.eng.sigma.order), self.eng.cons.fits(self.eng.sigma.cost_acc)
+        assert self.eng.pool == [e for e in self.eng.part.cheap if e not in taken and fits[e]]
+
+    def _catch_up(self):
+        while self.twin.pool and len(self.twin.sigma.order) < len(self.eng.sigma.order):
+            self.twin.step()
 
     @rule()
     def step(self):
-        for eng in self.engines:
-            eng.step()
+        self.eng.step()
+        self._catch_up()
 
     @rule(calls=st.integers(0, 30))
     def limited_run(self, calls):
-        # the memo answers some of the engine's scans, so under one call
-        # limit it steps further than its twin: the twin takes as many
-        # steps as the engine took
+        # the memo answers some of the engine's scans and its pool holds
+        # only what fits, so under one call limit it steps further than its
+        # twin: the twin steps until it holds as many elements
         eng = self.eng
         limit = eng.obj.eval_count + calls
-        with mock.patch.object(eng, "step", wraps=eng.step) as step:
-            eng.run_to_completion(limit)
+        eng.run_to_completion(limit)
         assert eng.obj.eval_count >= limit or not eng.pool
-        for _ in range(step.call_count):
-            self.twin.step()
+        self._catch_up()
 
     @rule()
     def unlimited_run(self):
@@ -1001,12 +1044,18 @@ class EngineMachine(RuleBasedStateMachine):
         assert eng.part == part
         assert set(eng.sigma.order) <= set(part.cheap)
         assert eng.pool == sorted(eng.pool)
-        assert set(eng.pool) <= set(part.cheap) - set(eng.sigma.order)
         values, fitting = eng.singleton_values, sorted(part.cheap + part.expensive)
         assert set(fitting) <= set(values)
         numbers = [e for e in fitting if values[e] == values[e]]
         vstar = max(numbers, key=values.__getitem__, default=None)
         assert (eng.vstar, eng.vstar_value) == (vstar, 0.0 if vstar is None else values[vstar])
+
+    @invariant()
+    def pool_fits_on_top_of_prefix(self):
+        eng = self.eng
+        fits = eng.cons.fits(eng.sigma.cost_acc)
+        assert set(eng.pool) <= set(eng.part.cheap) - set(eng.sigma.order)
+        assert all(fits[e] for e in eng.pool)
 
     @invariant()
     def restart_exact(self):

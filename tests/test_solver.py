@@ -199,8 +199,11 @@ class TestSplit:
 
     def test_matches_per_element_loop(self):
         # the per-element loop the vectorized masks replaced, as the
-        # reference; integer costs put many elements exactly on a threshold
+        # reference; integer costs put many elements exactly on a threshold,
+        # and a base of the slack limit less the last element's costs puts
+        # sums on top of it exactly on the slack
         rng = np.random.default_rng(61)
+        landed = 0
         for _ in range(50):
             k, n = int(rng.integers(1, 4)), int(rng.integers(1, 30))
             costs = rng.integers(0, 5, size=(k, n)).astype(float)
@@ -208,6 +211,10 @@ class TestSplit:
             cons = KnapsackConstraints(costs, weights)
             fits = [bool(np.all(costs[:, e] <= weights + FEAS_TOL)) for e in range(n)]
             assert cons.fits().tolist() == fits
+            base = weights + FEAS_TOL - costs[:, n - 1]
+            on_top = [bool(np.all(base + costs[:, e] <= weights + FEAS_TOL)) for e in range(n)]
+            assert cons.fits(base).tolist() == on_top
+            landed += sum((base + costs[:, e] == weights + FEAS_TOL).all() for e in range(n))
             for lam in (1.0, float(k)):
                 bounds = lam * weights / k + FEAS_TOL
                 cheap = tuple(e for e in range(n) if np.all(costs[:, e] <= bounds))
@@ -215,6 +222,7 @@ class TestSplit:
                 assert part.cheap == cheap
                 # an element that does not fit alone is in neither part
                 assert part.expensive == tuple(e for e in range(n) if fits[e] and e not in cheap)
+        assert landed > 50
 
 
 class TestGreedyPhase:

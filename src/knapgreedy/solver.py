@@ -123,8 +123,8 @@ def greedy_phase(obj, cons, part, memo, sigma):
     - Residual fit. The prefix only grows and costs are nonnegative, so an
       element that does not fit on top of the prefix fits on top of no
       later one. The fits mask, cons.fits(cost_acc), is rebuilt after each
-      append and drops such a top, stale or exact, without a call, as
-      DynamicGreedy.step drops it from its pool: a top that is taken fits.
+      append and drops such a top, stale or exact, without a call, as the
+      engine's pool leaves it out: a top that is taken fits.
     - Negative bound. Every key bounds its element's current -density
       from below, up to the rounding slack, and the top holds the least
       key. A top, stale or exact, whose key exceeds the slack leaves no

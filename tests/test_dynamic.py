@@ -391,7 +391,6 @@ class TestMemo:
         assert {e: v.hex() for e, v in memo[(1, 0)].items()} == {e: v.hex() for e, v in fresh[(1, 0)].items()}
         assert any(memo[(0, 1)][e].hex() != v.hex() for e, v in fresh[(1, 0)].items())
 
-
     def test_no_entry_holds_an_element_that_did_not_fit_on_top_of_its_key(self):
         # random walks of eager steps, limited runs and mixed updates, then
         # finalize(): an element is evaluated on top of a prefix only when

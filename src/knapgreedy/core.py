@@ -33,13 +33,13 @@ class EmptyAfterReductionError(ValueError):
 
 def _whole(x, what):
     """x as an int if it is a whole number, else InvalidInstanceError naming
-    what (int() would truncate 2.5 to 2). Index-heavy callers skip it for an exact int."""
+    what (int() would truncate 2.5 to 2, and operator.index reads a JSON true
+    as 1). Index-heavy callers skip it for an exact int."""
     if isinstance(x, (float, np.floating)) and x.is_integer():
         return int(x)
-    try:
+    if x.__class__ is not bool and hasattr(type(x), "__index__"):
         return operator.index(x)  # an int or a numpy integer; not a str or None
-    except TypeError:
-        raise InvalidInstanceError("%s must be a whole number, got %r" % (what, x)) from None
+    raise InvalidInstanceError("%s must be a whole number, got %r" % (what, x))
 
 
 def _shape(x, kind, what):
@@ -328,6 +328,12 @@ class Solution:
         del self.order[depth:], self.history[depth + 1:]
 
 
+def _check_size(obj, n):
+    """InvalidInstanceError unless the objective's size is unset or n."""
+    if obj.n is not None and obj.n != n:
+        raise InvalidInstanceError("objective has size %d but n=%d" % (obj.n, n))
+
+
 def validate(inst):
     """Check structural invariants; raises InvalidInstanceError on the first
     violation, naming the offending element. The budgets were checked when
@@ -339,9 +345,7 @@ def validate(inst):
             "dimension mismatch: cost matrix has %d columns, ground set has %d elements"
             % (cons.n, n)
         )
-    size = inst.objective.n
-    if size is not None and size != n:
-        raise InvalidInstanceError("objective has size %d but n=%d" % (size, n))
+    _check_size(inst.objective, n)
     if cons.cost_error is not None:
         raise InvalidInstanceError(cons.cost_error)
 

@@ -30,6 +30,7 @@ import numpy as np
 from .core import InvalidInstanceError, Solution, validate
 from .solver import (
     Partition,
+    Reader,
     best_of,
     best_singleton,
     chi,  # no caller here; benchmark/tracing.py patches this binding
@@ -59,14 +60,13 @@ class DynamicGreedy:
     once, with vstar None.
 
     memo maps an ordered prefix, as a tuple, to {e: f(prefix + [e])} for
-    every e evaluated on top of it, and the oracle is asked only on a miss.
-    The key is the order, not the set: the same ordered prefix gives the
-    same prefix-state pushes, so a stored value has the bits a new call
-    would return, where another order may round differently. Its root
-    entry memo[()] is singleton_values, the same dict. Nothing is dropped,
-    not on an update nor on a rollback, since f never changes: the memo
-    holds one float per distinct (prefix, element) pair the engine
-    evaluates, plus one key per distinct prefix it scans.
+    every e evaluated on top of it, and every value is read through a
+    Reader on its entry. The key is the order, not the set: another order
+    may round differently. Its root entry memo[()] is singleton_values, the
+    same dict. Nothing is dropped, not on an update nor on a rollback,
+    since f never changes: the memo holds one float per distinct (prefix,
+    element) pair the engine evaluates, plus one key per distinct prefix it
+    scans.
     """
 
     def __init__(self, inst, lam):
@@ -111,31 +111,22 @@ class DynamicGreedy:
         """One eager density-greedy selection, when the pool is not empty:
         it appends an element or ends the phase.
 
-        Reads f(sigma + e) for every candidate in the pool from the memo.
-        On the first miss it follows sigma's order on the objective; each
-        miss is one oracle call, answered from the prefix state, and stored.
-        The winner has the largest density, marginal gain per maximum cost,
-        ties to the earliest in pool order; a NaN density never wins. A
-        winner of density >= 0 fits, as the whole pool does: it is appended
-        and the pool refilled. Otherwise no gain in the pool is a
-        nonnegative number, since a negative winner's density bounds every
-        other's, and sigma cannot grow until the budgets change: the pool
-        is cleared.
+        Reads f(sigma + e) for the pool, in its order, through one Reader
+        on the memo entry of sigma's order. The winner has the largest
+        density, marginal gain per maximum cost, ties to the earliest in
+        pool order; a NaN density never wins. A winner of density >= 0
+        fits, as the whole pool does: it is appended and the pool refilled.
+        Otherwise no gain in the pool is a nonnegative number, since a
+        negative winner's density bounds every other's, and sigma cannot
+        grow until the budgets change: the pool is cleared.
         """
-        obj, sigma, pool = self.obj, self.sigma, self.pool
+        sigma, pool = self.sigma, self.pool
         if not pool:
             return
-        values = self.memo.setdefault(tuple(sigma.order), {})
-        current, base = None, sigma.value
-        max_costs = self.cons.max_costs
+        prefix, base, max_costs = tuple(sigma.order), sigma.value, self.cons.max_costs
+        fvals = Reader(self.obj, self.memo.setdefault(prefix, {}), prefix).read_all(pool)
         best_e, best_density, best_fval = None, -math.inf, None
-        for e in pool:
-            fe = values.get(e)
-            if fe is None:
-                if current is None:  # the first miss
-                    obj.follow(sigma.order)
-                    current = frozenset(sigma.order)
-                fe = values[e] = obj.value(current | {e})
+        for e, fe in zip(pool, fvals):
             density = (fe - base) / max_costs[e]
             if density > best_density:
                 best_e, best_density, best_fval = e, density, fe
@@ -218,10 +209,8 @@ class DynamicGreedy:
         eagerly until eval_count reaches it; the limit is checked between
         steps, so the last step may run past it by the misses of one scan of
         the pool, and steps whose scan the memo answers cost no call.
-        Without one, run the lazy greedy_phase from the current prefix
-        through the memo, seeded by its root entry, the singleton values,
-        which bound the gains at any depth by submodularity: it reaches the
-        prefix eager steps reach."""
+        Without one, run the lazy greedy_phase over the memo from the
+        current prefix: it reaches the prefix eager steps reach."""
         if call_limit is None:
             part = Partition(cheap=tuple(self.pool), expensive=())
             greedy_phase(self.obj, self.cons, part, self.memo, self.sigma)
@@ -242,9 +231,8 @@ class DynamicGreedy:
         takes the complement set only when it beats the greedy prefix and
         the best singleton strictly. Drops the objective's prefix state."""
         self.run_to_completion()
-        comp_set, comp_val = complement_search(
-            self.obj, self.cons, self.part, self.singleton_values, self.current_best()
-        )
+        comp_set, comp_val = complement_search(self.obj, self.cons, self.part, self.singleton_values,
+                                               self.current_best())
         self.obj.follow(None)
         calls = self.obj.eval_count - self._calls_baseline
         return best_of(self.sigma, self.vstar, self.vstar_value, comp_set, comp_val, calls)

@@ -21,7 +21,8 @@ The file, "objective", "partition", "qd" and its "features" and "sigmas"
 must be JSON objects, "arcs" and "labels" lists, each arc a list of three
 and each feature matrix a list of rows; any other shape raises
 InvalidInstanceError naming the field, and so does an array that is
-ragged or holds something that is not a number (_array).
+ragged or holds something that is not a number (_array), and an arc
+weight, jitter or bandwidth that is not one number (_number).
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ def _array(x, what):
         raise InvalidInstanceError("%s must hold only numbers, in rows of equal length" % what) from None
 
 
+def _number(x, what):
+    """x as a float if it is a JSON number, else InvalidInstanceError naming what."""
+    if x.__class__ is bool or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise InvalidInstanceError("%s must be a number, got %r" % (what, x))
+    return float(x)
+
+
 def _load_objective(spec, n, base_dir):
     kind = _shape(spec, dict, "objective").get("kind")
     if kind == "modular":
@@ -67,7 +75,8 @@ def _load_objective(spec, n, base_dir):
             i = bad[0]
             _shape(arcs[i], list, "arc %d" % i)
             raise InvalidInstanceError("arc %d must be [tail, head, weight], got %r" % (i, arcs[i]))
-        _array([arc[2] for arc in arcs], "arc weights")
+        if _array([arc[2] for arc in arcs], "arc weights").ndim != 1:
+            raise InvalidInstanceError("arc weights must be numbers, one per arc")
         return DirectedCutObjective(n, arcs)
     if kind == "dpp":
         if "L" in spec:
@@ -77,8 +86,10 @@ def _load_objective(spec, n, base_dir):
             features = _shape(qd["features"], dict, "qd features")
             L = build_qd_kernel(_array(qd["q"], "qd q"),
                                 {f: _array(v, "feature family %r" % f) for f, v in features.items()},
-                                _shape(qd["sigmas"], dict, "qd sigmas"))
-        return DppLogDetObjective(L, **({"jitter": spec["jitter"]} if "jitter" in spec else {}))
+                                {f: _number(s, "bandwidth of feature family %r" % f)
+                                 for f, s in _shape(qd["sigmas"], dict, "qd sigmas").items()})
+        jitter = {"jitter": _number(spec["jitter"], "jitter")} if "jitter" in spec else {}
+        return DppLogDetObjective(L, **jitter)
     if kind == "entropy":
         if "Sigma" in spec:
             Sigma = _array(spec["Sigma"], "Sigma")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidInstanceError, subsets_by_size, validate
+from .core import _check_size, subsets_by_size, validate
 
 OPT_CAP = 20
 CURVATURE_CAP = 10
@@ -121,8 +121,7 @@ def brute_force_curvature(obj, n):
     objective whose size is set and is not n raises InvalidInstanceError
     before any call.
     """
-    if obj.n is not None and obj.n != n:
-        raise InvalidInstanceError("objective has size %d but n=%d" % (obj.n, n))
+    _check_size(obj, n)
     _check_cap(n, CURVATURE_CAP)
     return _curvature(obj.value_table(n), n)
 

@@ -91,16 +91,51 @@ def _heap_key(density):
     return -density if density == density else math.inf
 
 
+class Reader:
+    """f(order + [e]), the package's one way to obtain it: read(e) for one
+    element, read_all(elements) for a list, in its order.
+
+    values holds the answers stored for the ordered prefix order. A hit
+    makes no call. At the reader's first miss the objective follows order;
+    each miss is one oracle call, answered from the prefix state and stored
+    in values, so a stored value has the bits a new call returns. Between
+    two reads of one reader its caller makes no other oracle call and no
+    follow: after the first miss the objective must follow order still.
+    """
+
+    __slots__ = ("obj", "values", "order", "_base")
+
+    def __init__(self, obj, values, order):
+        self.obj, self.values, self.order, self._base = obj, values, order, None
+
+    def _ask(self, missing):
+        if self._base is None:  # the first miss
+            self.obj.follow(self.order)
+            self._base = frozenset(self.order)
+        base, value, values = self._base, self.obj.value, self.values
+        for e in missing:
+            values[e] = value(base | {e})
+
+    def read(self, e):
+        if e not in self.values:
+            self._ask((e,))
+        return self.values[e]
+
+    def read_all(self, elements):
+        values = self.values
+        missing = [e for e in elements if e not in values]
+        if missing:
+            self._ask(missing)
+        return [values[e] for e in elements]
+
+
 def greedy_phase(obj, cons, part, memo, sigma):
     """Lazy density greedy over the cheap set (Minoux 1978): extends the
     prefix sigma in place with the sequence that repeated DynamicGreedy.step
     calls append, until no candidate can be appended, and returns sigma.
 
-    memo is DynamicGreedy.memo: f(prefix + [e]) keyed by the ordered prefix
-    as a tuple, then by e. A re-evaluation reads it first and calls the
-    oracle, which follows the prefix first, only on a miss, storing the
-    answer there. The same ordered prefix gives the same prefix state, so
-    a stored value has the bits a new call would return.
+    memo is DynamicGreedy.memo. Each depth re-evaluates through its own
+    Reader on memo[prefix], made after the append that reached it.
 
     For submodular f, monotone or not, a marginal gain can only shrink as
     the prefix grows and max_costs is fixed, so a density computed at an
@@ -136,8 +171,8 @@ def greedy_phase(obj, cons, part, memo, sigma):
             for e in part.cheap]  # gain over f(empty) = 0
     heapq.heapify(heap)
     min_cost = min((max_costs[e] for e in part.cheap), default=1.0)
-    depth, current, base = len(sigma.order), None, sigma.value
-    values = memo.setdefault(tuple(sigma.order), {})
+    depth, base, prefix = len(sigma.order), sigma.value, tuple(sigma.order)
+    read = Reader(obj, memo.setdefault(prefix, {}), prefix).read
     fits = cons.fits(sigma.cost_acc)
     while heap:
         key, e, at, fe = heap[0]
@@ -148,12 +183,7 @@ def greedy_phase(obj, cons, part, memo, sigma):
             heapq.heappop(heap)
             continue
         if at != depth:
-            fe = values.get(e)
-            if fe is None:
-                if current is None:  # the first miss at this depth
-                    obj.follow(sigma.order)
-                    current = frozenset(sigma.order)
-                fe = values[e] = obj.value(current | {e})
+            fe = read(e)
             heapq.heapreplace(heap, (_heap_key((fe - base) / max_costs[e]), e, depth, fe))
             continue
         heapq.heappop(heap)  # the top, (key, e, at, fe)
@@ -170,8 +200,8 @@ def greedy_phase(obj, cons, part, memo, sigma):
         if key > 0:
             break
         sigma.take(e, fe, sigma.cost_acc + cons.costs[:, e])
-        depth, current, base = depth + 1, None, fe
-        values = memo.setdefault(tuple(sigma.order), {})
+        depth, base, prefix = depth + 1, fe, tuple(sigma.order)
+        read = Reader(obj, memo.setdefault(prefix, {}), prefix).read
         fits = cons.fits(sigma.cost_acc)
     return sigma
 
@@ -190,12 +220,9 @@ def complement_search(obj, cons, part, singleton_values, floor=0.0):
     are nonnegative. Ties go to the lexicographically smallest element
     tuple, the set an exhaustive preorder enumeration finds first: paths
     are ascending, because part.expensive is (split_by_threshold builds it
-    so). Every feasible subset is evaluated at most once, and the root's
-    children, the singletons, are read from singleton_values (f({e})
-    keyed by element, as best_singleton keeps it): only those missing
-    from it are evaluated, one call each, and stored there. A cached value
-    is what that call from the empty prefix returns, so it prunes and ties
-    exactly as a fresh evaluation would.
+    so). Every feasible subset is evaluated at most once: each node reads
+    its children through a Reader on S, the root's over singleton_values
+    (as best_singleton keeps it), every other's over a throwaway dict.
     floor is a value the caller already holds and keeps unless a subset
     beats it strictly; the default, 0.0, is the empty set's value, where
     the search starts anyway. A subtree is also skipped when its bound is
@@ -204,12 +231,9 @@ def complement_search(obj, cons, part, singleton_values, floor=0.0):
     Returns (set, value); the empty set has value 0 by the oracle contract.
     """
     if len(part.expensive) > COMPLEMENT_SIZE_WARNING:
-        warnings.warn(
-            "complement too large: branch-and-bound search over %d elements" % len(part.expensive),
-            RuntimeWarning,
-        )
-    best_val, best_path = 0.0, ()
-    path = []
+        warnings.warn("complement too large: branch-and-bound search over %d elements"
+                      % len(part.expensive), RuntimeWarning)
+    best_val, best_path, path = 0.0, (), []
 
     def visit(cand, cost, f_path):
         nonlocal best_val, best_path
@@ -219,12 +243,7 @@ def complement_search(obj, cons, part, singleton_values, floor=0.0):
         if not cand.size:
             return
         idx = cand.tolist()
-        if path:
-            obj.follow(path)
-            base = frozenset(path)
-            vals = np.array([obj.value(base | {e}) for e in idx])
-        else:
-            vals = np.array(_singletons(obj, idx, singleton_values))
+        vals = np.array(Reader(obj, {} if path else singleton_values, tuple(path)).read_all(idx))
         for e, v in zip(idx, vals.tolist()):
             if v > best_val or (v == best_val and tuple(path) + (e,) < best_path):
                 best_val, best_path = v, tuple(path) + (e,)
@@ -246,23 +265,11 @@ def best_singleton(obj, elements, values):
     """The best single element v*: argmax of f({e}) over the ascending
     sequence elements, ties to the lowest index, and its value; a NaN value
     never wins, and (None, 0.0) is returned when no value is a number.
-    values caches f({e}) keyed by element: only the elements missing from
-    it are evaluated, one call each, and stored there. Only when one is
-    missing is the objective's followed prefix reset to the empty one, by
-    follow(())."""
-    numbers = [e for e, v in zip(elements, _singletons(obj, elements, values)) if v == v]
+    values caches f({e}) keyed by element; the values are read through one
+    Reader on the empty prefix over it."""
+    numbers = [e for e, v in zip(elements, Reader(obj, values, ()).read_all(elements)) if v == v]
     best_e = max(numbers, key=values.__getitem__, default=None)
     return best_e, 0.0 if best_e is None else values[best_e]
-
-
-def _singletons(obj, elements, values):
-    """[f({e}) for e in elements] under best_singleton's rule for the
-    cache values."""
-    missing = [e for e in elements if e not in values]
-    if missing:
-        obj.follow(())
-        values.update((e, obj.value({e})) for e in missing)
-    return [values[e] for e in elements]
 
 
 def best_of(sigma, vstar, vstar_val, comp_set, comp_val, calls):

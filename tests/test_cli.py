@@ -84,7 +84,8 @@ class TestSolve:
          "update stream must be sorted by at_call"),
         ('{"at_call": 2, "weights": [1.0]}', "update stream must be a JSON list, got dict"),
         ('[[2, [1.0]]]', "update 0 must be a JSON object, got list"),
-    ], ids=["fractional-at_call", "unsorted", "object-stream", "list-update"])
+        ('[{"at_call": true, "weights": [1.0]}]', "at_call of update 0 must be a whole number, got True"),
+    ], ids=["fractional-at_call", "unsorted", "object-stream", "list-update", "true-at_call"])
     def test_bad_update_stream_exit_2(self, tmp_path, capsys, stream, message):
         # unchecked, int() applies an update at 2.9 at call 2, and a stream
         # of another shape raises a TypeError (exit 1, with a traceback)
@@ -481,7 +482,19 @@ class TestOracle:
          "modular values must be one-dimensional, got shape (1, 5)"),
         ({"n": 5.5}, "n must be a whole number, got 5.5"),
         ({"k": 1.9}, "k must be a whole number, got 1.9"),
-    ], ids=["cut-tail", "cut-head", "partition-label", "nested-modular", "nested-modular-nan", "n", "k"])
+        ({"n": True}, "n must be a whole number, got True"),
+        ({"objective": {"kind": "cut", "arcs": [[0, 1, [1.0]]]}}, "arc weights must be numbers, one per arc"),
+        ({"objective": {"kind": "dpp", "L": np.eye(5).tolist(), "jitter": [0.001]}},
+         "jitter must be a number, got [0.001]"),
+        ({"objective": {"kind": "dpp", "L": np.eye(5).tolist(), "jitter": "x"}}, "jitter must be a number, got 'x'"),
+        ({"objective": {"kind": "dpp", "qd": {"q": [1] * 5, "features": {"a": [[0], [1], [2], [3], [4]]},
+                                              "sigmas": {"a": [1]}}}},
+         "bandwidth of feature family 'a' must be a number, got [1]"),
+        ({"objective": {"kind": "dpp", "qd": {"q": [1] * 5, "features": {"a": [[0], [1], [2], [3], [4]]},
+                                              "sigmas": {"a": "x"}}}},
+         "bandwidth of feature family 'a' must be a number, got 'x'"),
+    ], ids=["cut-tail", "cut-head", "partition-label", "nested-modular", "nested-modular-nan", "n", "k",
+            "true-n", "nested-arc-weight", "list-jitter", "string-jitter", "list-bandwidth", "string-bandwidth"])
     def test_truncated_or_nested_data_exit_2(self, tmp_path, capsys, change, message):
         # unchecked, int() truncates a fractional endpoint, label, n or k
         # and the file solves as another instance; nested values fail in

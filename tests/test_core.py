@@ -202,7 +202,7 @@ class TestWhole:
         assert _whole(x, "n") == int(x)
         assert type(_whole(x, "n")) is int
 
-    @pytest.mark.parametrize("x", [2.5, 1.9, float("inf"), float("nan"), np.float32(2.5), "2", None, [2]])
+    @pytest.mark.parametrize("x", [2.5, 1.9, float("inf"), float("nan"), np.float32(2.5), "2", None, [2], True])
     def test_anything_else_is_named(self, x):
         # int() would truncate 2.5 and 1.9, and read "2" as 2
         with pytest.raises(InvalidInstanceError, match=r"^n must be a whole number, got "):

@@ -27,7 +27,7 @@ from knapgreedy import (
     split_by_threshold,
 )
 from knapgreedy.core import FEAS_TOL
-from knapgreedy.solver import Partition, best_of, best_singleton
+from knapgreedy.solver import Partition, Reader, best_of, best_singleton
 
 from conftest import (
     FAMILIES,
@@ -35,6 +35,7 @@ from conftest import (
     eager_greedy_step,
     integer_instance,
     random_instance,
+    random_objective,
     random_spd,
     reference_chi,
     reference_complement,
@@ -416,6 +417,73 @@ class TestGreedyPhase:
             assert sigma.order == ref.order
             assert not np.isnan(values[sigma.order]).any()
             assert sigma.value == pytest.approx(ref.value)
+
+
+def _hex(values):
+    return {e: v.hex() for e, v in values.items()}
+
+
+class TestReader:
+    """Reader(obj, values, order): f(order + [e]) read from values, the
+    objective following order at the first miss, one stored call per miss."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_follows_its_prefix_at_the_first_miss(self, family):
+        # the objective follows a disjoint prefix after the reader is made;
+        # its answers still have the bits of calls on top of order, which
+        # from-scratch values (a reader that never follows) do not always
+        rng = np.random.default_rng(5)
+        apart = 0
+        for _ in range(12):
+            obj = random_objective(rng, 6, family)
+            order = tuple(rng.permutation(6)[:rng.integers(1, 4)].tolist())
+            rest = [e for e in range(6) if e not in order]
+            ref = obj.clone()
+            ref.follow(order)
+            want = {e: ref.value(order + (e,)) for e in rest}
+            scratch = {e: obj._value(frozenset(order + (e,))) for e in rest}
+            reader = Reader(obj, {}, order)
+            obj.follow(rest[:2])
+            got = {rest[0]: reader.read(rest[0])}
+            got.update(zip(rest[1:], reader.read_all(rest[1:])))
+            assert _hex(got) == _hex(want)
+            apart += _hex(scratch) != _hex(want)
+        assert apart
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_call_per_miss_and_none_per_hit(self, family):
+        obj = random_objective(np.random.default_rng(2), 6, family)
+        values = {4: 0.25}  # a stored answer is returned as it is
+        reader = Reader(obj, values, (1,))
+        assert (reader.read(4), reader.read_all([4]), obj.eval_count) == (0.25, [0.25], 0)
+        assert obj._prefix is None  # a hit does not follow either
+        reader.read(2)
+        reader.read(2)
+        assert obj.eval_count == 1
+        got = reader.read_all([0, 2, 3, 4, 5])
+        assert (got, obj.eval_count) == ([values[e] for e in (0, 2, 3, 4, 5)], 4)
+        assert reader.read_all([5, 3, 0]) == [values[e] for e in (5, 3, 0)]
+        assert (sorted(values), obj.eval_count) == ([0, 2, 3, 4, 5], 4)
+
+    @pytest.mark.parametrize("family, seed, apart", [
+        ("modular", 0, False), ("cut", 8, True), ("dpp", 0, True), ("entropy", 4, True),
+    ])
+    def test_stores_the_bits_of_a_fresh_reader(self, family, seed, apart):
+        # the objective has made calls on top of [0, 2], the same set in
+        # another order, whose values round apart from [2, 0]'s on these
+        # kernels (apart); a reader on [2, 0] stores what a fresh one reads
+        obj = random_objective(np.random.default_rng(seed), 6, family)
+        fresh_obj = obj.clone()
+        other = Reader(obj, {}, (0, 2))
+        other.read_all([1, 3, 4, 5])
+        values = {}
+        reader = Reader(obj, values, (2, 0))
+        reader.read(3)
+        reader.read_all([1, 4, 5])
+        fresh = {}
+        Reader(fresh_obj, fresh, (2, 0)).read_all([1, 3, 4, 5])
+        assert _hex(values) == _hex(fresh)
+        assert (_hex(other.values) != _hex(values)) == apart
 
 
 class TestBestSingleton:

@@ -33,8 +33,7 @@ class EmptyAfterReductionError(ValueError):
 
 def _whole(x, what):
     """x as an int if it is a whole number, else InvalidInstanceError naming
-    what (int() would truncate 2.5 to 2, and operator.index reads a JSON true
-    as 1). Index-heavy callers skip it for an exact int."""
+    what (int() would truncate 2.5 to 2; true is none). Index-heavy callers skip it for an int."""
     if isinstance(x, (float, np.floating)) and x.is_integer():
         return int(x)
     if x.__class__ is not bool and hasattr(type(x), "__index__"):

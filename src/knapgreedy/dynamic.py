@@ -231,8 +231,9 @@ class DynamicGreedy:
         takes the complement set only when it beats the greedy prefix and
         the best singleton strictly. Drops the objective's prefix state."""
         self.run_to_completion()
-        comp_set, comp_val = complement_search(self.obj, self.cons, self.part, self.singleton_values,
-                                               self.current_best())
+        comp_set, comp_val = complement_search(
+            self.obj, self.cons, self.part, self.singleton_values, self.current_best()
+        )
         self.obj.follow(None)
         calls = self.obj.eval_count - self._calls_baseline
         return best_of(self.sigma, self.vstar, self.vstar_value, comp_set, comp_val, calls)

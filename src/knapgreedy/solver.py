@@ -103,13 +103,11 @@ class Reader:
     follow: after the first miss the objective must follow order still.
     """
 
-    __slots__ = ("obj", "values", "order", "_base")
-
     def __init__(self, obj, values, order):
         self.obj, self.values, self.order, self._base = obj, values, order, None
 
     def _ask(self, missing):
-        if self._base is None:  # the first miss
+        if missing and self._base is None:  # the first miss
             self.obj.follow(self.order)
             self._base = frozenset(self.order)
         base, value, values = self._base, self.obj.value, self.values
@@ -122,11 +120,8 @@ class Reader:
         return self.values[e]
 
     def read_all(self, elements):
-        values = self.values
-        missing = [e for e in elements if e not in values]
-        if missing:
-            self._ask(missing)
-        return [values[e] for e in elements]
+        self._ask([e for e in elements if e not in self.values])
+        return [self.values[e] for e in elements]
 
 
 def greedy_phase(obj, cons, part, memo, sigma):
@@ -231,9 +226,12 @@ def complement_search(obj, cons, part, singleton_values, floor=0.0):
     Returns (set, value); the empty set has value 0 by the oracle contract.
     """
     if len(part.expensive) > COMPLEMENT_SIZE_WARNING:
-        warnings.warn("complement too large: branch-and-bound search over %d elements"
-                      % len(part.expensive), RuntimeWarning)
-    best_val, best_path, path = 0.0, (), []
+        warnings.warn(
+            "complement too large: branch-and-bound search over %d elements" % len(part.expensive),
+            RuntimeWarning,
+        )
+    best_val, best_path = 0.0, ()
+    path = []
 
     def visit(cand, cost, f_path):
         nonlocal best_val, best_path

@@ -4,7 +4,7 @@ Schema:
     {"n": int, "k": int, "costs": [[real]], "weights": [real],
      "objective": {"kind": "modular"|"cut"|"dpp"|"entropy", ...}}
 
-"n" and "k" are whole numbers: 2.0 reads as 2, and 2.5 is rejected.
+"n" and "k" are whole numbers: 2.0 reads as 2, and 2.5 and true are rejected.
 Instead of costs/weights, a per-group cardinality budget may be given as
     {"partition": {"labels": [int], "budgets": [int]}}
 which expands to 0/1-cost knapsacks, one per group.

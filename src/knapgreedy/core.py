@@ -178,8 +178,8 @@ class PrefixState:
     Subclasses implement _push(d, e), which extends depth d by e and
     returns False when it cannot (tracking stops there), and _extend(d, e),
     which returns f(P[:d] + [e]) or None to fall back to Objective._value.
-    Objective.value reads order and members to tell that a set is P plus
-    one element, and asks _extend only then.
+    Objective.value asks extended(S), which tells whether S is P plus one
+    element and asks _extend only then.
     """
 
     def __init__(self):
@@ -198,6 +198,23 @@ class PrefixState:
                 break
             self.order.append(e)
             self.members.add(e)
+
+    def extended(self, S):
+        """f(S) from the state when S is P plus one element e outside P and
+        _extend has it, else None. A list is first recognised by order: P +
+        [e], its head equal to order, makes no set. Any other S, a list in
+        another order or with repeats too, is tested as a set: it has
+        len(P) + 1 elements, one of them outside P."""
+        order = self.order
+        d = len(order)
+        if S.__class__ is list and len(S) == d + 1 and S[:d] == order and S[d] not in self.members:
+            return self._extend(d, S[d])
+        S = frozenset(S)
+        new = S - self.members if len(S) == d + 1 else ()
+        if len(new) == 1:
+            (e,) = new
+            return self._extend(d, e)
+        return None
 
     def _push(self, d, e):
         raise NotImplementedError
@@ -227,21 +244,19 @@ class Objective:
         self.eval_count = 0
 
     def value(self, S):
-        """f(S), one oracle call: the prefix state's f(P + [e]) when S is the
-        followed prefix P plus one element e and the state has it, else
-        _value(S)."""
+        """f(S), one oracle call, for a set or a list of elements: the
+        prefix state's f(P + [e]) when S is the followed prefix P plus one
+        element e (PrefixState.extended; a list P + [e] is recognised by
+        its order alone) and the state has it, else _value(frozenset(S))."""
         self.eval_count += 1
-        S = frozenset(S)
+        if S.__class__ is not list:
+            S = frozenset(S)
         state = self._prefix
         if state is not None:
-            d = len(state.order)
-            new = S - state.members if len(S) == d + 1 else ()
-            if len(new) == 1:
-                (e,) = new
-                v = state._extend(d, e)
-                if v is not None:
-                    return v
-        return self._value(S)
+            v = state.extended(S)
+            if v is not None:
+                return v
+        return self._value(frozenset(S))
 
     def _value(self, S):
         raise NotImplementedError

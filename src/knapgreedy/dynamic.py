@@ -85,7 +85,7 @@ class DynamicGreedy:
         self.memo = {(): {}}
         self.singleton_values = self.memo[()]
         self._adopt(inst.constraints)
-        self._refill()
+        self._refill(self.part.cheap)
 
     def _adopt(self, cons):
         """Take cons as the current budgets, at construction and on every
@@ -96,12 +96,14 @@ class DynamicGreedy:
         fitting = sorted(self.part.cheap + self.part.expensive)
         self.vstar, self.vstar_value = best_singleton(self.obj, fitting, self.singleton_values)
 
-    def _refill(self):
-        """Refill the pool with the cheap elements outside the prefix that
-        fit on top of it. The prefix only grows until the next update and
-        costs are nonnegative, so the rest fit on top of no later prefix."""
-        taken, fits = set(self.sigma.order), self.cons.fits(self.sigma.cost_acc)
-        self.pool = [e for e in self.part.cheap if e not in taken and fits[e]]
+    def _refill(self, source):
+        """Refill the pool with the elements of source outside the prefix
+        that fit on top of it. source is the cheap set after an update, and
+        the pool after an append: the prefix only grows until the next
+        update and costs are nonnegative, so the rest fit on top of no later
+        prefix."""
+        taken, fits = set(self.sigma.order), self.cons.fits(self.sigma.cost_acc).tolist()
+        self.pool = [e for e in source if fits[e] and e not in taken]
 
     @property
     def phase(self):
@@ -134,7 +136,7 @@ class DynamicGreedy:
             pool.clear()
             return
         sigma.take(best_e, best_fval, sigma.cost_acc + self.cons.costs[:, best_e])
-        self._refill()
+        self._refill(pool)
 
     def apply_weights(self, new_weights):
         """Stack-rollback update rule for a new budget vector: adopt it, pop
@@ -148,7 +150,7 @@ class DynamicGreedy:
         # that fits now, and best_singleton evaluates those it has not seen
         self._adopt(new_cons)
         self.sigma.truncate(self._restart_depth(old_cons, old_part))
-        self._refill()
+        self._refill(self.part.cheap)
 
     def _restart_depth(self, old_cons, old_part):
         """The longest depth d such that order[:d] is the prefix a fresh

@@ -55,25 +55,28 @@ def _logdet_principals(M, rows, jitter=0.0):
 class _SumPrefix(PrefixState):
     """f(P) and the gain f(P + [e]) - f(P) of every element, per depth.
     A push of x subtracts the row drop[x] from the gains; without drop
-    (modular) the gains never change and one row is kept."""
+    (modular) the gains never change and one row is kept. f and each gain
+    row are kept as Python floats too, which _extend reads: an IEEE add of
+    the same two doubles has the same bits in numpy and in Python."""
 
     def __init__(self, gains, drop=None):
         super().__init__()
         n = gains.shape[0]
-        self.f = np.zeros(n + 1)
+        self.f = [0.0] * (n + 1)
         self.gains = np.empty((1 if drop is None else n + 1, n))
         self.gains[0] = gains
+        self.gain_rows = [self.gains[0].tolist()] * (n + 1)
         self.drop = drop
 
     def _push(self, d, e):
         self.f[d + 1] = self._extend(d, e)
         if self.drop is not None:
-            np.subtract(self.gains[d], self.drop[e], out=self.gains[d + 1])
+            row = np.subtract(self.gains[d], self.drop[e], out=self.gains[d + 1])
+            self.gain_rows[d + 1] = row.tolist()
         return True
 
     def _extend(self, d, e):
-        row = 0 if self.drop is None else d  # modular gains never change
-        return float(self.f[d] + self.gains[row, e])
+        return self.f[d] + self.gain_rows[d][e]  # modular: every row is row 0
 
 
 class _CholeskyPrefix(PrefixState):
@@ -81,7 +84,9 @@ class _CholeskyPrefix(PrefixState):
     (Chen, Zhang & Zhou, "Fast Greedy MAP Inference for Determinantal Point
     Process", NeurIPS 2018): per depth, the Cholesky row of the element
     pushed there, the residual variances d2 of every element and log det.
-    Then log det on P + [e] is log det on P plus log d2[e]."""
+    Then log det on P + [e] is log det on P plus log d2[e]. log det and each
+    d2 row are kept as Python floats too (d2_rows), which _extend reads:
+    math.log and an IEEE add give the same bits on either."""
 
     def __init__(self, K, jitter=0.0):
         super().__init__()
@@ -90,10 +95,11 @@ class _CholeskyPrefix(PrefixState):
         self.rows = np.empty((n, n))
         self.d2 = np.empty((n + 1, n))
         self.d2[0] = np.diag(K) + jitter  # jitter enters on the diagonal only
-        self.logdet = np.zeros(n + 1)
+        self.d2_rows = [self.d2[0].tolist()] + [None] * n
+        self.logdet = [0.0] * (n + 1)
 
     def _push(self, d, e):
-        de = self.d2[d, e]
+        de = self.d2_rows[d][e]
         if not de > 0:
             return False
         # Elementwise products summed over axis 0 put every column through
@@ -102,23 +108,25 @@ class _CholeskyPrefix(PrefixState):
         row = self.rows[d]
         np.subtract(self.K[e], (self.rows[:d, e, None] * self.rows[:d]).sum(axis=0), out=row)
         row /= math.sqrt(de)
-        np.subtract(self.d2[d], row * row, out=self.d2[d + 1])
+        self.d2_rows[d + 1] = np.subtract(self.d2[d], row * row, out=self.d2[d + 1]).tolist()
         self.logdet[d + 1] = self.logdet[d] + math.log(de)
         return True
 
     def _extend(self, d, e):
-        de = self.d2[d, e]
+        de = self.d2_rows[d][e]
         if not de > 0:
             return None  # not positive definite: _value raises as it always has
-        return float(self.logdet[d] + math.log(de))
+        return self.logdet[d] + math.log(de)
 
 
 class _EntropyPrefix(_CholeskyPrefix):
     """Entropy on the same state: ENTROPY_PER_ELEMENT * |S| + log det / 2."""
 
     def _extend(self, d, e):
-        logdet = super()._extend(d, e)
-        return None if logdet is None else ENTROPY_PER_ELEMENT * (d + 1) + 0.5 * logdet
+        de = self.d2_rows[d][e]
+        if not de > 0:
+            return None
+        return ENTROPY_PER_ELEMENT * (d + 1) + 0.5 * (self.logdet[d] + math.log(de))
 
 
 class _BatchedObjective(Objective):

@@ -97,10 +97,12 @@ class Reader:
 
     values holds the answers stored for the ordered prefix order. A hit
     makes no call. At the reader's first miss the objective follows order;
-    each miss is one oracle call, answered from the prefix state and stored
-    in values, so a stored value has the bits a new call returns. Between
-    two reads of one reader its caller makes no other oracle call and no
-    follow: after the first miss the objective must follow order still.
+    each miss is one oracle call, value(list(order) + [e]), which the
+    prefix state recognises by its order with no set built, answered from
+    that state and stored in values, so a stored value has the bits a new
+    call returns. Between two reads of one reader its caller makes no
+    other oracle call and no follow: after the first miss the objective
+    must follow order still.
     """
 
     def __init__(self, obj, values, order):
@@ -109,10 +111,10 @@ class Reader:
     def _ask(self, missing):
         if missing and self._base is None:  # the first miss
             self.obj.follow(self.order)
-            self._base = frozenset(self.order)
+            self._base = list(self.order)
         base, value, values = self._base, self.obj.value, self.values
         for e in missing:
-            values[e] = value(base | {e})
+            values[e] = value(base + [e])
 
     def read(self, e):
         if e not in self.values:

@@ -20,7 +20,7 @@ from knapgreedy import (
 )
 from knapgreedy.harness import RunTrace, TraceRow, summary_to_json, trace_to_csv
 
-from conftest import random_instance, worked_example_instance
+from conftest import FAMILIES, random_instance, worked_example_instance
 
 
 def make_trace(dg_values, rs_values, cfg=None):
@@ -197,6 +197,31 @@ class TestRunDynamic:
         assert rs_obj.eval_count == sum(r.restart_calls for r in trace.rows)
         warm_up = dg_obj.eval_count - sum(r.dgreedy_calls for r in trace.rows)
         assert 0 < warm_up <= inst.ground.n + cfg.tau + inst.ground.n
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_value_call_per_oracle_call(self, family, monkeypatch):
+        # a tracer that wraps Objective.value counts one span per call, so
+        # every oracle call of the race, on either contestant's clone, is
+        # exactly one value call, and no call is counted without one
+        made, calls = [], [0]
+        clone, value = Objective.clone, Objective.value
+
+        def collecting_clone(obj):
+            made.append(clone(obj))
+            return made[-1]
+
+        def counted_value(obj, S):
+            calls[0] += 1
+            return value(obj, S)
+
+        monkeypatch.setattr(Objective, "clone", collecting_clone)
+        monkeypatch.setattr(Objective, "value", counted_value)
+        inst = random_instance(np.random.default_rng(13), 12, 2, family)
+        cfg = SimConfig(tau=12, noise_sigma=0.1, n_updates=20, seed=5, lam=2.0,
+                        initial_fraction=0.5)
+        run_dynamic(inst, cfg)
+        assert len(made) == 2 and inst.objective.eval_count == 0
+        assert calls[0] == sum(obj.eval_count for obj in made) > 0
 
     @pytest.mark.parametrize("family", ["modular", "dpp"])
     def test_budgets_that_admit_nothing_score_zero(self, tmp_path, family):

@@ -80,7 +80,13 @@ class TestFastPathMatchesReference:
                     if e in order:
                         continue
                     S = set(order) | {e}
-                    assert close(obj.value(S), reference._value(frozenset(S)))
+                    v = obj.value(S)
+                    assert close(v, reference._value(frozenset(S)))
+                    # the list order + [e], as Reader asks, is one call too,
+                    # recognised by its order, with the bits of the set's
+                    before = obj.eval_count
+                    assert obj.value(order + [e]).hex() == v.hex()
+                    assert obj.eval_count == before + 1
             assert counter.calls == 0  # every call above took the fast path
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -90,6 +96,25 @@ class TestFastPathMatchesReference:
         obj.follow([3, 1, 5])
         for S in ({3, 1, 5}, {3, 1}, {0, 2, 4, 6}, {1, 5, 0, 2}, set()):
             assert close(obj.value(S), obj._value(frozenset(S)))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_other_lists_get_the_answer_of_their_set(self, family, monkeypatch):
+        # in another order, with repeats, or of another set: the bits and
+        # the from-scratch evaluations of value(frozenset(S))
+        rng = np.random.default_rng(70 + FAMILIES.index(family))
+        obj = random_objective(rng, 8, family)
+        twin = obj.clone()
+        obj.follow([3, 1, 5])
+        twin.follow([3, 1, 5])
+        counter, twin_counter = CountingReference(monkeypatch, obj), CountingReference(monkeypatch, twin)
+        for S in ([1, 3, 5, 0], [0, 3, 1, 5], [3, 1, 5, 0, 0], [3, 1, 5, 5], [3, 3, 1, 0],
+                  [3, 1, 2, 0], [3, 1, 0], [3, 1], []):
+            v = obj.value(S)
+            assert v.hex() == twin.value(frozenset(S)).hex()
+            assert counter.calls == twin_counter.calls
+            assert close(v, obj._value(frozenset(S)))
+            counter.calls, twin_counter.calls = 0, 0
+        assert obj._prefix.order == twin._prefix.order == [3, 1, 5]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_one_new_element_short_of_the_prefix_falls_back(self, family):

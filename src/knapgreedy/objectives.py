@@ -120,7 +120,9 @@ class _CholeskyPrefix(PrefixState):
 
 
 class _EntropyPrefix(_CholeskyPrefix):
-    """Entropy on the same state: ENTROPY_PER_ELEMENT * |S| + log det / 2."""
+    """Entropy on the same state: ENTROPY_PER_ELEMENT * |S| + log det / 2.
+    _extend repeats the log det of its base inline rather than calling
+    super(), which would add a call to every oracle call."""
 
     def _extend(self, d, e):
         de = self.d2_rows[d][e]

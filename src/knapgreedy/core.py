@@ -178,8 +178,9 @@ class PrefixState:
     Subclasses implement _push(d, e), which extends depth d by e and
     returns False when it cannot (tracking stops there), and _extend(d, e),
     which returns f(P[:d] + [e]) or None to fall back to Objective._value.
-    Objective.value asks extended(S), which tells whether S is P plus one
-    element and asks _extend only then.
+    Objective.value asks extended(S) for a list S, and extended asks
+    _extend only when S is the list P + [e]: that list is the one question
+    the state answers.
     """
 
     def __init__(self):
@@ -200,20 +201,13 @@ class PrefixState:
             self.members.add(e)
 
     def extended(self, S):
-        """f(S) from the state when S is P plus one element e outside P and
-        _extend has it, else None. A list is first recognised by order: P +
-        [e], its head equal to order, makes no set. Any other S, a list in
-        another order or with repeats too, is tested as a set: it has
-        len(P) + 1 elements, one of them outside P."""
+        """f(S) from the state when S is the list P + [e], its head equal to
+        order and e outside P, and _extend has it, else None. Only that list
+        is recognised, and no set is built."""
         order = self.order
         d = len(order)
-        if S.__class__ is list and len(S) == d + 1 and S[:d] == order and S[d] not in self.members:
+        if len(S) == d + 1 and S[:d] == order and S[d] not in self.members:
             return self._extend(d, S[d])
-        S = frozenset(S)
-        new = S - self.members if len(S) == d + 1 else ()
-        if len(new) == 1:
-            (e,) = new
-            return self._extend(d, e)
         return None
 
     def _push(self, d, e):
@@ -229,12 +223,13 @@ class Objective:
     Subclasses implement _value(frozenset) -> float, the from-scratch
     evaluation. Every call to value() is one oracle call and increments
     eval_count by exactly one; f(empty) must be 0. Families that return a
-    PrefixState from _prefix_state() answer f(P + [e]) for the prefix P
-    named by follow() from that state instead of calling _value. A set
-    evaluated in a batch by value_table() is one call too. The built-in
-    families implement _values(rows) instead, one arithmetic for a single
-    set and for a batch (objectives._BatchedObjective), and set n, the
-    size of the ground set they are defined on; None leaves it unchecked.
+    PrefixState from _prefix_state() answer the list P + [e], for the
+    prefix P named by follow(), from that state instead of calling
+    _value. A set evaluated in a batch by value_table() is one call too.
+    The built-in families implement _values(rows) instead, one arithmetic
+    for a single set and for a batch (objectives._BatchedObjective), and
+    set n, the size of the ground set they are defined on; None leaves it
+    unchecked.
     """
 
     _prefix = None  # PrefixState while following a prefix
@@ -245,14 +240,12 @@ class Objective:
 
     def value(self, S):
         """f(S), one oracle call, for a set or a list of elements: the
-        prefix state's f(P + [e]) when S is the followed prefix P plus one
-        element e (PrefixState.extended; a list P + [e] is recognised by
-        its order alone) and the state has it, else _value(frozenset(S))."""
+        prefix state's answer when S is the list P + [e] for the followed
+        prefix P and the state has one (PrefixState.extended), else
+        _value(frozenset(S)), for a set holding P + {e} too."""
         self.eval_count += 1
-        if S.__class__ is not list:
-            S = frozenset(S)
         state = self._prefix
-        if state is not None:
+        if state is not None and S.__class__ is list:
             v = state.extended(S)
             if v is not None:
                 return v
@@ -346,6 +339,12 @@ def _check_size(obj, n):
     """InvalidInstanceError unless the objective's size is unset or n."""
     if obj.n is not None and obj.n != n:
         raise InvalidInstanceError("objective has size %d but n=%d" % (obj.n, n))
+
+
+def _check_lambda(lam, k):
+    """InvalidInstanceError unless 1 <= lam <= k (a NaN is neither)."""
+    if not 1.0 <= lam <= k:
+        raise InvalidInstanceError("lambda out of [1,k]: %r with k=%d" % (lam, k))
 
 
 def validate(inst):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidInstanceError, Solution, validate
+from .core import Solution, _check_lambda, validate
 from .solver import (
     Partition,
     Reader,
@@ -71,8 +71,7 @@ class DynamicGreedy:
 
     def __init__(self, inst, lam):
         k = inst.constraints.k
-        if not 1.0 <= lam <= k:
-            raise InvalidInstanceError("lambda out of [1,k]: %r with k=%d" % (lam, k))
+        _check_lambda(lam, k)
         validate(inst)
         self._calls_baseline = inst.objective.eval_count
         self.lam = float(lam)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_size, subsets_by_size, validate
+from .core import _check_lambda, _check_size, subsets_by_size, validate
 
 OPT_CAP = 20
 CURVATURE_CAP = 10
@@ -161,8 +161,10 @@ def check_guarantee(inst, lam, alg_value):
     """Verify alg_value >= bound * OPT - 1e-9 with exhaustively computed
     OPT and curvature, both read from one value table evaluated on a clone
     of the objective, so the caller's count and prefix are left alone. A
-    zero optimum passes vacuously (ratio None). A malformed instance raises
-    InvalidInstanceError (core.validate) before any oracle call."""
+    zero optimum passes vacuously (ratio None). A lam outside [1, k] or a
+    malformed instance raises InvalidInstanceError (core._check_lambda,
+    core.validate) before any oracle call."""
+    _check_lambda(lam, inst.constraints.k)
     validate(inst)
     n = inst.ground.n
     _check_cap(n, CURVATURE_CAP)

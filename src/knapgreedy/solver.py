@@ -97,10 +97,9 @@ class Reader:
 
     values holds the answers stored for the ordered prefix order. A hit
     makes no call. At the reader's first miss the objective follows order;
-    each miss is one oracle call, value(list(order) + [e]), which the
-    prefix state recognises by its order with no set built, answered from
-    that state and stored in values, so a stored value has the bits a new
-    call returns. Between two reads of one reader its caller makes no
+    each miss is one oracle call, value(list(order) + [e]), the one form
+    of question the prefix state answers, and is stored in values, so a
+    stored value has the bits a new call returns. Between two reads of one reader its caller makes no
     other oracle call and no follow: after the first miss the objective
     must follow order still.
     """

@@ -252,11 +252,11 @@ def eager_greedy_step(obj, cons, sigma, pool):
     winner is appended when its gain is a number at least 0 and the grown
     set fits, and discarded otherwise."""
     obj.follow(sigma.order)
-    current, base = frozenset(sigma.order), sigma.value
+    base = sigma.value
     max_costs = cons.max_costs
     best_e, best_density, best_fval = None, None, None
     for e in pool:
-        fe = obj.value(current | {e})
+        fe = obj.value(sigma.order + [e])
         density = (fe - base) / max_costs[e]
         if best_density is None or density > best_density:
             best_e, best_density, best_fval = e, density, fe

@@ -399,6 +399,17 @@ class TestOracle:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False
 
+    @pytest.mark.parametrize("lam", ["0", "-1", "nan", "2"])
+    def test_lambda_out_of_range_exit_2(self, capsys, lam):
+        # with a claimed value no engine is built, so check_guarantee itself
+        # rejects lam (k = 1) before its table: 0 would divide by zero, and
+        # -1 and k + 1 would pass
+        for extra in ([], ["--assert-value", "3.25"]):
+            assert main(["oracle", "--instance", FIXTURE, "--lambda", lam] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "lambda out of [1,k]: %r with k=1" % float(lam) in captured.err
+
     def test_dpp_fixture_matches_the_reference_loops(self, capsys):
         inst = load_instance(DPP_FIXTURE)
         opt_value, opt_set = reference_opt(inst)

@@ -1,9 +1,10 @@
 """Differential tests of the incremental oracle path.
 
-Objective.value answers f(P + [e]) for the prefix P named by follow() from
-per-family state; _value is the from-scratch reference. These tests drive
-follow() through pushes, pops and jumps, and compare the two on all four
-families, together with the call accounting, clone independence, the
+Objective.value answers the list P + [e], for the prefix P named by
+follow(), from per-family state; any other argument, a set holding P + {e}
+too, goes to _value, the from-scratch reference. These tests drive follow()
+through pushes, pops and jumps, and compare the two on all four families,
+together with the call accounting, clone independence, the
 non-positive-definite errors and the greedy order on exact ties.
 """
 
@@ -79,15 +80,16 @@ class TestFastPathMatchesReference:
                 for e in range(n):
                     if e in order:
                         continue
-                    S = set(order) | {e}
-                    v = obj.value(S)
-                    assert close(v, reference._value(frozenset(S)))
-                    # the list order + [e], as Reader asks, is one call too,
-                    # recognised by its order, with the bits of the set's
-                    before = obj.eval_count
-                    assert obj.value(order + [e]).hex() == v.hex()
-                    assert obj.eval_count == before + 1
-            assert counter.calls == 0  # every call above took the fast path
+                    S = frozenset(order) | {e}
+                    # the list order + [e], as Reader asks, is answered from
+                    # the state with no _value call; the set of the same
+                    # elements is one _value call, with its bits
+                    calls, before = counter.calls, obj.eval_count
+                    v = obj.value(order + [e])
+                    assert (counter.calls, obj.eval_count) == (calls, before + 1)
+                    assert close(v, reference._value(S))
+                    assert obj.value(set(S)).hex() == reference._value(S).hex()
+                    assert (counter.calls, obj.eval_count) == (calls + 1, before + 2)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_other_sets_fall_back(self, family):
@@ -99,8 +101,10 @@ class TestFastPathMatchesReference:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_other_lists_get_the_answer_of_their_set(self, family, monkeypatch):
-        # in another order, with repeats, or of another set: the bits and
-        # the from-scratch evaluations of value(frozenset(S))
+        # in another order, with repeats, of another set, or P + {e} as a
+        # set, a frozenset or a tuple: the bits of value(frozenset(S)) and
+        # its one from-scratch evaluation, since only the list P + [e] is
+        # answered from the state
         rng = np.random.default_rng(70 + FAMILIES.index(family))
         obj = random_objective(rng, 8, family)
         twin = obj.clone()
@@ -108,22 +112,24 @@ class TestFastPathMatchesReference:
         twin.follow([3, 1, 5])
         counter, twin_counter = CountingReference(monkeypatch, obj), CountingReference(monkeypatch, twin)
         for S in ([1, 3, 5, 0], [0, 3, 1, 5], [3, 1, 5, 0, 0], [3, 1, 5, 5], [3, 3, 1, 0],
-                  [3, 1, 2, 0], [3, 1, 0], [3, 1], []):
+                  [3, 1, 2, 0], [3, 1, 0], [3, 1], [], {3, 1, 5, 0}, frozenset({3, 1, 5, 0}),
+                  (3, 1, 5, 0)):
             v = obj.value(S)
             assert v.hex() == twin.value(frozenset(S)).hex()
-            assert counter.calls == twin_counter.calls
+            assert counter.calls == twin_counter.calls == 1
             assert close(v, obj._value(frozenset(S)))
             counter.calls, twin_counter.calls = 0, 0
         assert obj._prefix.order == twin._prefix.order == [3, 1, 5]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_one_new_element_short_of_the_prefix_falls_back(self, family):
-        # each set holds one element outside the followed prefix but misses
-        # a prefix member, so the state's f(prefix + [0]) is not its value
+        # each list ends in one element outside the followed prefix but
+        # misses a prefix member, so the state's f(prefix + [0]) is not its
+        # value
         rng = np.random.default_rng(20 + FAMILIES.index(family))
         obj = random_objective(rng, 8, family)
         obj.follow([3, 1, 5])
-        for S in ({0}, {3, 0}, {1, 5, 0}):
+        for S in ([0], [3, 0], [1, 5, 0]):
             assert close(obj.value(S), obj._value(frozenset(S)))
 
 
@@ -173,8 +179,7 @@ class TestClones:
             for clone, order in ((a, order_a), (b, order_b)):
                 assert clone._prefix.order == order
                 for e in set(range(n)) - set(order):
-                    S = frozenset(order) | {e}
-                    assert close(clone.value(S), obj._value(S))
+                    assert close(clone.value(order + [e]), obj._value(frozenset(order) | {e}))
         assert obj._prefix.order == [1, 2]
 
 
@@ -193,22 +198,22 @@ class TestNotPositiveDefinite:
             obj._value(frozenset({0, 1}))
         obj.follow([0])
         with pytest.raises(NotPositiveDefiniteError) as fast:
-            obj.value({0, 1})
+            obj.value([0, 1])  # the state has no answer, and _value raises
         assert str(fast.value) == str(scratch.value)
         # a prefix that cannot be factored stops the tracking before it
         obj.follow([0, 1])
         assert obj._prefix.order == [0]
         with pytest.raises(NotPositiveDefiniteError):
-            obj.value({0, 1, 2})
+            obj.value([0, 1, 2])
         assert obj.eval_count == 2
-        assert obj.value({0, 2}) == pytest.approx(obj._value(frozenset({0, 2})))
+        assert obj.value([0, 2]) == pytest.approx(obj._value(frozenset({0, 2})))
 
     def test_negative_diagonal_singleton(self):
         obj = EntropyObjective([[-1.0, 0.0], [0.0, 1.0]])
         obj.follow([])
         with pytest.raises(NotPositiveDefiniteError):
-            obj.value({0})
-        assert obj.value({1}) == pytest.approx(obj._value(frozenset({1})))
+            obj.value([0])
+        assert obj.value([1]) == pytest.approx(obj._value(frozenset({1})))
 
 
 # ---------------------------------------------------------------------------

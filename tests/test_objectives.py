@@ -213,7 +213,7 @@ class TestDirectedCut:
     def test_self_loop_never_counts(self):
         obj = DirectedCutObjective(2, [(0, 0, 5.0), (0, 1, 1.0)])
         obj.follow([])
-        assert obj.value({0}) == obj._value(frozenset({0})) == 1.0
+        assert obj.value([0]) == obj._value(frozenset({0})) == 1.0
 
     def test_full_table_matches_adjacency_scan(self):
         rng = np.random.default_rng(8)

@@ -440,7 +440,7 @@ class TestReader:
             rest = [e for e in range(6) if e not in order]
             ref = obj.clone()
             ref.follow(order)
-            want = {e: ref.value(order + (e,)) for e in rest}
+            want = {e: ref.value(list(order) + [e]) for e in rest}
             scratch = {e: obj._value(frozenset(order + (e,))) for e in rest}
             reader = Reader(obj, {}, order)
             obj.follow(rest[:2])

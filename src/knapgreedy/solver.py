@@ -99,9 +99,9 @@ class Reader:
     makes no call. At the reader's first miss the objective follows order;
     each miss is one oracle call, value(list(order) + [e]), the one form
     of question the prefix state answers, and is stored in values, so a
-    stored value has the bits a new call returns. Between two reads of one reader its caller makes no
-    other oracle call and no follow: after the first miss the objective
-    must follow order still.
+    stored value has the bits a new call returns. Between two reads of one
+    reader its caller makes no other oracle call and no follow: after the
+    first miss the objective must follow order still.
     """
 
     def __init__(self, obj, values, order):
